@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import ExpansionVectors, RefinementDecision, expand
-from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, star_expand
+from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
 
 __all__ = [
     "CoarseningParams",
@@ -25,13 +25,10 @@ __all__ = [
     "CoarseningSequence",
     "CoarseningCache",
     "DedupResult",
-    "clique_of_bipartite",
-    "local_variation_cost",
     "merge_left",
     "dedup_right",
     "complete_left_partition",
     "sample_coarsening_sequence",
-    "cache_take",
 ]
 
 MAX_RIGHT_GROUP = 3
@@ -105,28 +102,17 @@ class CoarseningSequence:
         return len(self.levels)
 
 
-def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
-    """Weighted clique expansion of the current level: left nodes are adjacent
-    iff they share a right node; the weight counts shared right nodes."""
-    counts: dict[tuple[int, int], int] = {}
-    for nb in b.right_neighborhoods():
-        members = sorted(nb)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                key = (members[i], members[j])
-                counts[key] = counts.get(key, 0) + 1
-    if counts:
-        pairs = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[tuple(p)] for p in pairs], dtype=np.int64)
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-        weights = np.zeros(0, dtype=np.int64)
-    return CliqueExpansion(b.num_left, pairs, weights)
+def _variation_costs(clique: CliqueExpansion, preserve_k: int) -> np.ndarray:
+    """Local variation cost of contracting each clique edge (Loukas, 2019).
 
-
-def _variation_basis(clique: CliqueExpansion, preserve_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-k spectral basis A = U_k diag(lambda^-1/2) of the combinatorial
-    Laplacian, zero-eigenvalue columns masked, plus weighted degrees."""
+    With the first-k spectral basis A = U_k diag(lambda^-1/2) of the
+    combinatorial Laplacian (zero-eigenvalue columns masked), a pair
+    contraction's cost matrix B^T L_local B is a rank-one outer product, so
+    its Frobenius norm collapses to (deg_u + deg_v) / 2 * ||A_u - A_v||^2.
+    Deterministic and non-negative.
+    """
+    if clique.num_edges == 0:
+        return np.zeros(0)
     W = clique.adjacency()
     deg = W.sum(axis=1)
     L = np.diag(deg) - W
@@ -135,51 +121,10 @@ def _variation_basis(clique: CliqueExpansion, preserve_k: int) -> tuple[np.ndarr
     coef = np.zeros(k)
     positive = vals[:k] > 1e-8
     coef[positive] = vals[:k][positive] ** -0.5
-    return vecs[:, :k] * coef, deg
-
-
-def _variation_costs(clique: CliqueExpansion, preserve_k: int) -> np.ndarray:
-    """Local variation cost of every clique edge (vectorized closed form).
-
-    For a pair contraction the cost matrix B^T L_local B is a rank-one outer
-    product, so its Frobenius norm collapses to
-    (deg_u + deg_v) / 2 * ||A_u - A_v||^2.
-    """
-    if clique.num_edges == 0:
-        return np.zeros(0)
-    A, deg = _variation_basis(clique, preserve_k)
+    A = vecs[:, :k] * coef
     u, v = clique.edges[:, 0], clique.edges[:, 1]
     diff = A[u] - A[v]
     return 0.5 * (deg[u] + deg[v]) * np.einsum("ij,ij->i", diff, diff)
-
-
-def local_variation_cost(
-    c: CliqueExpansion, contraction: tuple[int, int], preserve_k: int = 8
-) -> float:
-    """Spectral disturbance score of contracting one adjacent node pair.
-
-    Deterministic and non-negative; built from the first ``preserve_k``
-    Laplacian eigenpairs.
-
-    Raises:
-        ValueError: if the pair is not an edge of the clique expansion.
-    """
-    u, v = int(contraction[0]), int(contraction[1])
-    if u > v:
-        u, v = v, u
-    if u == v:
-        raise ValueError("contraction pair must be two distinct nodes")
-    if not c.has_edge(u, v):
-        raise ValueError(f"nodes {u} and {v} are not adjacent in the clique expansion")
-    A, deg = _variation_basis(c, preserve_k)
-    W = c.adjacency()
-    w = W[u, v]
-    local = np.array(
-        [[2 * deg[u] - w, -w], [-w, 2 * deg[v] - w]]
-    )
-    pi_orth = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    B = pi_orth @ A[[u, v], :]
-    return float(np.linalg.norm(B.T @ local @ B))
 
 
 def complete_left_partition(parts: Sequence[Sequence[int]], num_left: int) -> list[tuple[int, ...]]:
@@ -461,8 +406,6 @@ def sample_coarsening_sequence(
         merged = merge_left(cur, pairs, allow_disconnected=bridged)
         left_groups = complete_left_partition(pairs, cur.num_left)
         dedup = dedup_right(merged, right_budgets)
-        if any(len(g) > MAX_RIGHT_GROUP for g in dedup.groups):
-            raise ValueError("right merge group exceeded the cap of three")  # unreachable
         raw.append(dedup.graph)
         left_groups_per_step.append(left_groups)
         right_groups_per_step.append([tuple(g) for g in dedup.groups])
@@ -552,8 +495,3 @@ class CoarseningCache:
         seq, pending = entry
         level_index = pending.pop(int(rng.integers(len(pending))))
         return CacheItem(sequence=seq, level_index=level_index)
-
-
-def cache_take(cache: CoarseningCache, graph_id: int, rng: np.random.Generator) -> CacheItem:
-    """Functional alias for :meth:`CoarseningCache.take`."""
-    return cache.take(graph_id, rng)

@@ -32,21 +32,10 @@ __all__ = [
     "DenoiserConfig",
     "DenoiserInput",
     "Denoiser",
-    "HEAD_KEYS",
     "sinusoidal_encoding",
     "fourier_time_encoding",
     "spectral_rows",
 ]
-
-HEAD_KEYS = (
-    "left_expansion",
-    "left_split",
-    "left_features",
-    "right_expansion",
-    "right_features",
-    "edge_keep",
-)
-
 
 @dataclass(frozen=True)
 class DenoiserConfig:

@@ -26,6 +26,7 @@ __all__ = [
     "RefinementDecision",
     "expand",
     "perturb_expand",
+    "sibling_groups",
     "split_budget",
     "refine",
     "reconstruct_finer",
@@ -137,44 +138,6 @@ def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
     )
 
 
-def _bipartite_adjacency_lists(b: BipartiteGraph) -> tuple[list[list[int]], list[list[int]]]:
-    left_adj: list[list[int]] = [[] for _ in range(b.num_left)]
-    right_adj: list[list[int]] = [[] for _ in range(b.num_right)]
-    for l, r in b.edges:
-        left_adj[l].append(int(r))
-        right_adj[r].append(int(l))
-    return left_adj, right_adj
-
-
-def _right_parents_within(b: BipartiteGraph, source_left: int, max_dist: int) -> set[int]:
-    """Right nodes within bipartite BFS distance max_dist of a left node."""
-    left_adj, right_adj = _bipartite_adjacency_lists(b)
-    seen_left = {source_left}
-    seen_right: set[int] = set()
-    frontier_left = [source_left]
-    dist = 0
-    reachable: set[int] = set()
-    while frontier_left and dist < max_dist:
-        frontier_right = []
-        for l in frontier_left:
-            for r in left_adj[l]:
-                if r not in seen_right:
-                    seen_right.add(r)
-                    frontier_right.append(r)
-        dist += 1
-        reachable.update(frontier_right)
-        if dist >= max_dist:
-            break
-        frontier_left = []
-        for r in frontier_right:
-            for l in right_adj[r]:
-                if l not in seen_left:
-                    seen_left.add(l)
-                    frontier_left.append(l)
-        dist += 1
-    return reachable
-
-
 def perturb_expand(
     b: BipartiteGraph,
     v: ExpansionVectors,
@@ -186,43 +149,42 @@ def perturb_expand(
 
     For every left/right child pair that is not an expanded edge but whose
     parents sit within bipartite distance ``2 * radius + 1``, an extra edge is
-    added independently with probability ``edge_prob``.
+    added independently with probability ``edge_prob``.  The draws run over
+    parent pairs in row-major order, ``lc * rc`` draws per pair.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
     base = expand(b, v)
-    if edge_prob == 0.0 or radius == 0:
-        # distance 1 pairs are exactly the parent edges, whose child pairs all
-        # exist already, so there is nothing to add
-        if radius == 0 or edge_prob == 0.0:
-            return base
-    max_dist = 2 * radius + 1
-    existing = {(int(p), int(q)) for p, q in b.edges}
-    loff = _child_offsets(v.left)
-    roff = _child_offsets(v.right)
-
-    extra = []
-    for p in range(b.num_left):
-        for q in sorted(_right_parents_within(b, p, max_dist)):
-            if (p, q) in existing:
-                continue
-            lc, rc = int(v.left[p]), int(v.right[q])
-            draws = rng.random(lc * rc) < edge_prob
-            if not draws.any():
-                continue
-            block = np.empty((lc * rc, 2), dtype=np.int64)
-            block[:, 0] = np.repeat(np.arange(loff[p], loff[p] + lc), rc)
-            block[:, 1] = np.tile(np.arange(roff[q], roff[q] + rc), lc)
-            extra.append(block[draws])
-    if not extra:
+    # distance 1 pairs are exactly the parent edges, whose child pairs all
+    # exist already, so radius 0 has nothing to add
+    if radius == 0 or edge_prob == 0.0:
         return base
-    edges = np.concatenate([base.edges] + extra)
+    # reach[p, q]: right parent q lies within distance 2 * radius + 1 of left parent p
+    incidence = np.zeros((b.num_left, b.num_right))
+    incidence[b.edges[:, 0], b.edges[:, 1]] = 1.0
+    left_hops = incidence @ incidence.T
+    reach = incidence
+    for _ in range(radius):
+        reach = np.minimum(reach + left_hops @ reach, 1.0)
+    reach[b.edges[:, 0], b.edges[:, 1]] = 0.0
+    ps, qs = np.nonzero(reach)
+    sizes = v.left[ps] * v.right[qs]
+    keep = rng.random(int(sizes.sum())) < edge_prob
+    # draw k of parent pair (p, q) is child pair (k // rc, k % rc), as in expand
+    pair = np.repeat(np.arange(ps.size), sizes)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rc = v.right[qs[pair]]
+    left = _child_offsets(v.left)[ps[pair]] + k // rc
+    right = _child_offsets(v.right)[qs[pair]] + k % rc
+    extra = np.stack([left, right], axis=1)[keep]
+    if extra.shape[0] == 0:
+        return base
     return BipartiteGraph(
         num_left=base.num_left,
         num_right=base.num_right,
-        edges=edges,
+        edges=np.concatenate([base.edges, extra]),
         left_budgets=base.left_budgets,
         left_features=base.left_features,
         right_features=base.right_features,
@@ -273,16 +235,13 @@ def split_budget(parent_budget: int, fractions) -> np.ndarray:
     return out
 
 
-def _sibling_blocks(cluster_map: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) index ranges of consecutive identical cluster labels."""
-    blocks = []
-    n = cluster_map.shape[0]
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or cluster_map[i] != cluster_map[start]:
-            blocks.append((start, i))
-            start = i
-    return blocks
+def sibling_groups(cluster_map: np.ndarray) -> list[list[int]]:
+    """Index lists of the consecutive blocks of equal labels in an expanded
+    graph's ``cluster_of_left`` or ``cluster_of_right``: the sibling groups."""
+    if cluster_map.shape[0] == 0:
+        return []
+    starts = np.flatnonzero(np.diff(cluster_map)) + 1
+    return [g.tolist() for g in np.split(np.arange(cluster_map.shape[0]), starts)]
 
 
 def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteGraph:
@@ -302,9 +261,8 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
 
     kept = expanded.edges[decision.edge_keep.astype(bool)]
     budgets = np.empty(expanded.num_left, dtype=np.int64)
-    for start, stop in _sibling_blocks(expanded.cluster_of_left):
-        parent_budget = int(expanded.left_budgets[start])
-        budgets[start:stop] = split_budget(parent_budget, decision.budget_split[start:stop])
+    for g in sibling_groups(expanded.cluster_of_left):
+        budgets[g] = split_budget(int(expanded.left_budgets[g[0]]), decision.budget_split[g])
 
     lf = decision.left_features if decision.left_features is not None else expanded.left_features
     rf = decision.right_features if decision.right_features is not None else expanded.right_features

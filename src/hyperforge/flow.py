@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "FlowHeadSpec",
-    "FlowState",
     "TERMINAL_TIME_EPS",
     "interpolate",
     "endpoint_velocity",
@@ -48,14 +47,6 @@ class FlowHeadSpec:
             raise ValueError(f"unknown prior family {self.prior!r}")
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
-
-
-@dataclass
-class FlowState:
-    """Per-head arrays of noisy values at a common time t."""
-
-    values: dict[str, np.ndarray]
-    t: float
 
 
 def signed_from_unit(x: np.ndarray) -> np.ndarray:
@@ -222,15 +213,17 @@ def ot_couple(
         if len(g) != 2:
             continue
         i, j = int(g[0]), int(g[1])
-        keep = np.sum((flat_noise[i] - flat_targets[i]) ** 2) + np.sum(
-            (flat_noise[j] - flat_targets[j]) ** 2
-        )
-        swap = np.sum((flat_noise[j] - flat_targets[i]) ** 2) + np.sum(
-            (flat_noise[i] - flat_targets[j]) ** 2
-        )
-        if swap < keep:
+        if _swap_is_cheaper(flat_noise[i], flat_noise[j], flat_targets[i], flat_targets[j]):
             noise[[i, j]] = noise[[j, i]]
     return noise
+
+
+def _swap_is_cheaper(zi: np.ndarray, zj: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> bool:
+    """Whether noise rows (zj, zi) lie strictly closer to targets (xi, xj)
+    than (zi, zj) do, in total squared distance; ties keep the order."""
+    keep = np.sum((zi - xi) ** 2) + np.sum((zj - xj) ** 2)
+    swap = np.sum((zj - xi) ** 2) + np.sum((zi - xj) ** 2)
+    return bool(swap < keep)
 
 
 def integrate(

@@ -25,7 +25,7 @@ __all__ = [
     "CliqueExpansion",
     "SpectralBasis",
     "star_expand",
-    "clique_expand",
+    "clique_of_bipartite",
     "collapse_bipartite",
     "is_connected",
     "normalized_laplacian",
@@ -262,16 +262,6 @@ class CliqueExpansion:
             W[self.edges[:, 1], self.edges[:, 0]] = self.weights
         return W
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        idx = np.searchsorted(self.edges[:, 0], u, side="left")
-        while idx < self.num_edges and self.edges[idx, 0] == u:
-            if self.edges[idx, 1] == v:
-                return True
-            idx += 1
-        return False
-
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -311,14 +301,19 @@ def star_expand(h: Hypergraph) -> BipartiteGraph:
     )
 
 
-def clique_expand(h: Hypergraph) -> CliqueExpansion:
-    """Weighted clique expansion; the weight of {u, v} counts the hyperedges
-    containing both endpoints."""
+def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
+    """Weighted clique expansion of a level: left nodes are adjacent iff they
+    share a right node; the weight counts shared right nodes.
+
+    Of a hypergraph ``h`` this is ``clique_of_bipartite(star_expand(h))``,
+    where the weight of {u, v} counts the hyperedges containing both.
+    """
     counts: dict[tuple[int, int], int] = {}
-    for he in h.hyperedges:
-        for i in range(len(he)):
-            for j in range(i + 1, len(he)):
-                key = (he[i], he[j])
+    for nb in b.right_neighborhoods():
+        members = sorted(nb)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                key = (members[i], members[j])
                 counts[key] = counts.get(key, 0) + 1
     if counts:
         pairs = np.array(sorted(counts), dtype=np.int64)
@@ -326,7 +321,7 @@ def clique_expand(h: Hypergraph) -> CliqueExpansion:
     else:
         pairs = np.zeros((0, 2), dtype=np.int64)
         weights = np.zeros(0, dtype=np.int64)
-    return CliqueExpansion(h.num_nodes, pairs, weights)
+    return CliqueExpansion(b.num_left, pairs, weights)
 
 
 def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import wasserstein_distance
 
-from .hypergraph import Hypergraph, clique_expand, is_connected, normalized_laplacian, star_expand
+from .hypergraph import Hypergraph, clique_of_bipartite, is_connected, normalized_laplacian, star_expand
 
 __all__ = [
     "MetricReport",
@@ -119,7 +119,7 @@ def spectral_mmd(set_a: list[Hypergraph], set_b: list[Hypergraph]) -> float:
 
 
 def _fiedler_bipartition(h: Hypergraph) -> tuple[np.ndarray, np.ndarray] | None:
-    clique = clique_expand(h)
+    clique = clique_of_bipartite(star_expand(h))
     w = clique.adjacency()
     if not np.any(w):
         return None

@@ -28,10 +28,12 @@ from .expansion import (
     expand,
     perturb_expand,
     refine,
+    sibling_groups,
     split_budget,
 )
 from .flow import (
     FlowHeadSpec,
+    _swap_is_cheaper,
     fm_loss,
     integrate,
     interpolate,
@@ -77,6 +79,7 @@ RIGHT_THRESHOLD_LOW = 1.66
 RIGHT_THRESHOLD_HIGH = 2.33
 EDGE_KEEP_THRESHOLD = 0.5
 
+# The denoiser's heads, in the order prior noise is drawn for them.
 HEAD_SPECS = {
     "left_expansion": FlowHeadSpec("left_expansion"),
     "left_split": FlowHeadSpec("left_split", prior="dirichlet"),
@@ -189,17 +192,6 @@ def _feat(arr: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
     return arr
 
 
-def _sibling_groups(cluster_map: np.ndarray) -> list[list[int]]:
-    groups: list[list[int]] = []
-    start = 0
-    n = cluster_map.shape[0]
-    for i in range(1, n + 1):
-        if i == n or cluster_map[i] != cluster_map[start]:
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
-
-
 @dataclass
 class TrainingExample:
     """One assembled supervision instance at a sampled coarsening level."""
@@ -292,8 +284,8 @@ def build_training_example(
         targets=targets,
         rho_hat=float(rho_hat),
         total_left=levels[0].bipartite.num_left,
-        left_groups=_sibling_groups(expanded.cluster_of_left),
-        right_groups=_sibling_groups(expanded.cluster_of_right),
+        left_groups=sibling_groups(expanded.cluster_of_left),
+        right_groups=sibling_groups(expanded.cluster_of_right),
     )
 
 
@@ -375,8 +367,8 @@ def _sample_noise(
 ) -> dict[str, np.ndarray]:
     shapes = _head_shapes(expanded, fm, fl)
     noise: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        spec = HEAD_SPECS[name]
+    for name, spec in HEAD_SPECS.items():
+        shape = shapes[name]
         if spec.prior == "dirichlet":
             noise[name] = sample_prior(spec, (shape[0],), rng, sibling_groups=left_groups).reshape(-1, 1)
         else:
@@ -425,9 +417,7 @@ def couple_noise(
                 continue
             i, j = g
             zi, zj, xi, xj, ei, ej = _rows(i, j, inc, head_names)
-            keep = np.sum((zi - xi) ** 2) + np.sum((zj - xj) ** 2)
-            swap = np.sum((zj - xi) ** 2) + np.sum((zi - xj) ** 2)
-            if swap < keep:
+            if _swap_is_cheaper(zi, zj, xi, xj):
                 for h in head_names:
                     noise[h][[i, j]] = noise[h][[j, i]]
                 eki, ekj = noise["edge_keep"][ei, 0].copy(), noise["edge_keep"][ej, 0].copy()
@@ -528,6 +518,8 @@ def train(cfg: TrainConfig) -> dict:
     val_graphs = load_dataset_split(data_dir, "val")
     if not train_graphs:
         raise ValueError("empty training split")
+    if cfg.val_every and not val_graphs:
+        raise ValueError("empty val split: set val_every=0 to train without validation")
     fm, fl = _feature_dims(train_graphs)
 
     dconfig = DenoiserConfig(
@@ -816,8 +808,8 @@ def sample_one(
             n_plus = 0
             rho_hat = 0.0
 
-        left_groups = _sibling_groups(expanded.cluster_of_left)
-        right_groups = _sibling_groups(expanded.cluster_of_right)
+        left_groups = sibling_groups(expanded.cluster_of_left)
+        right_groups = sibling_groups(expanded.cluster_of_right)
         x0 = _sample_noise(expanded, left_groups, fm, fl, rng)
 
         def endpoint_fn(state, t):

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforge.coarsening import (
     CoarseningCache,
     CoarseningParams,
-    cache_take,
-    clique_of_bipartite,
+    _variation_costs,
     complete_left_partition,
     dedup_right,
-    local_variation_cost,
     merge_left,
     sample_coarsening_sequence,
 )
 from hyperforge.datasets import gen_sbm, gen_tree
 from hyperforge.expansion import reconstruct_finer
-from hyperforge.hypergraph import BipartiteGraph, Hypergraph, star_expand
+from hyperforge.hypergraph import BipartiteGraph, Hypergraph, clique_of_bipartite, star_expand
 
 
 def _line_hypergraph(n=6):
@@ -117,20 +117,70 @@ def test_duplicate_hyperedge_limits():
         sample_coarsening_sequence(h4, CoarseningParams(), np.random.default_rng(1))
 
 
+@st.composite
+def _arbitrary_hypergraphs(draw):
+    """Valid hypergraphs with isolated nodes, singleton and duplicate
+    hyperedges, and disconnected parts."""
+    n = draw(st.integers(1, 14))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=12))
+    copies = draw(st.lists(st.sampled_from(edges), max_size=4))
+    return Hypergraph(n, edges + copies)
+
+
+def _dense_variation_cost(clique, u, v, preserve_k):
+    """Oracle: Frobenius norm of B^T L_local B for contracting {u, v}, with
+    B = Pi_orth A[[u, v]] and A = U_k diag(lambda^-1/2) the first-k spectral
+    basis of the combinatorial Laplacian, zero-eigenvalue columns masked."""
+    W = clique.adjacency()
+    deg = W.sum(axis=1)
+    vals, vecs = np.linalg.eigh(np.diag(deg) - W)
+    k = min(preserve_k, clique.num_nodes)
+    coef = np.zeros(k)
+    positive = vals[:k] > 1e-8
+    coef[positive] = vals[:k][positive] ** -0.5
+    A = vecs[:, :k] * coef
+    w = W[u, v]
+    local = np.array([[2 * deg[u] - w, -w], [-w, 2 * deg[v] - w]])
+    pi_orth = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    B = pi_orth @ A[[u, v], :]
+    return float(np.linalg.norm(B.T @ local @ B))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_arbitrary_hypergraphs(), preserve_k=st.sampled_from([1, 3, 8]))
+def test_cost_closed_form_matches_dense_oracle(h, preserve_k):
+    clique = clique_of_bipartite(star_expand(h))
+    costs = _variation_costs(clique, preserve_k)
+    assert costs.shape == (clique.num_edges,)
+    for (u, v), cost in zip(clique.edges.tolist(), costs):
+        assert cost >= 0.0
+        assert cost == pytest.approx(_dense_variation_cost(clique, u, v, preserve_k), rel=1e-9, abs=1e-12)
+
+
 def test_cost_permutation_invariant():
     rng = np.random.default_rng(5)
     h = Hypergraph(8, [sorted(rng.choice(8, size=3, replace=False).tolist()) for _ in range(6)])
-    b = star_expand(h)
-    clique = clique_of_bipartite(b)
+    clique = clique_of_bipartite(star_expand(h))
     perm = rng.permutation(8)
-    inv = np.argsort(perm)
     permuted = Hypergraph(8, [sorted(int(perm[x]) for x in e) for e in h.hyperedges])
     clique_p = clique_of_bipartite(star_expand(permuted))
-    for pair, _w in zip(clique.edges.tolist(), clique.weights.tolist()):
-        a, c = pair
-        cost = local_variation_cost(clique, (a, c))
-        cost_p = local_variation_cost(clique_p, (int(perm[a]), int(perm[c])))
-        assert cost == pytest.approx(cost_p, abs=1e-9)
+    costs = _variation_costs(clique, 8)
+    costs_p = dict(zip(map(tuple, clique_p.edges.tolist()), _variation_costs(clique_p, 8)))
+    for (a, c), cost in zip(clique.edges.tolist(), costs):
+        assert cost == pytest.approx(costs_p[tuple(sorted((int(perm[a]), int(perm[c]))))], abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_arbitrary_hypergraphs(), seed=st.integers(0, 2**32 - 1))
+def test_arbitrary_hypergraph_replays_or_raises_value_error(h, seed):
+    try:
+        seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+    except ValueError:
+        return
+    assert _replay_exact(seq)
+    for level in seq.levels:
+        assert int(level.bipartite.left_budgets.sum()) == h.num_nodes
 
 
 def test_single_node_sequence_is_minimal():
@@ -227,20 +277,20 @@ def test_cache_returns_levels_and_resamples():
     rng = np.random.default_rng(13)
     graphs = [gen_tree(rng, num_nodes=12) for _ in range(2)]
     cache = CoarseningCache(graphs, CoarseningParams())
-    item = cache_take(cache, 0, rng)
+    item = cache.take(0, rng)
     assert item.sequence.num_levels >= 1
     assert 0 <= item.level_index < item.sequence.num_levels
 
     # exhaust one sequence: L+1 consecutive takes hit all distinct levels
-    first = cache_take(cache, 1, rng)
+    first = cache.take(1, rng)
     total = first.sequence.num_levels
     seen = {first.level_index}
     for _ in range(total - 1):
-        item = cache_take(cache, 1, rng)
+        item = cache.take(1, rng)
         assert item.sequence is first.sequence
         seen.add(item.level_index)
     assert seen == set(range(total))
 
     # next take resamples a fresh sequence
-    fresh = cache_take(cache, 1, rng)
+    fresh = cache.take(1, rng)
     assert fresh.sequence is not first.sequence

@@ -3,7 +3,6 @@ import pytest
 
 import hyperforge.autodiff as ad
 from hyperforge.denoiser import (
-    HEAD_KEYS,
     Denoiser,
     DenoiserConfig,
     DenoiserInput,
@@ -12,6 +11,7 @@ from hyperforge.denoiser import (
     spectral_rows,
 )
 from hyperforge.hypergraph import Hypergraph, star_expand
+from hyperforge.pipeline import HEAD_SPECS
 
 
 SMALL = DenoiserConfig(hidden_dim=24, num_layers=2, mlp_hidden=32, spectral_k=4)
@@ -138,7 +138,7 @@ def test_untrained_heads_predict_identity():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph()
     preds = den.predict(_input_for(b, SMALL))
-    assert set(preds) == set(HEAD_KEYS)
+    assert set(preds) == set(HEAD_SPECS)
     assert np.allclose(preds["left_expansion"], -1.0)
     assert np.allclose(preds["right_expansion"], -1.0)
     assert np.allclose(preds["edge_keep"], 1.0)
@@ -172,7 +172,7 @@ def test_forward_deterministic():
     inp = _input_for(b, SMALL)
     p1 = den.predict(inp)
     p2 = den.predict(inp)
-    for k in HEAD_KEYS:
+    for k in HEAD_SPECS:
         assert np.array_equal(p1[k], p2[k])
 
 
@@ -255,7 +255,7 @@ def test_save_and_from_checkpoint(tmp_path):
     assert den.extra_config == {}
     assert back.extra_config == {"dataset_kind": "tree"}
     again = back.predict(inp)
-    for k in HEAD_KEYS:
+    for k in HEAD_SPECS:
         assert np.array_equal(base[k], again[k])
 
 

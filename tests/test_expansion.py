@@ -1,7 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperforge.expansion import (
@@ -80,18 +80,35 @@ def test_perturb_zero_prob_is_plain_expand():
     assert a.same_topology(c)
 
 
-def test_perturb_candidates_match_bfs_distance():
-    """Candidate extra edges are exactly the non-edges whose endpoints'
-    parents sit within bipartite distance 2r+1 (BFS oracle via networkx)."""
-    b = _chain_graph(n_left=6)
-    v = ExpansionVectors([1] * 6, [1] * 7)
-    radius = 2
+@st.composite
+def _perturb_cases(draw):
+    """A random bipartite level, expansion vectors and a radius in 0..3."""
+    n_left = draw(st.integers(1, 7))
+    n_right = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1))
+    edges = sorted(draw(st.sets(pairs, max_size=20)))
+    b = BipartiteGraph(n_left, n_right, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    v = ExpansionVectors(
+        draw(st.lists(st.integers(1, 2), min_size=n_left, max_size=n_left)),
+        draw(st.lists(st.integers(1, 3), min_size=n_right, max_size=n_right)),
+    )
+    return b, v, draw(st.integers(0, 3))
 
+
+@settings(max_examples=200, deadline=None)
+@given(case=_perturb_cases())
+@example(case=(_chain_graph(n_left=6), ExpansionVectors([1] * 6, [1] * 7), 2))
+def test_perturb_candidates_match_bfs_distance(case):
+    """Candidate extra edges are exactly the child pairs of parent non-edges
+    whose parents sit within bipartite distance 2r+1 (BFS oracle via networkx)."""
+    b, v, radius = case
     g = nx.Graph()
     g.add_nodes_from(("L", i) for i in range(b.num_left))
     g.add_nodes_from(("R", j) for j in range(b.num_right))
     g.add_edges_from((("L", int(i)), ("R", int(j))) for i, j in b.edges)
     existing = {(int(i), int(j)) for i, j in b.edges}
+    loff = np.concatenate([[0], np.cumsum(v.left)])
+    roff = np.concatenate([[0], np.cumsum(v.right)])
     candidates = set()
     for i in range(b.num_left):
         dist = nx.single_source_shortest_path_length(
@@ -99,11 +116,16 @@ def test_perturb_candidates_match_bfs_distance():
         )
         for (side, j), d in dist.items():
             if side == "R" and (i, j) not in existing:
-                candidates.add((i, j))
+                candidates.update(
+                    (int(a), int(c))
+                    for a in range(loff[i], loff[i + 1])
+                    for c in range(roff[j], roff[j + 1])
+                )
 
     # with p = 1 every candidate is added and nothing else
+    base = {tuple(map(int, e)) for e in expand(b, v).edges.tolist()}
     out = perturb_expand(b, v, radius, 1.0, np.random.default_rng(1))
-    added = {tuple(map(int, e)) for e in out.edges.tolist()} - existing
+    added = {tuple(map(int, e)) for e in out.edges.tolist()} - base
     assert added == candidates
 
 

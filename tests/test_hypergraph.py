@@ -4,7 +4,7 @@ import pytest
 from hyperforge.hypergraph import (
     BipartiteGraph,
     Hypergraph,
-    clique_expand,
+    clique_of_bipartite,
     collapse_bipartite,
     is_connected,
     normalized_laplacian,
@@ -27,14 +27,14 @@ def _random_hypergraph(rng, n=10, m=6):
 
 def test_clique_triangle():
     h = Hypergraph(3, [[0, 1, 2]])
-    c = clique_expand(h)
+    c = clique_of_bipartite(star_expand(h))
     assert sorted(map(tuple, c.edges.tolist())) == [(0, 1), (0, 2), (1, 2)]
     assert np.all(c.weights == 1)
 
 
 def test_clique_weight_counts_shared_hyperedges():
     h = Hypergraph(2, [[0, 1], [0, 1]])
-    c = clique_expand(h)
+    c = clique_of_bipartite(star_expand(h))
     # oracle: count pairs by direct enumeration
     expected = {}
     for e in h.hyperedges:

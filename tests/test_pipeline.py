@@ -585,6 +585,29 @@ def test_train_deterministic_loss_trace(toy_data, tmp_path):
     assert Path(log_a).read_text() == Path(log_b).read_text()
 
 
+def test_train_rejects_empty_val_split_before_any_step(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    spec = DatasetSpec(kind="tree", train_count=3, val_count=0, test_count=1, seed=13, num_nodes=10)
+    generate_dataset(spec, data)
+    steps = []
+    real_prepare_step = pipeline.prepare_step
+
+    def counted_prepare_step(*args, **kwargs):
+        steps.append(1)
+        return real_prepare_step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prepare_step", counted_prepare_step)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="empty val split"):
+        train(_toy_cfg(data, ckpt, val_every=2, max_steps=4))
+    assert steps == []
+    assert not (ckpt / "loss.csv").exists()
+    # without validation the same split trains
+    summary = train(_toy_cfg(data, ckpt, val_every=0, max_steps=2))
+    assert len(steps) == 2
+    assert summary["best_checkpoint"] is None
+
+
 def test_trained_checkpoint_samples(toy_data, tmp_path):
     ckpt = tmp_path / "ckpt"
     summary = train(_toy_cfg(toy_data, ckpt))
