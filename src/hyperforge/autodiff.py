@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -26,13 +27,14 @@ __all__ = [
     "add",
     "mul",
     "matmul",
+    "linear",
+    "reshape",
     "concat",
     "gather_rows",
     "segment_sum",
     "tanh",
     "sigmoid",
     "silu",
-    "power",
     "tensor_sum",
     "layer_norm",
     "mse_loss",
@@ -177,13 +179,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, True, (a, b), bwd)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    out_data = a.data**exponent
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one tape node."""
+    out_data = x.data @ w.data + b.data
+    if not _needs(x, w, b):
+        return Tensor(out_data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g)
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g, b.shape))
+
+    return Tensor(out_data, True, (x, w, b), bwd)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out_data = a.data.reshape(shape)
     if not _needs(a):
         return Tensor(out_data)
 
     def bwd(g):
-        a.accumulate_grad(g * exponent * a.data ** (exponent - 1.0))
+        a.accumulate_grad(g.reshape(a.shape))
 
     return Tensor(out_data, True, (a,), bwd)
 
@@ -199,17 +218,8 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out_data, True, (a,), bwd)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(a.data)
+    out_data = expit(a.data)
     if not _needs(a):
         return Tensor(out_data)
 
@@ -221,7 +231,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     """Smooth gated activation x * sigmoid(x); kink-free for FD checks."""
-    sig = _stable_sigmoid(a.data)
+    sig = expit(a.data)
     out_data = a.data * sig
     if not _needs(a):
         return Tensor(out_data)
@@ -296,12 +306,30 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then re-scale."""
-    mu = tensor_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tensor_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, _wrap(eps)), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    """Normalize the last axis to zero mean / unit variance, then re-scale.
+
+    One tape node; the forward takes the float steps of the composition
+    ``(x - mean) * (var + eps) ** -0.5 * gain + bias`` in that order.
+    """
+    scale = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    normed = centered * inv
+    out_data = normed * gain.data + bias.data
+    if not _needs(x, gain, bias):
+        return Tensor(out_data)
+
+    def bwd(g):
+        if x.requires_grad:
+            gn = g * gain.data
+            dot = (gn * normed).sum(axis=-1, keepdims=True) * scale
+            x.accumulate_grad(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot))
+        if gain.requires_grad:
+            gain.accumulate_grad(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+
+    return Tensor(out_data, True, (x, gain, bias), bwd)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:

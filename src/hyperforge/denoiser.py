@@ -31,6 +31,7 @@ from .hypergraph import BipartiteGraph, normalized_laplacian, smallest_nonzero_e
 __all__ = [
     "DenoiserConfig",
     "DenoiserInput",
+    "LevelEncoding",
     "Denoiser",
     "sinusoidal_encoding",
     "fourier_time_encoding",
@@ -85,11 +86,41 @@ class DenoiserConfig:
 
 
 @dataclass
+class LevelEncoding:
+    """Forward terms that depend only on the level, not on the flow state.
+
+    Built by :meth:`Denoiser.encode_level` from the edges, spectral rows,
+    budgets, node count and parent features of a :class:`DenoiserInput`;
+    those stay fixed while a level is integrated, so a sampler computes
+    this once per level instead of once per Euler step.
+    """
+
+    pe_left: Tensor
+    pe_right: Tensor
+    pe_edge_left: Tensor
+    pe_edge_right: Tensor
+    budget: Tensor
+    nnodes_left: Tensor
+    nnodes_right: Tensor
+    left_film_gain: Tensor
+    left_film_bias: Tensor
+    right_film_gain: Tensor
+    right_film_bias: Tensor
+
+    @property
+    def rows(self) -> tuple[int, int, int]:
+        """Left, right and edge row counts the encoding was built for."""
+        return self.pe_left.shape[0], self.pe_right.shape[0], self.pe_edge_left.shape[0]
+
+
+@dataclass
 class DenoiserInput:
     """Everything the forward pass needs, at child resolution.
 
     Spectral rows are computed on the parent graph and replicated to the
     children ahead of time; ``eigenvalues`` has ``spectral_k`` entries.
+    ``level``, when set, is the :meth:`Denoiser.encode_level` of these
+    level-constant fields and spares the forward pass from recomputing it.
     """
 
     edges: np.ndarray
@@ -107,6 +138,7 @@ class DenoiserInput:
     t: float
     rho_hat: float
     total_left: float
+    level: LevelEncoding | None = None
 
     @property
     def num_left(self) -> int:
@@ -188,7 +220,7 @@ class _Linear:
         self.b = _param(store, f"{name}.b", (fan_out,), lambda: np.full(fan_out, bias_fill))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class _MLP:
@@ -295,86 +327,80 @@ class Denoiser:
         Each eigenvector column is paired with its eigenvalue and passed
         through the shared map in both signs; the summed responses are mixed
         across eigenvectors.  Flipping any column's sign leaves the output
-        unchanged.
+        unchanged.  All (row, column) pairs go through the shared map as one
+        batch per sign, row-major, so row r's block for column i lands in
+        columns ``i * phi_dim : (i + 1) * phi_dim`` of the input to the mixer.
         """
         k = self.config.spectral_k
-        blocks = []
-        for i in range(k):
-            col = rows[:, i : i + 1]
-            lam_col = np.full_like(col, eigenvalues[i])
-            pos = self.phi(Tensor(np.concatenate([col, lam_col], axis=1)))
-            neg = self.phi(Tensor(np.concatenate([-col, lam_col], axis=1)))
-            blocks.append(ad.add(pos, neg))
-        return self.rho(ad.concat(blocks, axis=1))
+        num_rows = rows.shape[0]
+        pairs = np.empty((num_rows, k, 2))
+        pairs[:, :, 0] = rows[:, :k]
+        pairs[:, :, 1] = eigenvalues[:k]
+        pairs = pairs.reshape(num_rows * k, 2)
+        flipped = pairs.copy()
+        flipped[:, 0] = -flipped[:, 0]
+        both = ad.add(self.phi(Tensor(pairs)), self.phi(Tensor(flipped)))
+        return self.rho(ad.reshape(both, (num_rows, k * self.config.phi_dim)))
 
-    def spectral_embed(
-        self,
-        b: BipartiteGraph,
-        v=None,
-        k: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Positional embeddings for the expansion of ``b`` by ``v``.
-
-        Eigenvector rows are encoded sign-invariantly and parent embeddings
-        are copied to all of their children.  With ``k = 0`` the embeddings
-        are i.i.d. standard normal draws instead of spectral encodings.
-        """
-        k = self.config.spectral_k if k is None else k
-        if k == 0:
-            if rng is None:
-                raise ValueError("k = 0 embeddings require an rng")
-            left = rng.standard_normal((b.num_left, self.config.pe_dim))
-            right = rng.standard_normal((b.num_right, self.config.pe_dim))
-        else:
-            lrows, rrows, lam = spectral_rows(b, k)
-            if k != self.config.spectral_k:
-                raise ValueError("k must match config.spectral_k for encoded embeddings")
-            with ad.no_grad():
-                left = self.encode_spectral(lrows, lam).data
-                right = self.encode_spectral(rrows, lam).data
-        if v is not None:
-            left = np.repeat(left, v.left, axis=0)
-            right = np.repeat(right, v.right, axis=0)
-        return left, right
-
-    def _film(self, embed: Tensor, parent_feats: np.ndarray, side: str) -> Tensor:
-        pf = Tensor(parent_feats)
-        if side == "left":
-            gain = self.left_film_gain(pf)
-            bias = self.left_film_bias(pf)
-        else:
-            gain = self.right_film_gain(pf)
-            bias = self.right_film_bias(pf)
+    def encode_level(self, inp: DenoiserInput) -> LevelEncoding:
+        """Every forward term that reads only the level-constant fields of
+        ``inp``: spectral encodings and their edge gathers, the budget and
+        node-count projections, and the FiLM gain and bias of the parent
+        features.  Builds tape nodes unless called under ``no_grad``."""
+        c = self.config
+        n, m = inp.num_left, inp.num_right
+        pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues)
+        pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues)
+        budget_enc = sinusoidal_encoding(inp.left_budgets, c.budget_encoding_dim, c.budget_base_freq)
+        n_enc = sinusoidal_encoding(np.array([inp.total_left]), c.budget_encoding_dim, c.budget_base_freq)
+        left_pf = Tensor(inp.left_parent_features)
+        right_pf = Tensor(inp.right_parent_features)
         one = Tensor(1.0)
-        return ad.add(ad.mul(embed, ad.add(one, gain)), bias)
+        return LevelEncoding(
+            pe_left=pe_left,
+            pe_right=pe_right,
+            pe_edge_left=ad.gather_rows(pe_left, inp.edges[:, 0]),
+            pe_edge_right=ad.gather_rows(pe_right, inp.edges[:, 1]),
+            budget=self.budget_proj(Tensor(budget_enc)),
+            nnodes_left=self.nnodes_proj(Tensor(np.tile(n_enc, (n, 1)))),
+            nnodes_right=self.nnodes_proj(Tensor(np.tile(n_enc, (m, 1)))),
+            left_film_gain=ad.add(one, self.left_film_gain(left_pf)),
+            left_film_bias=self.left_film_bias(left_pf),
+            right_film_gain=ad.add(one, self.right_film_gain(right_pf)),
+            right_film_bias=self.right_film_bias(right_pf),
+        )
 
     def forward(self, inp: DenoiserInput) -> dict[str, Tensor]:
         c = self.config
         n, m, e = inp.num_left, inp.num_right, inp.num_edges
+        level = inp.level
+        if level is None:
+            level = self.encode_level(inp)
+        elif level.rows != (n, m, e):
+            raise ValueError(f"level encoding has {level.rows} (left, right, edge) rows, input has {(n, m, e)}")
         t_vec = fourier_time_encoding(inp.t, c.time_enc_dim)
 
-        pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues)
-        pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues)
-
-        budget_enc = sinusoidal_encoding(inp.left_budgets, c.budget_encoding_dim, c.budget_base_freq)
-        n_enc = sinusoidal_encoding(np.array([inp.total_left]), c.budget_encoding_dim, c.budget_base_freq)
-
-        lf_embed = self._film(self.left_feat_embed(Tensor(inp.left_feature_state)), inp.left_parent_features, "left")
-        rf_embed = self._film(self.right_feat_embed(Tensor(inp.right_feature_state)), inp.right_parent_features, "right")
+        lf_embed = ad.add(
+            ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state)), level.left_film_gain),
+            level.left_film_bias,
+        )
+        rf_embed = ad.add(
+            ad.mul(self.right_feat_embed(Tensor(inp.right_feature_state)), level.right_film_gain),
+            level.right_film_bias,
+        )
 
         left_parts = [
-            pe_left,
-            self.budget_proj(Tensor(budget_enc)),
-            self.nnodes_proj(Tensor(np.tile(n_enc, (n, 1)))),
+            level.pe_left,
+            level.budget,
+            level.nnodes_left,
             self.left_state_embed(Tensor(inp.left_state)),
             lf_embed,
             Tensor(np.tile(t_vec, (n, 1))),
             Tensor(np.full((n, 1), inp.rho_hat)),
         ]
         right_parts = [
-            pe_right,
-            self.nnodes_proj(Tensor(np.tile(n_enc, (m, 1)))),
+            level.pe_right,
+            level.nnodes_right,
             self.right_state_embed(Tensor(inp.right_state)),
             rf_embed,
             Tensor(np.tile(t_vec, (m, 1))),
@@ -383,8 +409,8 @@ class Denoiser:
         src = inp.edges[:, 0]
         dst = inp.edges[:, 1]
         edge_parts = [
-            ad.gather_rows(pe_left, src),
-            ad.gather_rows(pe_right, dst),
+            level.pe_edge_left,
+            level.pe_edge_right,
             self.edge_state_embed(Tensor(inp.edge_state)),
             Tensor(np.tile(t_vec, (e, 1))),
             Tensor(np.full((e, 1), inp.rho_hat)),

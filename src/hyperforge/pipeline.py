@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .coarsening import CoarseningCache, CoarseningParams, CoarseningSequence, sample_coarsening_sequence
-from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
+from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, LevelEncoding, spectral_rows
 from .expansion import (
     ExpansionVectors,
     RefinementDecision,
@@ -291,13 +291,19 @@ def build_training_example(
 
 @dataclass
 class _Conditioning:
-    """Per-level tensors that stay fixed across flow evaluations."""
+    """Per-level tensors that stay fixed across flow evaluations.
+
+    ``level`` is the denoiser's encoding of them, set by a sampler that
+    integrates the level and left unset in training, where the forward
+    pass must encode on the tape.
+    """
 
     left_spectral: np.ndarray
     right_spectral: np.ndarray
     eigenvalues: np.ndarray
     left_parent_features: np.ndarray
     right_parent_features: np.ndarray
+    level: LevelEncoding | None = None
 
 
 def _conditioning(
@@ -343,6 +349,7 @@ def _make_input(
         t=t,
         rho_hat=rho_hat,
         total_left=total_left,
+        level=cond.level,
     )
 
 
@@ -599,7 +606,13 @@ def train(cfg: TrainConfig) -> dict:
 
 
 def least_expansion_count(n: int, rho: float) -> int:
-    """Smallest n⁺ with n⁺ = ceil(rho · (n + n⁺)), found by fixed iteration."""
+    """Smallest n⁺ with n⁺ = ceil(rho · (n + n⁺)), found by fixed iteration.
+
+    Raises:
+        ValueError: unless 0 <= rho < 1; for rho >= 1 no such n⁺ exists.
+    """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got {rho}")
     x = 0
     while True:
         nx = int(np.ceil(rho * (n + x)))
@@ -765,7 +778,12 @@ def sample_one(
     every training graph is connected, each refinement keeps the level
     connected, see :func:`_connected_support`.  A model built in memory
     records neither and expands plainly, without the repair.
+
+    Raises:
+        ValueError: unless 0 < rho_min <= rho_max < 1, before any work.
     """
+    if not 0.0 < rho_min <= rho_max < 1.0:
+        raise ValueError("need 0 < rho_min <= rho_max < 1")
     train_cfg = denoiser.extra_config.get("train", {})
     perturbation = bool(train_cfg.get("perturbation", False))
     perturb_radius = int(train_cfg.get("perturb_radius", TrainConfig.perturb_radius))
@@ -811,6 +829,8 @@ def sample_one(
         left_groups = sibling_groups(expanded.cluster_of_left)
         right_groups = sibling_groups(expanded.cluster_of_right)
         x0 = _sample_noise(expanded, left_groups, fm, fl, rng)
+        with ad.no_grad():
+            cond.level = denoiser.encode_level(_make_input(expanded, cond, x0, 0.0, rho_hat, float(N)))
 
         def endpoint_fn(state, t):
             inp = _make_input(expanded, cond, state, t, rho_hat, float(N))

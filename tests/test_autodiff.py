@@ -139,6 +139,85 @@ def test_layer_norm_statistics_and_grad():
     assert np.max(np.abs(gain.grad - fd)) < 1e-6
 
 
+def _composed_power(a, exponent):
+    """Elementwise power as its own tape node, for the composed layer norm."""
+    out = a.data**exponent
+    if not a.requires_grad:
+        return ad.Tensor(out)
+
+    def bwd(g):
+        a.accumulate_grad(g * exponent * a.data ** (exponent - 1.0))
+
+    return ad.Tensor(out, True, (a,), bwd)
+
+
+def _composed_layer_norm(x, gain, bias, eps=1e-5):
+    """Reference: layer norm built from the elementary tape ops."""
+    mu = ad.tensor_mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ad.tensor_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = _composed_power(ad.add(var, ad.constant(eps)), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def _composed_linear(x, w, b):
+    """Reference: affine map built from the elementary tape ops."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+FUSED_CASES = [
+    # op, reference, input shapes (x, second, third)
+    (ad.linear, _composed_linear, [(5, 4), (4, 3), (3,)]),
+    (ad.layer_norm, _composed_layer_norm, [(5, 6), (6,), (6,)]),
+]
+
+
+@pytest.mark.parametrize("fused, composed, shapes", FUSED_CASES, ids=["linear", "layer_norm"])
+def test_fused_op_matches_composed_reference(fused, composed, shapes):
+    rng = np.random.default_rng(11)
+    values = [rng.normal(size=s) * 2.0 + 0.5 for s in shapes]
+    weights = rng.normal(size=fused(*[ad.constant(v) for v in values]).shape)
+
+    def grads_of(op):
+        inputs = [ad.Tensor(v.copy(), requires_grad=True) for v in values]
+        out = op(*inputs)
+        ad.backward(ad.tensor_sum(out * weights))
+        return out.data, [t.grad for t in inputs]
+
+    out_f, grads_f = grads_of(fused)
+    out_c, grads_c = grads_of(composed)
+    assert np.array_equal(out_f, out_c)
+    for gf, gc in zip(grads_f, grads_c):
+        assert np.max(np.abs(gf - gc)) <= 1e-10 * np.max(np.abs(gc))
+
+
+@pytest.mark.parametrize(
+    "fused, shapes", [(op, shapes) for op, _, shapes in FUSED_CASES], ids=["linear", "layer_norm"]
+)
+def test_fused_op_gradients_vs_fd(fused, shapes):
+    rng = np.random.default_rng(12)
+    values = [rng.normal(size=s) for s in shapes]
+    target = rng.normal(size=fused(*[ad.constant(v) for v in values]).shape)
+    for which in range(len(values)):
+        inputs = [ad.Tensor(v.copy(), requires_grad=(i == which)) for i, v in enumerate(values)]
+        ad.backward(ad.mse_loss(fused(*inputs), target))
+
+        def loss_of(flat):
+            args = [ad.constant(flat.reshape(v.shape) if i == which else v) for i, v in enumerate(values)]
+            return float(np.mean((fused(*args).data - target) ** 2))
+
+        fd = _finite_diff(loss_of, values[which].ravel()).reshape(values[which].shape)
+        assert np.max(np.abs(inputs[which].grad - fd)) < 1e-7, which
+
+
+def test_reshape_round_trips_gradient():
+    x = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
+    out = ad.reshape(x, (2, 3))
+    assert out.data.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    ad.backward(ad.tensor_sum(out * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])))
+    assert x.grad.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
 def test_mse_loss_mask_aware():
     pred = ad.Tensor(np.array([[1.0], [5.0]]), requires_grad=True)
     mask = np.array([[True], [False]])

@@ -101,16 +101,53 @@ def test_encode_spectral_sign_invariance():
         assert np.max(np.abs(flipped - base)) < 1e-12
 
 
+def encode_spectral_reference(den, rows, eigenvalues):
+    """The shared map applied column by column, one call per column and sign."""
+    blocks = []
+    for i in range(den.config.spectral_k):
+        col = rows[:, i : i + 1]
+        lam_col = np.full_like(col, eigenvalues[i])
+        pos = den.phi(ad.Tensor(np.concatenate([col, lam_col], axis=1)))
+        neg = den.phi(ad.Tensor(np.concatenate([-col, lam_col], axis=1)))
+        blocks.append(ad.add(pos, neg))
+    return den.rho(ad.concat(blocks, axis=1))
+
+
+def test_encode_spectral_matches_per_column_loop():
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    for seed, n in [(0, 12), (4, 5), (5, 30)]:
+        lrows, rrows, lam = spectral_rows(_graph(n=n, seed=seed), SMALL.spectral_k)
+        for rows in (lrows, rrows):
+            with ad.no_grad():
+                ours = den.encode_spectral(rows, lam).data
+                ref = encode_spectral_reference(den, rows, lam).data
+            assert ours.shape == (rows.shape[0], SMALL.pe_dim)
+            assert np.max(np.abs(ours - ref)) < 1e-12
+
+
+def _children_level(den, b, v):
+    """encode_level of the expansion of ``b`` by ``v``, conditioned the way
+    the sampler conditions it."""
+    from hyperforge.expansion import expand
+    from hyperforge.pipeline import _conditioning, _head_shapes, _make_input
+
+    expanded = expand(b, v)
+    cond = _conditioning(b, v, SMALL.spectral_k, 0, 0)
+    state = {k: np.zeros(shape) for k, shape in _head_shapes(expanded, 0, 0).items()}
+    with ad.no_grad():
+        return expanded, den.encode_level(_make_input(expanded, cond, state, 0.5, 0.2, float(b.num_left)))
+
+
 def test_spectral_embed_identity_v():
     from hyperforge.expansion import ExpansionVectors
 
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph()
-    plain_l, plain_r = den.spectral_embed(b)
-    v = ExpansionVectors([1] * b.num_left, [1] * b.num_right)
-    rep_l, rep_r = den.spectral_embed(b, v)
-    assert np.array_equal(plain_l, rep_l)
-    assert np.array_equal(plain_r, rep_r)
+    lrows, rrows, lam = spectral_rows(b, SMALL.spectral_k)
+    _, level = _children_level(den, b, ExpansionVectors([1] * b.num_left, [1] * b.num_right))
+    with ad.no_grad():
+        assert np.array_equal(level.pe_left.data, den.encode_spectral(lrows, lam).data)
+        assert np.array_equal(level.pe_right.data, den.encode_spectral(rrows, lam).data)
 
 
 def test_spectral_embed_replicates_children():
@@ -118,20 +155,71 @@ def test_spectral_embed_replicates_children():
 
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph(n=6, seed=2)
-    v = ExpansionVectors([2] + [1] * (b.num_left - 1), [1] * b.num_right)
-    rep_l, _ = den.spectral_embed(b, v)
-    assert rep_l.shape[0] == b.num_left + 1
-    assert np.array_equal(rep_l[0], rep_l[1])
+    v = ExpansionVectors([2] + [1] * (b.num_left - 1), [3] + [1] * (b.num_right - 1))
+    expanded, level = _children_level(den, b, v)
+    assert level.rows == (b.num_left + 1, b.num_right + 2, expanded.num_edges)
+    assert np.array_equal(level.pe_left.data[0], level.pe_left.data[1])
+    assert np.array_equal(level.pe_right.data[0], level.pe_right.data[1])
+    assert np.array_equal(level.pe_right.data[0], level.pe_right.data[2])
+    # each edge row carries the encoding of its endpoints
+    assert np.array_equal(level.pe_edge_left.data, level.pe_left.data[expanded.edges[:, 0]])
+    assert np.array_equal(level.pe_edge_right.data, level.pe_right.data[expanded.edges[:, 1]])
 
 
-def test_spectral_embed_k_zero_needs_rng():
-    den = Denoiser(SMALL, rng=np.random.default_rng(0))
-    b = _graph(n=6, seed=3)
-    with pytest.raises(ValueError):
-        den.spectral_embed(b, k=0)
-    l0, r0 = den.spectral_embed(b, k=0, rng=np.random.default_rng(7))
-    assert l0.shape == (b.num_left, SMALL.pe_dim)
-    assert r0.shape == (b.num_right, SMALL.pe_dim)
+FEATURED = DenoiserConfig(
+    hidden_dim=24, num_layers=2, mlp_hidden=32, spectral_k=4, node_feature_dim=3, edge_feature_dim=2
+)
+
+
+def _featured_model_and_input(seed=0):
+    rng = np.random.default_rng(seed)
+    den = Denoiser(FEATURED, rng=np.random.default_rng(0))
+    # nonzero head weights so every head depends on the whole network
+    for name, t in den.store.items():
+        if name.startswith("head."):
+            den.store.replace_value(name, rng.normal(size=t.data.shape) * 0.1)
+    b = _graph()
+    inp = _input_for(b, FEATURED)
+    inp.left_parent_features = rng.normal(size=(b.num_left, 3))
+    inp.right_parent_features = rng.normal(size=(b.num_right, 2))
+    inp.left_feature_state = rng.normal(size=(b.num_left, 3))
+    inp.right_feature_state = rng.normal(size=(b.num_right, 2))
+    return den, inp
+
+
+def test_predict_with_level_encoding_is_bit_identical():
+    from dataclasses import replace
+
+    den, inp = _featured_model_and_input()
+    with ad.no_grad():
+        level = den.encode_level(inp)
+    rng = np.random.default_rng(3)
+    for t in (0.0, 0.37, 0.96):
+        state = dict(
+            t=t,
+            left_state=rng.normal(size=inp.left_state.shape),
+            right_state=rng.normal(size=inp.right_state.shape),
+            edge_state=rng.normal(size=inp.edge_state.shape),
+            left_feature_state=rng.normal(size=inp.left_feature_state.shape),
+            right_feature_state=rng.normal(size=inp.right_feature_state.shape),
+        )
+        plain = den.predict(replace(inp, **state))
+        cached = den.predict(replace(inp, **state, level=level))
+        for k in HEAD_SPECS:
+            assert np.array_equal(plain[k], cached[k]), (t, k)
+
+
+def test_forward_rejects_mismatched_level():
+    from dataclasses import replace
+
+    den, inp = _featured_model_and_input()
+    other = _input_for(_graph(n=9, seed=5), FEATURED)
+    other.left_parent_features = np.zeros((other.num_left, 3))
+    other.right_parent_features = np.zeros((other.num_right, 2))
+    with ad.no_grad():
+        level = den.encode_level(other)
+    with pytest.raises(ValueError, match="level encoding"):
+        den.predict(replace(inp, level=level))
 
 
 def test_untrained_heads_predict_identity():

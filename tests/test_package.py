@@ -6,6 +6,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperforge
@@ -24,12 +25,16 @@ def test_package_all_resolves():
     assert [n for n in hyperforge.__all__ if not hasattr(hyperforge, n)] == []
 
 
-def test_tracer_installs_and_unpatches():
+def _import_tracer():
     sys.path.insert(0, str(BENCHMARKS))
     try:
-        tracer = importlib.import_module("tracer")
+        return importlib.import_module("tracer")
     finally:
         sys.path.remove(str(BENCHMARKS))
+
+
+def test_tracer_installs_and_unpatches():
+    tracer = _import_tracer()
     from hyperforge import autodiff, coarsening, denoiser
 
     owners = [importlib.import_module(f"hyperforge.{name}") for name in MODULES]
@@ -42,3 +47,35 @@ def test_tracer_installs_and_unpatches():
     finally:
         t.unpatch()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_traced_sampling_and_training_step():
+    """The calls the benchmark makes still go through the tracer's wrappers,
+    whose signatures (such as ``forward(den, inp)``) are fixed."""
+    from hyperforge import autodiff as ad
+    from hyperforge import pipeline
+    from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
+    from hyperforge.datasets import gen_tree
+    from hyperforge.denoiser import Denoiser, DenoiserConfig
+
+    cfg = DenoiserConfig(hidden_dim=8, num_layers=1, mlp_hidden=8, spectral_k=2)
+    den = Denoiser(cfg, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    seq = sample_coarsening_sequence(gen_tree(rng, num_nodes=8), CoarseningParams(), rng)
+    t = _import_tracer().Tracer()
+    t.install()
+    try:
+        _, diag = pipeline.sample_one(den, 6, np.random.default_rng(2), steps=2)
+        example = pipeline.build_training_example(seq, 0, rng, 0, 0)
+        inp, targets = pipeline.prepare_step(example, rng, cfg.spectral_k, 0, 0)
+        den.store.zero_grad()
+        ad.backward(pipeline._step_loss_tensor(den, inp, targets))
+        den.store.adam_step(1e-3)
+    finally:
+        t.unpatch()
+    metrics = t.metrics()
+    assert metrics["denoiser.forward.calls"] > 2 * diag["iterations"]
+    # sampling encodes each level once per side; the training forward encodes on the tape
+    assert metrics["denoiser.encode_spectral.calls"] == 2 * diag["iterations"] + 2
+    assert metrics["autodiff.backward.calls"] == 1
+    assert metrics["autodiff.adam_step.calls"] == 1

@@ -1,5 +1,7 @@
 import json
 import re
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -197,6 +199,28 @@ def test_least_expansion_count_values():
     assert least_expansion_count(4, 0.2) == 1
     assert least_expansion_count(1, 0.3) == 1
     assert least_expansion_count(10, 0.0) == 0
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging when the block overruns."""
+
+    def overrun(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_least_expansion_count_rejects_rho_without_solution():
+    for rho in (1.0, 1.5, -0.1):
+        with _deadline(5.0), pytest.raises(ValueError, match="0 <= rho < 1"):
+            least_expansion_count(8, rho)
 
 
 def _preds(left_exp, left_split, right_exp, edge_keep):
@@ -525,6 +549,24 @@ def test_sample_request_follows_recorded_connectivity(tmp_path, monkeypatch):
         assert inpaint and all(args[-1] is recorded for args, _ in inpaint)
         # the untrained heads keep every edge either way
         assert all(g.num_hyperedges == 1 for g in graphs)
+
+
+@pytest.mark.parametrize("rho_min, rho_max", [(1.0, 1.0), (0.0, 0.0), (0.3, 0.1)])
+def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, monkeypatch, rho_min, rho_max):
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    ckpt = tmp_path / "m.hfck"
+    den.save(ckpt, extra_config={"train": {"steps": 8, "rho_min": rho_min, "rho_max": rho_max}})
+    forwards = []
+    real_forward = Denoiser.forward
+
+    def counted_forward(self, inp):
+        forwards.append(1)
+        return real_forward(self, inp)
+
+    monkeypatch.setattr(Denoiser, "forward", counted_forward)
+    with _deadline(10.0), pytest.raises(ValueError, match=re.escape("need 0 < rho_min <= rho_max < 1")):
+        sample(SampleRequest(checkpoint=str(ckpt), n_nodes=16, seed=0))
+    assert forwards == []
 
 
 def test_sample_request_validation():
