@@ -2,11 +2,13 @@
 
 A coarsening sequence contracts left-node pairs (merging budgets by sum and
 features by budget-weighted mean), then merges right nodes whose neighborhoods
-became identical.  Candidate contractions are clique-expansion edges ranked by
-a local variation cost; acceptance runs a stochastic gate, an overlap check,
-and a cap of three on right-side merge groups.  Each level records the exact
-expansion and refinement targets that rebuild the next-finer level, so the
-whole sequence is losslessly replayable.
+became identical, at most three per group and level (the right-expansion cap);
+further copies merge at later levels.  Candidate contractions are
+clique-expansion edges ranked by a local variation cost; acceptance runs a
+stochastic gate and an overlap check.  Each level records the exact expansion
+and refinement targets that rebuild the next-finer level, so the whole
+sequence is losslessly replayable.  Every hypergraph with at least one
+hyperedge coarsens to one node and one hyperedge.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expansion import ExpansionVectors, RefinementDecision, expand
+from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand
 from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
 
 __all__ = [
@@ -31,7 +33,8 @@ __all__ = [
     "sample_coarsening_sequence",
 ]
 
-MAX_RIGHT_GROUP = 3
+# Graphs with fewer left nodes always use rho_max as their reduction fraction.
+SMALL_GRAPH_CUTOFF = 16
 
 
 @dataclass(frozen=True)
@@ -39,15 +42,13 @@ class CoarseningParams:
     """Knobs of the level sampler.
 
     ``gate_lambda`` is the stochastic acceptance gate: a candidate passes when
-    a uniform draw exceeds it.  Graphs below ``small_graph_cutoff`` left nodes
-    always use ``rho_max`` as their per-level reduction fraction.
+    a uniform draw exceeds it.
     """
 
     rho_min: float = 0.1
     rho_max: float = 0.3
     gate_lambda: float = 0.3
     preserve_k: int = 8
-    small_graph_cutoff: int = 16
 
     def __post_init__(self):
         if not 0.0 < self.rho_min <= self.rho_max < 1.0:
@@ -85,9 +86,10 @@ class CoarseningSequence:
         last = self.levels[-1].bipartite
         if last.num_left != 1 or last.num_right != 1:
             raise ValueError("terminal level must be a single node and hyperedge")
-        counts = [lvl.bipartite.num_left for lvl in self.levels]
-        if any(b <= a for a, b in zip(counts[1:], counts[:-1])):
-            raise ValueError("left node counts must strictly decrease")
+        sizes = [(lvl.bipartite.num_left, lvl.bipartite.num_right) for lvl in self.levels]
+        for (fl, fr), (cl, cr) in zip(sizes[:-1], sizes[1:]):
+            if cl > fl or cr > fr or (cl, cr) == (fl, fr):
+                raise ValueError("each level must shrink one side and grow neither")
         if self.levels[0].expansion is not None:
             raise ValueError("finest level carries no targets")
         for lvl in self.levels[1:]:
@@ -225,7 +227,11 @@ class DedupResult:
 def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
     """Merge right nodes with identical left neighborhoods.
 
-    Features merge by budget-weighted mean; right budgets are tracked only
+    Each group of identical neighborhoods splits, in ascending index order,
+    into consecutive chunks of at most ``MAX_RIGHT_EXPANSION`` (the most one
+    right expansion can undo); the chunks stay distinct right nodes and merge
+    further at a later level.  Groups are ordered by least member.  Features
+    merge by budget-weighted mean; right budgets are tracked only
     inside coarsening (they are not a BipartiteGraph field) so they travel
     through this function explicitly.
     """
@@ -236,10 +242,13 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
         if rb.shape[0] != b.num_right:
             raise ValueError("right budget length mismatch")
 
+    nbhds = b.right_neighborhoods()
     by_nbhd: dict[frozenset[int], list[int]] = {}
-    for r, nb in enumerate(b.right_neighborhoods()):
+    for r, nb in enumerate(nbhds):
         by_nbhd.setdefault(nb, []).append(r)
-    groups = sorted((tuple(sorted(g)) for g in by_nbhd.values()), key=lambda g: g[0])
+    cap = MAX_RIGHT_EXPANSION
+    chunks = (tuple(g[i : i + cap]) for g in by_nbhd.values() for i in range(0, len(g), cap))
+    groups = sorted(chunks, key=lambda g: g[0])
 
     new_rb = np.array([sum(int(rb[r]) for r in g) for g in groups], dtype=np.int64)
     features = None
@@ -251,7 +260,6 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
             ]
         )
     edges = []
-    nbhds = b.right_neighborhoods()
     for new_idx, g in enumerate(groups):
         for l in sorted(nbhds[g[0]]):
             edges.append((l, new_idx))
@@ -266,27 +274,13 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
     return DedupResult(graph=graph, groups=tuple(groups), right_budgets=new_rb)
 
 
-def _right_groups_ok(nbhds: list[list[int]], assign: np.ndarray, extra: tuple[int, int]) -> bool:
-    """Would contracting ``extra`` on top of ``assign`` keep every group of
-    identical right neighborhoods at size <= 3?"""
-    u, v = extra
-    counts: dict[frozenset[int], int] = {}
-    for nb in nbhds:
-        key = frozenset(u if assign[x] == v else int(assign[x]) for x in nb)
-        c = counts.get(key, 0) + 1
-        if c > MAX_RIGHT_GROUP:
-            return False
-        counts[key] = c
-    return True
-
-
 def _sample_level_contractions(
     b: BipartiteGraph, params: CoarseningParams, rng: np.random.Generator
 ) -> tuple[list[tuple[int, int]], bool]:
     """One level's accepted contraction pairs; the flag marks a disconnected
     bridge merge (no clique edge existed at all)."""
     n_prev = b.num_left
-    if n_prev < params.small_graph_cutoff:
+    if n_prev < SMALL_GRAPH_CUTOFF:
         red_frac = params.rho_max
     else:
         red_frac = rng.uniform(params.rho_min, params.rho_max)
@@ -299,39 +293,25 @@ def _sample_level_contractions(
     else:
         candidates = []
 
-    nbhds = [sorted(nb) for nb in b.right_neighborhoods()]
-    assign = np.arange(n_prev, dtype=np.int64)
     used: set[int] = set()
     accepted: list[tuple[int, int]] = []
 
     for u, v in candidates:
         if rng.random() > params.gate_lambda:
             if u not in used and v not in used:
-                if _right_groups_ok(nbhds, assign, (u, v)):
-                    accepted.append((u, v))
-                    used.update((u, v))
-                    assign[v] = u
+                accepted.append((u, v))
+                used.update((u, v))
         if len(accepted) > red_frac * n_prev:
             break
 
     if accepted:
         return accepted, False
 
-    # Forced progress: every candidate was rejected (or none existed).  Take
-    # the single cheapest contraction that satisfies the group cap; with no
-    # clique edge at all, bridge the lowest-index pair across components.
-    for u, v in candidates:
-        if _right_groups_ok(nbhds, assign, (u, v)):
-            return [(u, v)], False
+    # Forced progress: the gate rejected every candidate (or none existed).
+    # Take the cheapest contraction; with no clique edge at all, bridge the
+    # lowest-index pair across components.
     if candidates:
-        raise ValueError(
-            "no legal contraction at this level: every candidate would merge "
-            "more than three right nodes at once"
-        )
-    if n_prev < 2:
-        raise ValueError("cannot contract a single node")
-    if not _right_groups_ok(nbhds, assign, (0, 1)):
-        raise ValueError("bridge contraction would merge more than three right nodes")
+        return [candidates[0]], False
     return [(0, 1)], True
 
 
@@ -382,27 +362,26 @@ def sample_coarsening_sequence(
     level's features are zeroed (whenever at least one reduction happened).
 
     Raises:
-        ValueError: if the input has no hyperedges, or carries more than three
-            copies of one hyperedge (no legal right-side merge exists then).
+        ValueError: if the input has no hyperedges.
     """
     if h.num_hyperedges < 1:
         raise ValueError("cannot coarsen a hypergraph with no hyperedges")
 
     b0 = star_expand(h)
-    dup_counts: dict[frozenset[int], int] = {}
-    for nb in b0.right_neighborhoods():
-        dup_counts[nb] = dup_counts.get(nb, 0) + 1
-        if dup_counts[nb] > MAX_RIGHT_GROUP:
-            raise ValueError("more than three duplicate copies of one hyperedge")
-
     raw: list[BipartiteGraph] = [b0]
     left_groups_per_step: list[list[tuple[int, ...]]] = [[]]
     right_groups_per_step: list[list[tuple[int, ...]]] = [[]]
     right_budgets = np.ones(b0.num_right, dtype=np.int64)
 
-    while raw[-1].num_left > 1:
+    # Terminates: ``Hypergraph`` rejects empty hyperedges, so every right
+    # neighborhood is non-empty; each level removes at least one left node
+    # while more than one is left; once one is left, every right neighborhood
+    # is {0} and the right count falls from r to ceil(r / 3) per level.
+    while raw[-1].num_left > 1 or raw[-1].num_right > 1:
         cur = raw[-1]
-        pairs, bridged = _sample_level_contractions(cur, params, rng)
+        pairs, bridged = [], False
+        if cur.num_left > 1:
+            pairs, bridged = _sample_level_contractions(cur, params, rng)
         merged = merge_left(cur, pairs, allow_disconnected=bridged)
         left_groups = complete_left_partition(pairs, cur.num_left)
         dedup = dedup_right(merged, right_budgets)

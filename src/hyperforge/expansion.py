@@ -22,6 +22,7 @@ import numpy as np
 from .hypergraph import BipartiteGraph
 
 __all__ = [
+    "MAX_RIGHT_EXPANSION",
     "ExpansionVectors",
     "RefinementDecision",
     "expand",
@@ -32,10 +33,14 @@ __all__ = [
     "reconstruct_finer",
 ]
 
+# The most children one right node can expand into; coarsening merges at most
+# this many identical right nodes per level so that expansion can undo it.
+MAX_RIGHT_EXPANSION = 3
+
 
 @dataclass(frozen=True)
 class ExpansionVectors:
-    """Per-node child counts: left entries in {1, 2}, right entries in {1, 2, 3}."""
+    """Per-node child counts: left entries in {1, 2}, right entries in 1..MAX_RIGHT_EXPANSION."""
 
     left: np.ndarray
     right: np.ndarray
@@ -45,8 +50,8 @@ class ExpansionVectors:
         rarr = np.asarray(right, dtype=np.int64).reshape(-1)
         if larr.size and (larr.min() < 1 or larr.max() > 2):
             raise ValueError("left expansion counts must be 1 or 2")
-        if rarr.size and (rarr.min() < 1 or rarr.max() > 3):
-            raise ValueError("right expansion counts must be in {1, 2, 3}")
+        if rarr.size and (rarr.min() < 1 or rarr.max() > MAX_RIGHT_EXPANSION):
+            raise ValueError(f"right expansion counts must be in 1..{MAX_RIGHT_EXPANSION}")
         larr.flags.writeable = False
         rarr.flags.writeable = False
         object.__setattr__(self, "left", larr)

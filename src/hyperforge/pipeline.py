@@ -884,14 +884,10 @@ def sample_one(
     return h, diag
 
 
-def _load_for_sampling(checkpoint: str | Path) -> tuple[Denoiser, dict]:
-    denoiser = Denoiser.from_checkpoint(checkpoint)
-    return denoiser, denoiser.extra_config.get("train", {})
-
-
 def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
     """Generate ``count`` hypergraphs of ``n_nodes`` nodes from a checkpoint."""
-    denoiser, extras = _load_for_sampling(req.checkpoint)
+    denoiser = Denoiser.from_checkpoint(req.checkpoint)
+    extras = denoiser.extra_config.get("train", {})
     graphs: list[Hypergraph] = []
     diags: list[dict] = []
     for i in range(req.count):

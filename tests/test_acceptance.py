@@ -433,8 +433,6 @@ def test_criterion_09_smoke_training(toy_tree_dataset, tmp_path):
 
 
 def test_criterion_10_trained_sampling(toy_tree_dataset, tmp_path):
-    from hyperforge.pipeline import _load_for_sampling
-
     cfg = TrainConfig(
         data_dir=str(toy_tree_dataset),
         hidden_dim=64,
@@ -451,7 +449,7 @@ def test_criterion_10_trained_sampling(toy_tree_dataset, tmp_path):
     )
     t0 = time.perf_counter()
     summary = train(cfg)
-    den, _ = _load_for_sampling(summary["best_checkpoint"])
+    den = Denoiser.from_checkpoint(summary["best_checkpoint"])
     rng = np.random.default_rng(2026)
     samples = [sample_one(den, 16, rng)[0] for _ in range(50)]
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hyperforge.coarsening import (
     CoarseningCache,
     CoarseningParams,
+    CoarseningSequence,
     _variation_costs,
     complete_left_partition,
     dedup_right,
@@ -104,17 +105,48 @@ def test_dedup_three_copies_merge_with_cap():
     assert res.right_budgets.tolist() == [3]
 
 
+def test_dedup_splits_copies_into_chunks_of_three():
+    edges = [[l, j] for j in range(7) for l in range(2)]
+    b = BipartiteGraph(2, 7, np.array(edges), np.ones(2, dtype=np.int64))
+    res = dedup_right(b)
+    assert res.groups == ((0, 1, 2), (3, 4, 5), (6,))
+    assert res.right_budgets.tolist() == [3, 3, 1]
+    assert res.graph.num_right == 3
+    assert res.graph.right_neighborhoods() == [frozenset({0, 1})] * 3
+
+
 def test_duplicate_hyperedge_limits():
-    # three copies of one hyperedge coarsen fine (right groups cap at 3)...
-    h3 = Hypergraph(4, [[0, 1], [0, 1], [0, 1], [1, 2], [2, 3]])
-    seq = sample_coarsening_sequence(h3, CoarseningParams(), np.random.default_rng(1))
-    assert _replay_exact(seq)
-    for level in seq.levels[1:]:
-        assert max(level.expansion.right.tolist()) <= 3
-    # ...but a fourth copy has no legal right-side merge and is rejected
-    h4 = Hypergraph(4, [[0, 1]] * 4 + [[1, 2], [2, 3]])
-    with pytest.raises(ValueError):
-        sample_coarsening_sequence(h4, CoarseningParams(), np.random.default_rng(1))
+    # Any number of copies coarsens: each level merges at most three of them,
+    # so every stored right expansion stays within the cap.
+    graphs = [
+        Hypergraph(4, [[0, 1], [0, 1], [0, 1], [1, 2], [2, 3]]),
+        Hypergraph(4, [[0, 1]] * 4 + [[1, 2], [2, 3]]),
+        Hypergraph(1, [[0]] * 2),
+        Hypergraph(1, [[0]] * 7),
+        Hypergraph(3, [[0, 1]] * 9),
+    ]
+    for h in graphs:
+        for seed in range(3):
+            seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+            assert _replay_exact(seq)
+            for level in seq.levels:
+                assert int(level.bipartite.left_budgets.sum()) == h.num_nodes
+            for level in seq.levels[1:]:
+                assert max(level.expansion.right.tolist()) <= 3
+    seq = sample_coarsening_sequence(Hypergraph(1, [[0]] * 7), CoarseningParams(), np.random.default_rng(0))
+    assert [(lvl.bipartite.num_left, lvl.bipartite.num_right) for lvl in seq.levels] == [(1, 7), (1, 3), (1, 1)]
+    assert seq.levels[1].expansion.right.tolist() == [3, 3, 1]
+    assert seq.levels[2].expansion.right.tolist() == [3]
+
+
+def test_sequence_rejects_repeated_or_growing_level():
+    seq = sample_coarsening_sequence(_line_hypergraph(8), CoarseningParams(), np.random.default_rng(0))
+    levels = seq.levels
+    assert len(levels) >= 3
+    with pytest.raises(ValueError, match="grow neither"):
+        CoarseningSequence(levels=levels[:2] + levels[1:])
+    with pytest.raises(ValueError, match="grow neither"):
+        CoarseningSequence(levels=(levels[0], levels[2], levels[1]) + levels[2:])
 
 
 @st.composite
@@ -173,14 +205,16 @@ def test_cost_permutation_invariant():
 
 @settings(max_examples=150, deadline=None)
 @given(h=_arbitrary_hypergraphs(), seed=st.integers(0, 2**32 - 1))
-def test_arbitrary_hypergraph_replays_or_raises_value_error(h, seed):
-    try:
-        seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
-    except ValueError:
-        return
+def test_arbitrary_hypergraph_replays(h, seed):
+    seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
     assert _replay_exact(seq)
     for level in seq.levels:
         assert int(level.bipartite.left_budgets.sum()) == h.num_nodes
+    for level in seq.levels[1:]:
+        assert max(level.expansion.right.tolist()) <= 3
+    sizes = [(lvl.bipartite.num_left, lvl.bipartite.num_right) for lvl in seq.levels]
+    for (fl, fr), (cl, cr) in zip(sizes[:-1], sizes[1:]):
+        assert cl <= fl and cr <= fr
 
 
 def test_single_node_sequence_is_minimal():

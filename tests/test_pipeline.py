@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperforge.autodiff as ad
 import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import DatasetSpec, gen_tree, generate_dataset
@@ -189,6 +190,26 @@ def test_prepare_step_shapes():
     assert inp.left_spectral.shape == (n, SMALL.spectral_k)
     assert 0.0 <= inp.t < 1.0
     assert set(x_t) == set(ex.targets)
+
+
+def test_training_step_on_right_only_levels():
+    # Seven copies of one hyperedge on one node coarsen by right merges alone:
+    # (1, 7) -> (1, 3) -> (1, 1).  Each level trains like any other.
+    seq = sample_coarsening_sequence(Hypergraph(1, [[0]] * 7), CoarseningParams(), np.random.default_rng(0))
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    for l in range(len(seq.levels)):
+        ex = build_training_example(seq, l, np.random.default_rng(l), 0, 0)
+        assert ex.expanded.num_right == seq.levels[l].bipartite.num_right
+        if l >= 1:
+            assert ex.rho_hat == 0.0
+            assert ex.targets["right_expansion"].max() == 1.0
+        inp, targets = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k, 0, 0)
+        den.store.zero_grad()
+        loss = pipeline._step_loss_tensor(den, inp, targets)
+        ad.backward(loss)
+        assert np.isfinite(float(loss.data))
+        grads = [t.grad for _, t in den.store.items() if t.grad is not None]
+        assert grads and all(np.all(np.isfinite(g)) for g in grads)
 
 
 # ------------------------------------------------------------- inpainting ----
