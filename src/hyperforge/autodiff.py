@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an immutable array plus a backward closure; calling
+A Tensor wraps a read-only array plus a backward closure; calling
 :func:`backward` on a scalar walks the tape in reverse topological order.
 Everything is plain single-threaded numpy, so identical passes produce
 bitwise-identical gradients.  Parameters live in a :class:`ParameterStore`
-with named dense arrays, gradient slots, an Adam update, and a flat
+with named dense arrays, gradient slots, an in-place Adam update, and a flat
 little-endian checkpoint format with a JSON manifest.
 """
 
@@ -46,6 +46,10 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
+# Entries per Adam sweep group: the five arrays of a 32768-entry sweep
+# (1.3 MB) stay in a 2 MB L2 cache, which a whole-buffer sweep does not.
+_ADAM_SWEEP = 1 << 15
+
 
 @contextmanager
 def no_grad():
@@ -60,13 +64,21 @@ def no_grad():
 
 
 class Tensor:
-    """Array node on the tape.  ``data`` is read-only; in-place edits abort."""
+    """Array node on the tape.  ``data`` is read-only; in-place edits abort.
+
+    ``data`` is a read-only view of the given array (of a float64 copy if it
+    has another dtype): the caller's array keeps its flags, and whoever owns
+    it may still write it.  For a parameter that owner is its
+    :class:`ParameterStore`: the store writes, tensors read.  A tape must
+    therefore not outlive the optimizer step that follows it, because the
+    arrays its forward derived from parameters do not follow the update.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=np.float64)
-        arr.flags.writeable = False
+        arr = np.asarray(data, dtype=np.float64).view()
+        arr.setflags(write=False)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
@@ -81,9 +93,15 @@ class Tensor:
         return Tensor(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + g
+        """Add ``g`` (already of this tensor's shape) to the gradient.
+
+        The first gradient is kept as given, not copied, so it may be shared
+        with the caller or with other tensors.  That is safe because nothing
+        writes into a gradient in place: no backward closure writes to its
+        incoming ``g`` or to an array it has passed on, and later touches
+        build a new array with ``grad + g``.
+        """
+        self.grad = g if self.grad is None else self.grad + g
 
     # Operator sugar; constants are wrapped on the fly.
     def __add__(self, other):
@@ -375,19 +393,34 @@ class ParameterStore:
 
     Creation order is preserved; gradients live on the tensors themselves and
     are cleared with :meth:`zero_grad`.
+
+    The store writes, tensors read: :meth:`create` copies its input into a
+    private writeable buffer, and the parameter's ``Tensor.data`` is a
+    read-only view of that buffer.  :meth:`adam_step` and
+    :meth:`replace_value` write the buffer in place, so a tape built before
+    an update must not be used after it.  At its first update the store
+    packs all buffers into one flat array, which the Adam update then
+    sweeps with a handful of whole-array operations per group.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._adam_m: dict[str, np.ndarray] = {}
-        self._adam_v: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
+        # the packed parameters and their Adam moments; each sweep group is
+        # [start, stop, members], a member (name, tensor, slice in the group)
+        self._flat = self._adam_m = self._adam_v = np.empty(0)
+        self._groups: list[list] = []
+        self._scratch = np.empty((2, 0))
         self.step_count = 0
 
     def create(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already exists")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+        buf = np.array(value, dtype=np.float64)
+        t = Tensor(buf, requires_grad=True)
+        self._buffers[name] = buf
         self._params[name] = t
+        self._groups = []  # pack again before the next update
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -410,12 +443,41 @@ class ParameterStore:
             t.grad = None
 
     def replace_value(self, name: str, value: np.ndarray) -> None:
-        t = self._params[name]
-        if value.shape != t.data.shape:
+        """Overwrite a parameter's buffer in place; its tensor sees the change."""
+        buf = self._buffers[name]
+        if value.shape != buf.shape:
             raise ValueError(f"shape mismatch for {name!r}")
-        arr = np.asarray(value, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        t.data = arr
+        buf[...] = value
+
+    def _pack(self) -> None:
+        """Move every buffer into one flat array, in creation order, and cut
+        it into sweep groups of whole parameters.
+
+        Parameters created since the last pack are appended, so earlier ones
+        keep their offsets and their Adam moments.
+        """
+        total = self.num_entries()
+        flat = np.empty(total)
+        start = 0
+        for name, buf in self._buffers.items():
+            stop = start + buf.size
+            flat[start:stop] = buf.ravel()
+            buf = flat[start:stop].reshape(buf.shape)
+            view = buf.view()
+            view.setflags(write=False)
+            t = self._params[name]
+            self._buffers[name], t.data = buf, view
+            if not self._groups or stop - self._groups[-1][0] > _ADAM_SWEEP:
+                self._groups.append([start, start, []])
+            group = self._groups[-1]
+            group[1] = stop
+            group[2].append((name, t, slice(start - group[0], stop - group[0])))
+            start = stop
+        packed = self._adam_m.size
+        m, v = np.zeros(total), np.zeros(total)
+        m[:packed], v[:packed] = self._adam_m, self._adam_v
+        self._flat, self._adam_m, self._adam_v = flat, m, v
+        self._scratch = np.empty((2, max((stop - start for start, stop, _ in self._groups), default=0)))
 
     def adam_step(
         self,
@@ -423,30 +485,54 @@ class ParameterStore:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        """One bias-corrected Adam update; parameters without gradients (or
-        with all-zero fresh state and zero gradient) stay put."""
+        """One bias-corrected Adam update of every parameter, in place.
+
+        It writes the buffers that the parameter tensors read, so a tape
+        built before this call must not be used after it.  A parameter
+        without a gradient counts as having a zero one, so it stays put
+        while its moments are zero.  The float operations are those of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``p - lr*m_hat / (sqrt(v_hat) + eps)``, in that order, so the result
+        does not depend on how the update is laid out in memory.  The flat
+        buffer is swept in groups of whole parameters, of at most
+        ``_ADAM_SWEEP`` entries unless one parameter alone is larger.
+
+        Raises:
+            FloatingPointError: naming the first parameter whose update is
+                not finite; that parameter and every later one keep their
+                values.
+        """
+        if not self._groups:
+            self._pack()
         self.step_count += 1
         b1, b2 = betas
-        for name, t in self._params.items():
-            g = t.grad
-            if g is None:
-                g = np.zeros_like(t.data)
-            m = self._adam_m.get(name)
-            v = self._adam_v.get(name)
-            if m is None:
-                m = np.zeros_like(t.data)
-                v = np.zeros_like(t.data)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self._adam_m[name] = m
-            self._adam_v[name] = v
-            m_hat = m / (1 - b1**self.step_count)
-            v_hat = v / (1 - b2**self.step_count)
-            with np.errstate(invalid="ignore", over="ignore"):
-                new = t.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-            if not np.all(np.isfinite(new)):
-                raise FloatingPointError(f"non-finite optimizer update for parameter {name!r}")
-            self.replace_value(name, new)
+        bc1, bc2 = 1 - b1**self.step_count, 1 - b2**self.step_count
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start, stop, members in self._groups:
+                g, a = self._scratch[:, : stop - start]
+                m, v, p = self._adam_m[start:stop], self._adam_v[start:stop], self._flat[start:stop]
+                for _, t, local in members:
+                    g[local] = 0.0 if t.grad is None else t.grad.ravel()
+                m *= b1
+                np.multiply(g, 1 - b1, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, 1 - b2, out=a)
+                a *= g
+                v += a
+                # g is spent: it now holds sqrt(v_hat) + eps, and a the new values
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += eps
+                np.divide(m, bc1, out=a)
+                a *= lr
+                a /= g
+                np.subtract(p, a, out=a)
+                if not np.isfinite(a).all():
+                    for name, _, local in members:
+                        if not np.isfinite(a[local]).all():
+                            raise FloatingPointError(f"non-finite optimizer update for parameter {name!r}")
+                p[...] = a
 
 
 CHECKPOINT_MAGIC = b"HFCKPT1\n"
@@ -499,7 +585,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
         nbytes = count * 8
         if off + nbytes > len(raw):
             raise ValueError("checkpoint payload truncated")
-        arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape)
         off += nbytes
         store.create(entry["name"], arr)
     store.step_count = int(manifest.get("step_count", 0))

@@ -516,6 +516,9 @@ def train(cfg: TrainConfig) -> dict:
     loss), and a CSV loss log.  Aborts with a state dump on non-finite loss.
     Each checkpoint records, next to the config, whether every training
     graph is connected; sampling then keeps every refined level connected.
+    ``phase_s`` in the summary holds the seconds spent over all steps in
+    ``data`` (take, example, prepare), ``forward``, ``backward`` and
+    ``optimizer``; validation and checkpoint writes are outside all four.
     """
     data_dir = Path(cfg.data_dir)
     if not (data_dir / "manifest.json").exists():
@@ -553,10 +556,12 @@ def train(cfg: TrainConfig) -> dict:
     }
 
     best_val = np.inf
+    phase_s = dict.fromkeys(("data", "forward", "backward", "optimizer"), 0.0)
     start = time.time()
     with log_path.open("w") as log:
         log.write("step,train_loss,val_loss\n")
         for step in range(1, cfg.max_steps + 1):
+            t0 = time.perf_counter()
             graph_id = int(rng.integers(len(train_graphs)))
             item = cache.take(graph_id, rng)
             example = build_training_example(
@@ -566,9 +571,11 @@ def train(cfg: TrainConfig) -> dict:
                 perturb_prob=cfg.perturb_prob,
             )
             inp, targets = prepare_step(example, rng, cfg.spectral_k, fm, fl, cfg.ot_coupling)
+            t1 = time.perf_counter()
             denoiser.store.zero_grad()
             loss = _step_loss_tensor(denoiser, inp, targets)
             loss_val = float(loss.data)
+            t2 = time.perf_counter()
             if not np.isfinite(loss_val):
                 dump = ckpt_dir / "abort_state.json"
                 dump.write_text(json.dumps({
@@ -581,7 +588,13 @@ def train(cfg: TrainConfig) -> dict:
                 }, indent=2))
                 raise RuntimeError(f"non-finite loss at step {step}; state dumped to {dump}")
             ad.backward(loss)
+            t3 = time.perf_counter()
             denoiser.store.adam_step(cfg.lr)
+            t4 = time.perf_counter()
+            phase_s["data"] += t1 - t0
+            phase_s["forward"] += t2 - t1
+            phase_s["backward"] += t3 - t2
+            phase_s["optimizer"] += t4 - t3
 
             val_str = ""
             if cfg.val_every and step % cfg.val_every == 0:
@@ -602,6 +615,7 @@ def train(cfg: TrainConfig) -> dict:
         "loss_log": str(log_path),
         "steps": cfg.max_steps,
         "wall_time_s": time.time() - start,
+        "phase_s": phase_s,
     }
 
 

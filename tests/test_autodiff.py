@@ -240,6 +240,13 @@ def test_tensor_data_read_only():
         w.data[0] = 5.0
 
 
+def test_tensor_leaves_caller_array_writeable():
+    x = np.ones(3)
+    ad.Tensor(x)
+    assert x.flags.writeable
+    x[0] = 5.0
+
+
 def test_store_create_and_fetch():
     store = ad.ParameterStore()
     w = store.create("w", np.zeros((2, 2)))
@@ -274,13 +281,74 @@ def test_adam_quadratic_bowl():
 
 def test_adam_rejects_nonfinite():
     store = ad.ParameterStore()
+    store.create("a", np.array([2.0]))
     store.create("w", np.array([1.0]))
     store.zero_grad()
     w = store["w"]
-    loss = ad.tensor_sum(w * np.array([np.inf]))
+    loss = ad.tensor_sum(store["a"] * 3.0 + w * np.array([np.inf]))
     ad.backward(loss)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="'w'"):
         store.adam_step(lr=0.1)
+    assert w.data.tolist() == [1.0]
+
+
+def test_store_create_copies_input():
+    w = np.array([1.0, -2.0])
+    store = ad.ParameterStore()
+    t = store.create("w", w)
+    t.accumulate_grad(np.array([0.5, 0.5]))
+    store.adam_step(lr=0.1)
+    assert w.tolist() == [1.0, -2.0]
+    w[0] = 7.0  # the caller still owns its array
+    assert t.data[0] != 7.0
+
+
+def _reference_adam(params, grads, m, v, k, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Out-of-place Adam with fresh arrays at every operation; the store's
+    in-place update must reproduce it bit for bit."""
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1**k)
+        v_hat = v[name] / (1 - b2**k)
+        params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_matches_out_of_place_reference():
+    rng = np.random.default_rng(9)
+    # "big" alone exceeds one sweep group, so the update spans three groups
+    shapes = {"w": (3, 4), "b": (4,), "head": (64, 0), "s": (1,), "big": (190, 190), "fades": (2, 3), "zero": (5,)}
+    store = ad.ParameterStore()
+    ref = {}
+    for name, shape in shapes.items():
+        ref[name] = rng.normal(size=shape)
+        store.create(name, ref[name])
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    for step in range(1, 7):
+        if step == 3:  # a parameter created between updates starts with zero moments
+            ref["late"] = rng.normal(size=(2, 2))
+            store.create("late", ref["late"])
+            m["late"], v["late"] = np.zeros((2, 2)), np.zeros((2, 2))
+        store.zero_grad()
+        grads = {n: rng.normal(size=p.shape) for n, p in ref.items()}
+        grads["zero"] = np.zeros(shapes["zero"])
+        if step > 3:  # no gradient at all: only its moments move it
+            del grads["fades"]
+        for name, g in grads.items():
+            store[name].accumulate_grad(g)
+        store.adam_step(lr=0.05)
+        _reference_adam(ref, grads, m, v, step, lr=0.05)
+        for name, p in ref.items():
+            data = store[name].data
+            assert data.tobytes() == p.tobytes(), (step, name)
+            assert not data.flags.writeable
+    data = store["w"].data
+    store.replace_value("w", np.ones((3, 4)))
+    assert store["w"].data is data and data.tolist() == np.ones((3, 4)).tolist()
 
 
 def test_checkpoint_round_trip(tmp_path):

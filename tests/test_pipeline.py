@@ -635,6 +635,8 @@ def test_train_writes_artifacts(toy_data, tmp_path):
     assert (ckpt / "best.hfck").exists()
     assert summary["steps"] == 30
     assert np.isfinite(summary["best_val_loss"])
+    assert sorted(summary["phase_s"]) == ["backward", "data", "forward", "optimizer"]
+    assert all(seconds >= 0.0 for seconds in summary["phase_s"].values())
     lines = (ckpt / "loss.csv").read_text().strip().split("\n")
     assert lines[0] == "step,train_loss,val_loss"
     assert len(lines) == 31
