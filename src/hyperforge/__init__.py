@@ -39,7 +39,6 @@ from .coarsening import (
 from .flow import (
     FlowHeadSpec,
     endpoint_velocity,
-    fm_loss,
     integrate,
     interpolate,
     ot_couple,
@@ -89,7 +88,6 @@ __all__ = [
     "sample_coarsening_sequence",
     "FlowHeadSpec",
     "endpoint_velocity",
-    "fm_loss",
     "integrate",
     "interpolate",
     "ot_couple",

@@ -23,7 +23,6 @@ __all__ = [
     "Tensor",
     "ParameterStore",
     "no_grad",
-    "constant",
     "add",
     "mul",
     "matmul",
@@ -32,8 +31,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "segment_sum",
-    "tanh",
-    "sigmoid",
     "silu",
     "tensor_sum",
     "layer_norm",
@@ -89,9 +86,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` (already of this tensor's shape) to the gradient.
 
@@ -134,10 +128,6 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
 
 
 def _needs(*tensors: Tensor) -> bool:
@@ -221,28 +211,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def bwd(g):
         a.accumulate_grad(g.reshape(a.shape))
-
-    return Tensor(out_data, True, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    if not _needs(a):
-        return Tensor(out_data)
-
-    def bwd(g):
-        a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, True, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = expit(a.data)
-    if not _needs(a):
-        return Tensor(out_data)
-
-    def bwd(g):
-        a.accumulate_grad(g * out_data * (1.0 - out_data))
 
     return Tensor(out_data, True, (a,), bwd)
 
@@ -350,18 +318,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(out_data, True, (x, gain, bias), bwd)
 
 
-def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Differentiable mean squared error over unmasked entries."""
-    target_t = _wrap(np.asarray(target, dtype=np.float64))
-    diff = pred - target_t
-    sq = mul(diff, diff)
-    if mask is None:
-        return tensor_mean(sq)
-    mask = np.asarray(mask, dtype=np.float64)
-    count = float(mask.sum())
-    if count == 0:
-        return _wrap(0.0)
-    return mul(tensor_sum(mul(sq, _wrap(mask))), _wrap(1.0 / count))
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Differentiable mean squared error over all entries."""
+    diff = pred - _wrap(np.asarray(target, dtype=np.float64))
+    return tensor_mean(mul(diff, diff))
 
 
 def backward(t: Tensor) -> None:

@@ -57,14 +57,6 @@ class ExpansionVectors:
         object.__setattr__(self, "left", larr)
         object.__setattr__(self, "right", rarr)
 
-    @property
-    def num_left_children(self) -> int:
-        return int(self.left.sum())
-
-    @property
-    def num_right_children(self) -> int:
-        return int(self.right.sum())
-
 
 @dataclass(frozen=True)
 class RefinementDecision:

@@ -7,6 +7,13 @@ on per-group probability simplices and travel through the affine map
 x -> 2x - 1.  Noise for split heads comes from a symmetric Dirichlet; noise
 within expanded sibling pairs can be optimal-transport coupled by a cost-based
 swap that preserves the per-slot noise marginals.
+
+These functions are the only implementation of the flow rules.  Training
+and validation draw noise with :func:`sample_prior`, couple it with
+:func:`ot_couple` and noise the targets with :func:`interpolate`; sampling
+draws the same priors and runs :func:`integrate`, which steps with
+:func:`endpoint_velocity` and projects splits with
+:func:`project_split_groups`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ __all__ = [
     "TERMINAL_TIME_EPS",
     "interpolate",
     "endpoint_velocity",
-    "fm_loss",
     "sample_prior",
     "simplex_project",
     "project_split_groups",
@@ -86,30 +92,11 @@ def endpoint_velocity(x_t: np.ndarray, x1_hat: np.ndarray, t: float) -> np.ndarr
     return (x1_hat - x_t) / (1.0 - t)
 
 
-def fm_loss(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Mean squared endpoint error over unmasked entries (0.0 when empty)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError("prediction/target shapes differ")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != pred.shape:
-            raise ValueError("mask shape differs")
-        pred, target = pred[mask], target[mask]
-    if pred.size == 0:
-        return 0.0
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
-def _check_groups(groups: Sequence[Sequence[int]], size: int, max_size: int | None) -> None:
+def _check_groups(groups: Sequence[Sequence[int]], size: int) -> None:
     seen: set[int] = set()
     for g in groups:
         if len(g) == 0:
             raise ValueError("empty sibling group")
-        if max_size is not None and len(g) > max_size:
-            raise ValueError(f"sibling group of size {len(g)} not supported here")
         for i in g:
             if not 0 <= int(i) < size:
                 raise ValueError("group index out of range")
@@ -138,7 +125,7 @@ def sample_prior(
         raise ValueError("dirichlet prior is defined over a flat per-child vector")
     if sibling_groups is None:
         raise ValueError("dirichlet prior needs sibling groups")
-    _check_groups(sibling_groups, shape[0], max_size=None)
+    _check_groups(sibling_groups, shape[0])
     out = np.empty(shape[0], dtype=np.float64)
     for g in sibling_groups:
         if len(g) == 1:
@@ -176,7 +163,7 @@ def project_split_groups(values: np.ndarray, sibling_groups: Sequence[Sequence[i
     fraction space, projected onto its simplex, and mapped back.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    _check_groups(sibling_groups, values.shape[0], max_size=None)
+    _check_groups(sibling_groups, values.shape[0])
     out = np.empty_like(values)
     for g in sibling_groups:
         idx = [int(i) for i in g]
@@ -191,39 +178,51 @@ def project_split_groups(values: np.ndarray, sibling_groups: Sequence[Sequence[i
 def ot_couple(
     noise: np.ndarray,
     targets: np.ndarray,
-    sibling_groups: Sequence[Sequence[int]],
+    sibling_groups: Sequence[Sequence],
 ) -> np.ndarray:
     """Optimal-transport coupling inside sibling pairs.
 
-    For every group {i, j} the noise rows are swapped iff the swapped
-    assignment has strictly lower total squared distance to the targets.
-    Targets are never modified; singleton groups pass through.
+    A sibling is a row index or an index array; its joint row is the rows
+    it names, in the order given.  For every pair the two joint rows of
+    noise are swapped iff the swapped assignment has strictly lower total
+    squared distance to the targets; ties keep the order.  Targets are never
+    modified; singletons and rows that no sibling names pass through.
+
+    The training pipeline calls this on one flat vector per side: a left
+    (then right) sibling's joint row is its node-head entries followed by
+    the ``edge_keep`` entries of the edges whose opposite endpoint it shares
+    with its sibling, in that endpoint's order.  It couples the left pairs
+    first and the right pairs second, on the edge noise the left pass left.
 
     Raises:
-        ValueError: for groups larger than two or mismatched shapes.
+        ValueError: for groups of other than one or two siblings, siblings
+            that overlap, fall out of range or whose joint rows differ in
+            length, or mismatched shapes.
     """
     noise = np.array(noise, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if noise.shape != targets.shape:
         raise ValueError("noise/target shapes differ")
-    flat_noise = noise.reshape(noise.shape[0], -1)
-    flat_targets = targets.reshape(targets.shape[0], -1)
-    _check_groups(sibling_groups, noise.shape[0], max_size=2)
-    for g in sibling_groups:
-        if len(g) != 2:
+    groups = [[np.atleast_1d(np.asarray(s, dtype=np.int64)) for s in g] for g in sibling_groups]
+    if any(not 1 <= len(g) <= 2 for g in groups):
+        raise ValueError("sibling groups must have one or two members")
+    named = np.concatenate([r for g in groups for r in g] + [np.zeros(0, dtype=np.int64)])
+    if named.size and (named.min() < 0 or named.max() >= noise.shape[0]):
+        raise ValueError("sibling row index out of range")
+    if np.unique(named).size != named.size:
+        raise ValueError("sibling groups must be disjoint")
+    for g in groups:
+        if len(g) < 2:
             continue
-        i, j = int(g[0]), int(g[1])
-        if _swap_is_cheaper(flat_noise[i], flat_noise[j], flat_targets[i], flat_targets[j]):
-            noise[[i, j]] = noise[[j, i]]
+        ri, rj = g
+        if ri.shape != rj.shape:
+            raise ValueError("sibling joint rows differ in length")
+        zi, zj, xi, xj = noise[ri], noise[rj], targets[ri], targets[rj]
+        keep = np.sum((zi - xi) ** 2) + np.sum((zj - xj) ** 2)
+        swap = np.sum((zj - xi) ** 2) + np.sum((zi - xj) ** 2)
+        if swap < keep:
+            noise[ri], noise[rj] = zj, zi
     return noise
-
-
-def _swap_is_cheaper(zi: np.ndarray, zj: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> bool:
-    """Whether noise rows (zj, zi) lie strictly closer to targets (xi, xj)
-    than (zi, zj) do, in total squared distance; ties keep the order."""
-    keep = np.sum((zi - xi) ** 2) + np.sum((zj - xj) ** 2)
-    swap = np.sum((zj - xi) ** 2) + np.sum((zi - xj) ** 2)
-    return bool(swap < keep)
 
 
 def integrate(
@@ -241,10 +240,12 @@ def integrate(
     prediction.
 
     Raises:
-        ValueError: on non-finite values, with the offending head and step.
+        ValueError: on non-finite values, with the offending head and step,
+            and for steps outside [1, 2 / TERMINAL_TIME_EPS), where a step
+            before the last would come too close to t = 1.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps < 2 / TERMINAL_TIME_EPS:
+        raise ValueError(f"steps must lie in [1, {2 / TERMINAL_TIME_EPS:.0f})")
     state = {k: np.array(v, dtype=np.float64) for k, v in initial.items()}
     dt = 1.0 / steps
     for i in range(steps):
@@ -267,5 +268,5 @@ def integrate(
             if i == steps - 1:
                 state[name] = arr
             else:
-                state[name] = state[name] + dt * (arr - state[name]) / (1.0 - t)
+                state[name] = state[name] + dt * endpoint_velocity(state[name], arr, t)
     return state

@@ -33,10 +33,9 @@ from .expansion import (
 )
 from .flow import (
     FlowHeadSpec,
-    _swap_is_cheaper,
-    fm_loss,
     integrate,
     interpolate,
+    ot_couple,
     project_split_groups,
     sample_prior,
 )
@@ -126,6 +125,10 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.val_every < 0 or self.checkpoint_every < 0:
+            raise ValueError("val_every and checkpoint_every must be >= 0 (0 turns them off)")
+        if self.val_every and self.val_batches < 1:
+            raise ValueError("val_batches must be >= 1 when val_every > 0")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
@@ -383,13 +386,11 @@ def _sample_noise(
     return noise
 
 
-def _incident_edges(expanded: BipartiteGraph) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    left_inc: list[dict[int, int]] = [dict() for _ in range(expanded.num_left)]
-    right_inc: list[dict[int, int]] = [dict() for _ in range(expanded.num_right)]
-    for idx, (a, b) in enumerate(expanded.edges):
-        left_inc[int(a)][int(b)] = idx
-        right_inc[int(b)][int(a)] = idx
-    return left_inc, right_inc
+# Node heads of the left and the right side, in joint-row order.
+_SIDE_HEADS = (
+    ("left_expansion", "left_split", "left_features"),
+    ("right_expansion", "right_features"),
+)
 
 
 def couple_noise(
@@ -399,40 +400,48 @@ def couple_noise(
 ) -> dict[str, np.ndarray]:
     """Optimal-transport coupling of prior noise within sibling pairs.
 
-    For each left (then right) sibling pair, the joint row of node-head
-    noise plus the noise on corresponding incident edges (matched through
-    the shared opposite endpoint) is swapped between the two siblings
-    whenever that strictly lowers the squared distance to the targets.
-    Sibling triples pass through unchanged.
+    Each side's node heads and ``edge_keep`` form one flat vector that
+    :func:`ot_couple` couples over the joint rows of that side's sibling
+    pairs, the left pairs first and then the right pairs.  A sibling's
+    joint row is its node-head entries followed by the entries of its edges
+    to the opposite endpoints it shares with its sibling, in endpoint
+    order.  Sibling triples pass through unchanged, and the caller's arrays
+    are not modified.
     """
-    noise = {k: v.copy() for k, v in noise.items()}
-    left_inc, right_inc = _incident_edges(example.expanded)
-
-    def _rows(i, j, inc, head_names):
-        shared = sorted(set(inc[i]) & set(inc[j]))
-        ei = [inc[i][s] for s in shared]
-        ej = [inc[j][s] for s in shared]
-        zi = np.concatenate([noise[h][i] for h in head_names] + [noise["edge_keep"][ei, 0]])
-        zj = np.concatenate([noise[h][j] for h in head_names] + [noise["edge_keep"][ej, 0]])
-        xi = np.concatenate([targets[h][i] for h in head_names] + [targets["edge_keep"][ei, 0]])
-        xj = np.concatenate([targets[h][j] for h in head_names] + [targets["edge_keep"][ej, 0]])
-        return zi, zj, xi, xj, ei, ej
-
-    def _couple(groups, inc, head_names):
-        for g in groups:
-            if len(g) != 2:
-                continue
-            i, j = g
-            zi, zj, xi, xj, ei, ej = _rows(i, j, inc, head_names)
-            if _swap_is_cheaper(zi, zj, xi, xj):
-                for h in head_names:
-                    noise[h][[i, j]] = noise[h][[j, i]]
-                eki, ekj = noise["edge_keep"][ei, 0].copy(), noise["edge_keep"][ej, 0].copy()
-                noise["edge_keep"][ei, 0] = ekj
-                noise["edge_keep"][ej, 0] = eki
-
-    _couple(example.left_groups, left_inc, ("left_expansion", "left_split", "left_features"))
-    _couple(example.right_groups, right_inc, ("right_expansion", "right_features"))
+    noise = dict(noise)
+    edges = example.expanded.edges
+    for side, groups in enumerate((example.left_groups, example.right_groups)):
+        pairs = [g for g in groups if len(g) == 2]
+        if not pairs:
+            continue
+        names = _SIDE_HEADS[side] + ("edge_keep",)
+        sizes = [noise[h].size for h in names]
+        starts = np.cumsum([0] + sizes[:-1])
+        num_nodes = noise[names[0]].shape[0]
+        # row i: the flat positions of node i's head entries, in head order
+        node_entries = np.hstack([
+            start + np.arange(size).reshape(num_nodes, -1)
+            for start, size in zip(starts[:-1], sizes[:-1])
+        ])
+        own, other = edges[:, side], edges[:, 1 - side]
+        # order[bounds[i]:bounds[i + 1]]: node i's edges, by opposite endpoint
+        order = np.argsort(own, kind="stable")
+        bounds = np.searchsorted(own[order], np.arange(num_nodes + 1))
+        rows = []
+        for i, j in pairs:
+            ei, ej = order[bounds[i]:bounds[i + 1]], order[bounds[j]:bounds[j + 1]]
+            _, a, b = np.intersect1d(other[ei], other[ej], assume_unique=True, return_indices=True)
+            rows.append((
+                np.concatenate([node_entries[i], starts[-1] + ei[a]]),
+                np.concatenate([node_entries[j], starts[-1] + ej[b]]),
+            ))
+        coupled = ot_couple(
+            np.concatenate([noise[h].ravel() for h in names]),
+            np.concatenate([targets[h].ravel() for h in names]),
+            rows,
+        )
+        for h, start, size in zip(names, starts, sizes):
+            noise[h] = coupled[start:start + size].reshape(noise[h].shape)
     return noise
 
 
@@ -476,13 +485,6 @@ def _step_loss_tensor(denoiser: Denoiser, inp: DenoiserInput, targets: dict[str,
     return total
 
 
-def _step_loss_value(denoiser: Denoiser, inp: DenoiserInput, targets: dict[str, np.ndarray]) -> float:
-    preds = denoiser.predict(inp)
-    return sum(
-        fm_loss(preds[name], targets[name]) for name in sorted(targets) if targets[name].size
-    )
-
-
 def _validation_loss(
     denoiser: Denoiser,
     val_graphs: list[Hypergraph],
@@ -505,7 +507,8 @@ def _validation_loss(
             perturb_prob=cfg.perturb_prob,
         )
         inp, targets = prepare_step(example, vrng, cfg.spectral_k, fm, fl, cfg.ot_coupling)
-        losses.append(_step_loss_value(denoiser, inp, targets))
+        with ad.no_grad():
+            losses.append(float(_step_loss_tensor(denoiser, inp, targets).data))
     return float(np.mean(losses))
 
 

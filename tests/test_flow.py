@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hyperforge.flow import (
     FlowHeadSpec,
     endpoint_velocity,
-    fm_loss,
     integrate,
     interpolate,
     ot_couple,
@@ -54,28 +53,6 @@ def test_endpoint_velocity_singular_near_one():
         endpoint_velocity(np.array([0.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         endpoint_velocity(np.array([0.0]), np.array([1.0]), 1.0 - 1e-9)
-
-
-def test_fm_loss_basics():
-    x = np.random.default_rng(0).normal(size=(5, 3))
-    assert fm_loss(x, x) == 0.0
-    assert fm_loss(x + 2.0, x) == pytest.approx(4.0)
-
-
-def test_fm_loss_mask_ignores_entries():
-    rng = np.random.default_rng(1)
-    pred = rng.normal(size=(4, 2))
-    target = rng.normal(size=(4, 2))
-    mask = np.ones((4, 2), dtype=bool)
-    mask[2] = False
-    base = fm_loss(pred, target, mask)
-    pred2 = pred.copy()
-    pred2[2] += 100.0
-    assert fm_loss(pred2, target, mask) == pytest.approx(base)
-
-
-def test_fm_loss_empty():
-    assert fm_loss(np.zeros((0, 2)), np.zeros((0, 2))) == 0.0
 
 
 def test_signed_unit_maps():
@@ -182,6 +159,23 @@ def test_ot_couple_rejects_large_groups():
     targets = np.zeros((3, 1))
     with pytest.raises(ValueError):
         ot_couple(noise, targets, [[0, 1, 2]])
+    # siblings must be disjoint, in range and of one joint-row length
+    for groups in ([[0, 1], [1, 2]], [[0, 3]], [[[0, 1], [2]]]):
+        with pytest.raises(ValueError):
+            ot_couple(noise, targets, groups)
+
+
+def test_ot_couple_swaps_joint_rows():
+    """Index-array siblings swap all the entries they name, in order, and
+    leave entries no sibling names alone."""
+    noise = np.array([0.0, 1.0, 2.0, 3.0, 9.0])
+    targets = np.array([2.0, 3.0, 0.0, 1.0, 0.0])
+    out = ot_couple(noise, targets, [[[0, 1], [2, 3]]])
+    assert out.tolist() == [2.0, 3.0, 0.0, 1.0, 9.0]
+    # the joint cost decides: entry 3 alone would prefer to stay
+    targets = np.array([1.0, 0.0, 3.0, 2.9])
+    out = ot_couple(noise[:4], targets, [[[0, 3], [1, 2]]])
+    assert out.tolist() == [1.0, 0.0, 3.0, 2.0]
 
 
 def test_ot_couple_preserves_multiset():
@@ -245,3 +239,15 @@ def test_integrate_rejects_nonfinite():
 
     with pytest.raises(ValueError, match="a"):
         integrate(endpoint, {"a": np.zeros(1)}, steps=3)
+
+
+def test_integrate_rejects_step_counts_before_any_prediction():
+    """Past 2e5 steps a step before the last lies within TERMINAL_TIME_EPS of
+    t = 1, where the velocity is singular; the count is refused up front."""
+
+    def endpoint(state, t):
+        raise AssertionError("no prediction may run")
+
+    for steps in (0, 200_000):
+        with pytest.raises(ValueError, match="steps"):
+            integrate(endpoint, {"a": np.zeros(1)}, steps=steps)

@@ -1,6 +1,8 @@
-"""Guards on the package surface: every exported name resolves, and every
-name the benchmark's tracer wraps still exists where it is looked up."""
+"""Guards on the package surface: every exported name resolves and is used,
+and every name the benchmark's tracer wraps still exists where it is looked
+up."""
 
+import ast
 import importlib
 import pkgutil
 import sys
@@ -12,7 +14,8 @@ import pytest
 import hyperforge
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hyperforge.__path__))
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,6 +26,39 @@ def test_module_all_resolves(name):
 
 def test_package_all_resolves():
     assert [n for n in hyperforge.__all__ if not hasattr(hyperforge, n)] == []
+
+
+def _referenced_names() -> set[str]:
+    """Every name that code under src/, benchmarks/ or demos/ reads, as a
+    bare name or an attribute, outside the top-level definition of that
+    same name.  Imports, re-exports and ``__all__`` strings read nothing."""
+    names: set[str] = set()
+    for path in sorted(p for d in ("src", "benchmarks", "demos") for p in (ROOT / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    names.add(name)
+    return names
+
+
+def test_every_exported_name_is_used():
+    """Public API that no code of the package, the benchmark or the demos
+    runs is dead weight; tests alone do not keep a name alive."""
+    used = _referenced_names()
+    unused = [
+        f"{name}.{n}"
+        for name in MODULES
+        for n in getattr(importlib.import_module(f"hyperforge.{name}"), "__all__", ())
+        if n not in used
+    ]
+    assert unused == []
 
 
 def _import_tracer():

@@ -37,6 +37,7 @@ from hyperforge.pipeline import (
     train,
     write_dot,
 )
+from test_coarsening import _arbitrary_hypergraphs
 
 
 SMALL = DenoiserConfig(hidden_dim=16, num_layers=1, mlp_hidden=24, spectral_k=4)
@@ -85,6 +86,18 @@ def test_train_config_bad_bool(tmp_path):
     cfg_path.write_text("ot_coupling = maybe\n")
     with pytest.raises(ValueError, match="bool"):
         TrainConfig.from_file(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(val_every=5, val_batches=0), dict(val_every=-1), dict(checkpoint_every=-1)],
+)
+def test_train_config_rejects_checks_that_cannot_run(kwargs):
+    """A validation with no batches would never write best.hfck; a negative
+    interval would never fire."""
+    with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+    TrainConfig(val_every=0, val_batches=0, checkpoint_every=0)
 
 
 # ------------------------------------------------------ training examples ----
@@ -167,6 +180,81 @@ def test_couple_noise_preserves_group_multisets():
             np.sort(coupled["right_expansion"][g].ravel()),
             np.sort(noise["right_expansion"][g].ravel()),
         )
+
+
+def _reference_couple_noise(noise, targets, example):
+    """The dict-of-incident-edges coupling that joint rows over ot_couple
+    replaced, kept as the oracle: per left (then right) sibling pair, the
+    node-head noise plus the noise of the edges matched through a shared
+    opposite endpoint is swapped when that strictly lowers the squared
+    distance to the targets."""
+    noise = {k: v.copy() for k, v in noise.items()}
+    left_inc = [dict() for _ in range(example.expanded.num_left)]
+    right_inc = [dict() for _ in range(example.expanded.num_right)]
+    for idx, (a, b) in enumerate(example.expanded.edges):
+        left_inc[int(a)][int(b)] = idx
+        right_inc[int(b)][int(a)] = idx
+
+    def couple(groups, inc, heads):
+        for g in groups:
+            if len(g) != 2:
+                continue
+            i, j = g
+            shared = sorted(set(inc[i]) & set(inc[j]))
+            ei = [inc[i][s] for s in shared]
+            ej = [inc[j][s] for s in shared]
+            zi = np.concatenate([noise[h][i] for h in heads] + [noise["edge_keep"][ei, 0]])
+            zj = np.concatenate([noise[h][j] for h in heads] + [noise["edge_keep"][ej, 0]])
+            xi = np.concatenate([targets[h][i] for h in heads] + [targets["edge_keep"][ei, 0]])
+            xj = np.concatenate([targets[h][j] for h in heads] + [targets["edge_keep"][ej, 0]])
+            keep = np.sum((zi - xi) ** 2) + np.sum((zj - xj) ** 2)
+            swap = np.sum((zj - xi) ** 2) + np.sum((zi - xj) ** 2)
+            if swap < keep:
+                for h in heads:
+                    noise[h][[i, j]] = noise[h][[j, i]]
+                eki, ekj = noise["edge_keep"][ei, 0].copy(), noise["edge_keep"][ej, 0].copy()
+                noise["edge_keep"][ei, 0] = ekj
+                noise["edge_keep"][ej, 0] = eki
+
+    couple(example.left_groups, left_inc, ("left_expansion", "left_split", "left_features"))
+    couple(example.right_groups, right_inc, ("right_expansion", "right_features"))
+    return noise
+
+
+@st.composite
+def _coupling_cases(draw):
+    """A training example at any level of a tree or an arbitrary hypergraph,
+    plainly or perturbedly expanded, with feature heads of width 0 to 2."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        h = gen_tree(np.random.default_rng(seed), num_nodes=draw(st.integers(4, 24)))
+    else:
+        h = draw(_arbitrary_hypergraphs())
+    rng = np.random.default_rng([seed, 1])
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
+    fm, fl = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    ex = build_training_example(
+        seq, draw(st.integers(0, seq.num_levels - 1)), rng, fm, fl, perturbation=draw(st.booleans())
+    )
+    noise = pipeline._sample_noise(ex.expanded, ex.left_groups, fm, fl, rng)
+    targets = ex.targets
+    if draw(st.booleans()):
+        targets = {k: rng.normal(size=v.shape) for k, v in targets.items()}
+    return noise, targets, ex
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_coupling_cases())
+def test_couple_noise_matches_dict_reference(case):
+    noise, targets, ex = case
+    before = {k: v.copy() for k, v in noise.items()}
+    coupled = couple_noise(noise, targets, ex)
+    expected = _reference_couple_noise(noise, targets, ex)
+    assert coupled.keys() == expected.keys()
+    for name in expected:
+        assert coupled[name].shape == expected[name].shape
+        assert np.array_equal(coupled[name], expected[name]), name
+        assert np.array_equal(noise[name], before[name])
 
 
 def _groups_of(seq, level):
