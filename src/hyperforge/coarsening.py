@@ -100,9 +100,6 @@ class CoarseningSequence:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 def _variation_costs(clique: CliqueExpansion, preserve_k: int) -> np.ndarray:
     """Local variation cost of contracting each clique edge (Loukas, 2019).
@@ -444,10 +441,6 @@ class CacheItem:
 
     sequence: CoarseningSequence
     level_index: int
-
-    @property
-    def level(self) -> CoarseningLevel:
-        return self.sequence.levels[self.level_index]
 
 
 @dataclass

@@ -77,13 +77,6 @@ class DenoiserConfig:
     def from_dict(cls, d: Mapping) -> "DenoiserConfig":
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
-    @classmethod
-    def large(cls, **overrides) -> "DenoiserConfig":
-        """Full-size preset used for the headline experiments."""
-        base = dict(hidden_dim=128, num_layers=10, mlp_hidden=256)
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class LevelEncoding:

@@ -278,10 +278,6 @@ class SpectralBasis:
         object.__setattr__(self, "eigenvalues", _freeze(vals))
         object.__setattr__(self, "eigenvectors", _freeze(vecs))
 
-    @property
-    def k(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 def star_expand(h: Hypergraph) -> BipartiteGraph:
     """Build the bipartite incidence graph: nodes left, hyperedges right.
@@ -399,8 +395,6 @@ def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> SpectralBasis:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if scipy.sparse.issparse(mat):
-        mat = mat.toarray()
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .coarsening import CoarseningCache, CoarseningParams, CoarseningSequence, sample_coarsening_sequence
-from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, LevelEncoding, spectral_rows
+from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
 from .expansion import (
     ExpansionVectors,
     RefinementDecision,
@@ -111,7 +111,6 @@ class TrainConfig:
     perturb_radius: int = 2
     perturb_prob: float = 0.5
     perturbation: bool = True
-    ot_coupling: bool = True
     checkpoint_dir: str = "runs/default"
     checkpoint_every: int = 500
     val_every: int = 250
@@ -201,7 +200,6 @@ class TrainingExample:
 
     expanded: BipartiteGraph
     parent: BipartiteGraph
-    v_parent: ExpansionVectors
     targets: dict[str, np.ndarray]
     rho_hat: float
     total_left: int
@@ -283,7 +281,6 @@ def build_training_example(
     return TrainingExample(
         expanded=expanded,
         parent=parent,
-        v_parent=v_parent,
         targets=targets,
         rho_hat=float(rho_hat),
         total_left=levels[0].bipartite.num_left,
@@ -292,67 +289,46 @@ def build_training_example(
     )
 
 
-@dataclass
-class _Conditioning:
-    """Per-level tensors that stay fixed across flow evaluations.
-
-    ``level`` is the denoiser's encoding of them, set by a sampler that
-    integrates the level and left unset in training, where the forward
-    pass must encode on the tape.
-    """
-
-    left_spectral: np.ndarray
-    right_spectral: np.ndarray
-    eigenvalues: np.ndarray
-    left_parent_features: np.ndarray
-    right_parent_features: np.ndarray
-    level: LevelEncoding | None = None
-
-
-def _conditioning(
-    parent: BipartiteGraph,
-    v_parent: ExpansionVectors,
-    spectral_k: int,
-    node_feature_dim: int,
-    edge_feature_dim: int,
-) -> _Conditioning:
-    lrows, rrows, lam = spectral_rows(parent, spectral_k)
-    plf = _feat(parent.left_features, parent.num_left, node_feature_dim)
-    prf = _feat(parent.right_features, parent.num_right, edge_feature_dim)
-    return _Conditioning(
-        left_spectral=np.repeat(lrows, v_parent.left, axis=0),
-        right_spectral=np.repeat(rrows, v_parent.right, axis=0),
-        eigenvalues=lam,
-        left_parent_features=np.repeat(plf, v_parent.left, axis=0),
-        right_parent_features=np.repeat(prf, v_parent.right, axis=0),
-    )
+def _state_fields(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The :class:`DenoiserInput` fields that carry the flow state of the heads."""
+    return {
+        "left_state": np.hstack([state["left_expansion"], state["left_split"]]),
+        "right_state": state["right_expansion"],
+        "edge_state": state["edge_keep"],
+        "left_feature_state": state["left_features"],
+        "right_feature_state": state["right_features"],
+    }
 
 
 def _make_input(
+    parent: BipartiteGraph,
     expanded: BipartiteGraph,
-    cond: _Conditioning,
     state: dict[str, np.ndarray],
     t: float,
     rho_hat: float,
     total_left: float,
+    spectral_k: int,
 ) -> DenoiserInput:
+    """The denoiser input of one level at flow time ``t``.
+
+    Each child gets its parent's spectral rows, gathered through the sibling
+    maps of ``expanded``, and the parent features it inherited there; the
+    feature widths are those of the feature heads in ``state``.
+    """
+    lrows, rrows, lam = spectral_rows(parent, spectral_k)
+    n, m = expanded.num_left, expanded.num_right
     return DenoiserInput(
         edges=expanded.edges,
-        left_spectral=cond.left_spectral,
-        right_spectral=cond.right_spectral,
-        eigenvalues=cond.eigenvalues,
+        left_spectral=lrows[expanded.cluster_of_left],
+        right_spectral=rrows[expanded.cluster_of_right],
+        eigenvalues=lam,
         left_budgets=expanded.left_budgets.astype(np.float64),
-        left_parent_features=cond.left_parent_features,
-        right_parent_features=cond.right_parent_features,
-        left_state=np.hstack([state["left_expansion"], state["left_split"]]),
-        right_state=state["right_expansion"],
-        edge_state=state["edge_keep"],
-        left_feature_state=state["left_features"],
-        right_feature_state=state["right_features"],
+        left_parent_features=_feat(expanded.left_features, n, state["left_features"].shape[1]),
+        right_parent_features=_feat(expanded.right_features, m, state["right_features"].shape[1]),
         t=t,
         rho_hat=rho_hat,
         total_left=total_left,
-        level=cond.level,
+        **_state_fields(state),
     )
 
 
@@ -451,16 +427,15 @@ def prepare_step(
     spectral_k: int,
     fm: int,
     fl: int,
-    ot_coupling: bool = True,
 ) -> tuple[DenoiserInput, dict[str, np.ndarray]]:
     """Noise the targets at a uniform time and build the network input."""
     noise = _sample_noise(example.expanded, example.left_groups, fm, fl, rng)
-    if ot_coupling:
-        noise = couple_noise(noise, example.targets, example)
+    noise = couple_noise(noise, example.targets, example)
     t = float(rng.uniform())
     state = {k: interpolate(noise[k], example.targets[k], t) for k in noise}
-    cond = _conditioning(example.parent, example.v_parent, spectral_k, fm, fl)
-    inp = _make_input(example.expanded, cond, state, t, example.rho_hat, float(example.total_left))
+    inp = _make_input(
+        example.parent, example.expanded, state, t, example.rho_hat, float(example.total_left), spectral_k
+    )
     return inp, example.targets
 
 
@@ -485,17 +460,16 @@ def _step_loss_tensor(denoiser: Denoiser, inp: DenoiserInput, targets: dict[str,
     return total
 
 
-def _validation_loss(
-    denoiser: Denoiser,
+def _validation_batch(
     val_graphs: list[Hypergraph],
     cfg: TrainConfig,
     fm: int,
     fl: int,
-) -> float:
-    """Flow-matching loss on a fixed, reproducible validation draw."""
+) -> list[tuple[DenoiserInput, dict[str, np.ndarray]]]:
+    """The fixed, reproducible validation draw: inputs and targets."""
     vrng = np.random.default_rng([cfg.seed, 2])
     params = cfg.coarsening_params()
-    losses = []
+    batch = []
     for j in range(cfg.val_batches):
         g = val_graphs[j % len(val_graphs)]
         seq = sample_coarsening_sequence(g, params, vrng)
@@ -506,9 +480,14 @@ def _validation_loss(
             perturb_radius=cfg.perturb_radius,
             perturb_prob=cfg.perturb_prob,
         )
-        inp, targets = prepare_step(example, vrng, cfg.spectral_k, fm, fl, cfg.ot_coupling)
-        with ad.no_grad():
-            losses.append(float(_step_loss_tensor(denoiser, inp, targets).data))
+        batch.append(prepare_step(example, vrng, cfg.spectral_k, fm, fl))
+    return batch
+
+
+def _validation_loss(denoiser: Denoiser, batch: list[tuple[DenoiserInput, dict[str, np.ndarray]]]) -> float:
+    """Mean flow-matching loss of the current parameters on the validation draw."""
+    with ad.no_grad():
+        losses = [float(_step_loss_tensor(denoiser, inp, targets).data) for inp, targets in batch]
     return float(np.mean(losses))
 
 
@@ -558,6 +537,8 @@ def train(cfg: TrainConfig) -> dict:
         "train_graphs_connected": all(is_connected(h) for h in train_graphs),
     }
 
+    # built once: the draw depends on the seed only, the loss on the parameters
+    val_batch = _validation_batch(val_graphs, cfg, fm, fl) if 0 < cfg.val_every <= cfg.max_steps else []
     best_val = np.inf
     phase_s = dict.fromkeys(("data", "forward", "backward", "optimizer"), 0.0)
     start = time.time()
@@ -573,7 +554,7 @@ def train(cfg: TrainConfig) -> dict:
                 perturb_radius=cfg.perturb_radius,
                 perturb_prob=cfg.perturb_prob,
             )
-            inp, targets = prepare_step(example, rng, cfg.spectral_k, fm, fl, cfg.ot_coupling)
+            inp, targets = prepare_step(example, rng, cfg.spectral_k, fm, fl)
             t1 = time.perf_counter()
             denoiser.store.zero_grad()
             loss = _step_loss_tensor(denoiser, inp, targets)
@@ -601,7 +582,7 @@ def train(cfg: TrainConfig) -> dict:
 
             val_str = ""
             if cfg.val_every and step % cfg.val_every == 0:
-                val = _validation_loss(denoiser, val_graphs, cfg, fm, fl)
+                val = _validation_loss(denoiser, val_batch)
                 val_str = f"{val:.8f}"
                 if val < best_val:
                     best_val = val
@@ -641,13 +622,7 @@ def least_expansion_count(n: int, rho: float) -> int:
 def apply_inpainting(
     predictions: dict[str, np.ndarray],
     expanded: BipartiteGraph,
-    left_groups: list[list[int]],
-    right_groups: list[list[int]],
-    v_parent: ExpansionVectors,
     n_plus: int,
-    cond: _Conditioning,
-    fm: int,
-    fl: int,
     keep_connected: bool = False,
 ) -> tuple[ExpansionVectors, RefinementDecision]:
     """Turn integrated endpoints into hard expansion and refinement choices.
@@ -655,10 +630,13 @@ def apply_inpainting(
     Applies the budget constraints: splits are 1 on singletons, (0.5, 0.5)
     on budget-2 pairs, clusters whose post-split budget is 1 cannot be
     expanded (n⁺ shrinks to the expandable count), and unexpanded children
-    keep their parent's features on both sides.  Edges are kept where their
-    endpoint exceeds ``EDGE_KEEP_THRESHOLD``; with ``keep_connected`` that
-    choice is repaired by :func:`_connected_support`.
+    keep their parent's features on both sides.  The sibling groups and the
+    parent features come from ``expanded``: its sibling maps and the feature
+    rows its children inherited.  Edges are kept where their endpoint
+    exceeds ``EDGE_KEEP_THRESHOLD``; with ``keep_connected`` that choice is
+    repaired by :func:`_connected_support`.
     """
+    left_groups = sibling_groups(expanded.cluster_of_left)
     budgets = expanded.left_budgets
     fractions = (predictions["left_split"].ravel() + 1.0) / 2.0
     for g in left_groups:
@@ -690,24 +668,30 @@ def apply_inpainting(
     if keep_connected:
         edge_keep = _connected_support(expanded, edge_scores, edge_keep)
 
-    left_features = predictions["left_features"].copy() if fm else None
-    right_features = predictions["right_features"].copy() if fl else None
-    if fm:
-        for g in left_groups:
-            if len(g) == 1:
-                left_features[g[0]] = cond.left_parent_features[g[0]]
-    if fl:
-        for g in right_groups:
-            if len(g) == 1:
-                right_features[g[0]] = cond.right_parent_features[g[0]]
-
     decision = RefinementDecision(
         edge_keep=edge_keep,
         budget_split=fractions,
-        left_features=left_features,
-        right_features=right_features,
+        left_features=_inherit_on_only_children(
+            predictions["left_features"], expanded.left_features, expanded.cluster_of_left
+        ),
+        right_features=_inherit_on_only_children(
+            predictions["right_features"], expanded.right_features, expanded.cluster_of_right
+        ),
     )
     return ExpansionVectors(v_left, v_right), decision
+
+
+def _inherit_on_only_children(
+    predicted: np.ndarray, inherited: np.ndarray | None, cluster_of: np.ndarray
+) -> np.ndarray | None:
+    """Predicted features with the row of every only child set to the row it
+    inherited from its parent; None for a side without features."""
+    if predicted.shape[1] == 0:
+        return None
+    out = predicted.copy()
+    only = np.bincount(cluster_of)[cluster_of] == 1
+    out[only] = _feat(inherited, *predicted.shape)[only]
+    return out
 
 
 def _connected_support(expanded: BipartiteGraph, scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -833,7 +817,6 @@ def sample_one(
             expanded = perturb_expand(b, v, perturb_radius, perturb_prob, rng)
         else:
             expanded = expand(b, v)
-        cond = _conditioning(b, v, c.spectral_k, fm, fl)
         n = expanded.num_left
         if n < N:
             rho = float(rng.uniform(rho_min, rho_max))
@@ -844,14 +827,13 @@ def sample_one(
             rho_hat = 0.0
 
         left_groups = sibling_groups(expanded.cluster_of_left)
-        right_groups = sibling_groups(expanded.cluster_of_right)
         x0 = _sample_noise(expanded, left_groups, fm, fl, rng)
+        inp = _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k)
         with ad.no_grad():
-            cond.level = denoiser.encode_level(_make_input(expanded, cond, x0, 0.0, rho_hat, float(N)))
+            inp.level = denoiser.encode_level(inp)
 
         def endpoint_fn(state, t):
-            inp = _make_input(expanded, cond, state, t, rho_hat, float(N))
-            return denoiser.predict(inp)
+            return denoiser.predict(replace(inp, t=t, **_state_fields(state)))
 
         def project(preds):
             preds = dict(preds)
@@ -861,9 +843,7 @@ def sample_one(
             return preds
 
         final = integrate(endpoint_fn, x0, steps, project=project)
-        v, decision = apply_inpainting(
-            final, expanded, left_groups, right_groups, v, n_plus, cond, fm, fl, keep_connected
-        )
+        v, decision = apply_inpainting(final, expanded, n_plus, keep_connected)
         b = refine(expanded, decision)
         total_budget = int(b.left_budgets.sum())
         budget_sums.append(total_budget)
@@ -905,18 +885,14 @@ def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
     """Generate ``count`` hypergraphs of ``n_nodes`` nodes from a checkpoint."""
     denoiser = Denoiser.from_checkpoint(req.checkpoint)
     extras = denoiser.extra_config.get("train", {})
+    # only what the checkpoint records; sample_one's defaults cover the rest
+    casts = {"steps": int, "rho_min": float, "rho_max": float}
+    recorded = {k: cast(extras[k]) for k, cast in casts.items() if k in extras}
     graphs: list[Hypergraph] = []
     diags: list[dict] = []
     for i in range(req.count):
         rng = np.random.default_rng([req.seed, i])
-        h, diag = sample_one(
-            denoiser,
-            req.n_nodes,
-            rng,
-            steps=int(extras.get("steps", 25)),
-            rho_min=float(extras.get("rho_min", 0.1)),
-            rho_max=float(extras.get("rho_max", 0.3)),
-        )
+        h, diag = sample_one(denoiser, req.n_nodes, rng, **recorded)
         diag["index"] = i
         graphs.append(h)
         diags.append(diag)

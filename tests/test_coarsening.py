@@ -220,7 +220,7 @@ def test_arbitrary_hypergraph_replays(h, seed):
 def test_single_node_sequence_is_minimal():
     h = Hypergraph(1, [[0]])
     seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(0))
-    assert len(seq) == 1
+    assert seq.num_levels == 1
     assert seq.levels[0].bipartite.num_left == 1
     assert seq.levels[0].expansion is None and seq.levels[0].refinement is None
 
@@ -288,7 +288,7 @@ def test_terminal_features_zeroed():
     h = gen_tree(rng)
     h = Hypergraph(h.num_nodes, h.hyperedges, node_features=rng.normal(size=(h.num_nodes, 2)))
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
-    assert len(seq) > 1
+    assert seq.num_levels > 1
     top = seq.levels[-1].bipartite
     assert np.all(top.left_features == 0.0)
 

@@ -125,45 +125,51 @@ def test_encode_spectral_matches_per_column_loop():
             assert np.max(np.abs(ours - ref)) < 1e-12
 
 
-def _children_level(den, b, v):
-    """encode_level of the expansion of ``b`` by ``v``, conditioned the way
-    the sampler conditions it."""
-    from hyperforge.expansion import expand
-    from hyperforge.pipeline import _conditioning, _head_shapes, _make_input
+def _children_level(den, b, expanded):
+    """encode_level of ``expanded``, an expansion of ``b``, conditioned the
+    way the sampler conditions it."""
+    from hyperforge.pipeline import _head_shapes, _make_input
 
-    expanded = expand(b, v)
-    cond = _conditioning(b, v, SMALL.spectral_k, 0, 0)
     state = {k: np.zeros(shape) for k, shape in _head_shapes(expanded, 0, 0).items()}
     with ad.no_grad():
-        return expanded, den.encode_level(_make_input(expanded, cond, state, 0.5, 0.2, float(b.num_left)))
+        return den.encode_level(_make_input(b, expanded, state, 0.5, 0.2, float(b.num_left), SMALL.spectral_k))
 
 
 def test_spectral_embed_identity_v():
-    from hyperforge.expansion import ExpansionVectors
+    from hyperforge.expansion import ExpansionVectors, expand
 
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph()
     lrows, rrows, lam = spectral_rows(b, SMALL.spectral_k)
-    _, level = _children_level(den, b, ExpansionVectors([1] * b.num_left, [1] * b.num_right))
+    level = _children_level(den, b, expand(b, ExpansionVectors([1] * b.num_left, [1] * b.num_right)))
     with ad.no_grad():
         assert np.array_equal(level.pe_left.data, den.encode_spectral(lrows, lam).data)
         assert np.array_equal(level.pe_right.data, den.encode_spectral(rrows, lam).data)
 
 
 def test_spectral_embed_replicates_children():
-    from hyperforge.expansion import ExpansionVectors
+    from hyperforge.expansion import ExpansionVectors, expand, perturb_expand
 
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph(n=6, seed=2)
     v = ExpansionVectors([2] + [1] * (b.num_left - 1), [3] + [1] * (b.num_right - 1))
-    expanded, level = _children_level(den, b, v)
-    assert level.rows == (b.num_left + 1, b.num_right + 2, expanded.num_edges)
-    assert np.array_equal(level.pe_left.data[0], level.pe_left.data[1])
-    assert np.array_equal(level.pe_right.data[0], level.pe_right.data[1])
-    assert np.array_equal(level.pe_right.data[0], level.pe_right.data[2])
-    # each edge row carries the encoding of its endpoints
-    assert np.array_equal(level.pe_edge_left.data, level.pe_left.data[expanded.edges[:, 0]])
-    assert np.array_equal(level.pe_edge_right.data, level.pe_right.data[expanded.edges[:, 1]])
+    plain = expand(b, v)
+    # perturbation adds edges but no rows: the children still share their parent's rows
+    perturbed = perturb_expand(b, v, 2, 1.0, np.random.default_rng(0))
+    assert perturbed.num_edges > plain.num_edges
+    levels = []
+    for expanded in (plain, perturbed):
+        level = _children_level(den, b, expanded)
+        levels.append(level)
+        assert level.rows == (b.num_left + 1, b.num_right + 2, expanded.num_edges)
+        assert np.array_equal(level.pe_left.data[0], level.pe_left.data[1])
+        assert np.array_equal(level.pe_right.data[0], level.pe_right.data[1])
+        assert np.array_equal(level.pe_right.data[0], level.pe_right.data[2])
+        # each edge row carries the encoding of its endpoints
+        assert np.array_equal(level.pe_edge_left.data, level.pe_left.data[expanded.edges[:, 0]])
+        assert np.array_equal(level.pe_edge_right.data, level.pe_right.data[expanded.edges[:, 1]])
+    assert np.array_equal(levels[0].pe_left.data, levels[1].pe_left.data)
+    assert np.array_equal(levels[0].pe_right.data, levels[1].pe_right.data)
 
 
 FEATURED = DenoiserConfig(
@@ -322,13 +328,6 @@ def test_config_round_trip_and_validation():
         DenoiserConfig(hidden_dim=0)
     with pytest.raises(ValueError):
         DenoiserConfig(time_enc_dim=7)
-
-
-def test_large_preset():
-    cfg = DenoiserConfig.large()
-    assert cfg.hidden_dim == 128
-    assert cfg.num_layers == 10
-    assert cfg.mlp_hidden == 256
 
 
 def test_save_and_from_checkpoint(tmp_path):

@@ -115,3 +115,30 @@ def test_traced_sampling_and_training_step():
     assert metrics["denoiser.encode_spectral.calls"] == 2 * diag["iterations"] + 2
     assert metrics["autodiff.backward.calls"] == 1
     assert metrics["autodiff.adam_step.calls"] == 1
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``function.parameter`` for every parameter of a function in ``path``
+    that its body, nested functions included, never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [f"{node.name}.{p.arg}" for p in params if p.arg not in read and p.arg not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter the body never reads is an argument every caller passes
+    for nothing."""
+    files = sorted((ROOT / "src" / "hyperforge").glob("*.py"))
+    assert files
+    assert [f"{p.stem}.{u}" for p in files for u in _unread_parameters(p)] == []

@@ -13,7 +13,7 @@ import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import DatasetSpec, gen_tree, generate_dataset
 from hyperforge.denoiser import Denoiser, DenoiserConfig
-from hyperforge.expansion import ExpansionVectors, expand, refine
+from hyperforge.expansion import ExpansionVectors, expand, perturb_expand, refine, sibling_groups
 from hyperforge.hypergraph import (
     BipartiteGraph,
     Hypergraph,
@@ -60,8 +60,7 @@ def test_train_config_from_file(tmp_path):
 data_dir = /tmp/data
 lr = 0.001
 max_steps = 42
-ot_coupling = false
-perturbation = true
+perturbation = false
 hidden_dim=32   # inline comment
 """
     )
@@ -69,8 +68,7 @@ hidden_dim=32   # inline comment
     assert cfg.data_dir == "/tmp/data"
     assert cfg.lr == pytest.approx(1e-3)
     assert cfg.max_steps == 42
-    assert cfg.ot_coupling is False
-    assert cfg.perturbation is True
+    assert cfg.perturbation is False
     assert cfg.hidden_dim == 32
 
 
@@ -83,7 +81,7 @@ def test_train_config_unknown_key_names_location(tmp_path):
 
 def test_train_config_bad_bool(tmp_path):
     cfg_path = tmp_path / "bad2.cfg"
-    cfg_path.write_text("ot_coupling = maybe\n")
+    cfg_path.write_text("perturbation = maybe\n")
     with pytest.raises(ValueError, match="bool"):
         TrainConfig.from_file(cfg_path)
 
@@ -351,9 +349,7 @@ def test_inpainting_top_k_selection():
     v = ExpansionVectors([1, 1, 1], [1])
     expanded = expand(parent, v)
     preds = _preds([0.9, 0.2, 0.7], [1.0, 1.0, 1.0], [0.0], [1.0, 1.0, 1.0])
-    v_out, decision = apply_inpainting(
-        preds, expanded, [[0], [1], [2]], [[0]], v, 2, None, 0, 0
-    )
+    v_out, decision = apply_inpainting(preds, expanded, 2)
     assert v_out.left.tolist() == [2, 1, 2]
     assert v_out.right.tolist() == [2]
     assert decision.budget_split.tolist() == [1.0, 1.0, 1.0]
@@ -366,9 +362,7 @@ def test_inpainting_skips_unit_budgets():
     v = ExpansionVectors([1, 1, 1], [1])
     expanded = expand(parent, v)
     preds = _preds([0.9, 0.2, 0.7], [1.0, 1.0, 1.0], [-0.5], [1.0, 1.0, 1.0])
-    v_out, _ = apply_inpainting(
-        preds, expanded, [[0], [1], [2]], [[0]], v, 2, None, 0, 0
-    )
+    v_out, _ = apply_inpainting(preds, expanded, 2)
     # only the budget-2 cluster can expand, best scores notwithstanding
     assert v_out.left.tolist() == [1, 2, 1]
     assert v_out.right.tolist() == [1]
@@ -379,9 +373,7 @@ def test_inpainting_budget_two_pair_splits_evenly():
     v = ExpansionVectors([2], [1])
     expanded = expand(parent, v)
     preds = _preds([3.0, 3.0], [0.9, -0.9], [0.0], [1.0, 1.0])
-    v_out, decision = apply_inpainting(
-        preds, expanded, [[0, 1]], [[0]], v, 2, None, 0, 0
-    )
+    v_out, decision = apply_inpainting(preds, expanded, 2)
     assert decision.budget_split.tolist() == [0.5, 0.5]
     # both children end at budget 1: no further expansion possible
     assert v_out.left.tolist() == [1, 1]
@@ -393,9 +385,7 @@ def test_inpainting_post_split_budgets_gate_selection():
     v = ExpansionVectors([2], [1])
     expanded = expand(parent, v)
     preds = _preds([0.1, 5.0], [2.0 * (2 / 3) - 1.0, 2.0 * (1 / 3) - 1.0], [0.0], [1.0, 1.0])
-    v_out, decision = apply_inpainting(
-        preds, expanded, [[0, 1]], [[0]], v, 1, None, 0, 0
-    )
+    v_out, decision = apply_inpainting(preds, expanded, 1)
     from hyperforge.expansion import split_budget
 
     child = split_budget(3, decision.budget_split)
@@ -410,9 +400,7 @@ def test_inpainting_right_thresholds():
     v = ExpansionVectors([1], [1, 1, 1])
     expanded = expand(parent, v)
     preds = _preds([0.0], [1.0], [-0.5, 0.0, 0.5], [1.0, 1.0, 1.0])
-    v_out, _ = apply_inpainting(
-        preds, expanded, [[0]], [[0], [1], [2]], v, 0, None, 0, 0
-    )
+    v_out, _ = apply_inpainting(preds, expanded, 0)
     assert v_out.right.tolist() == [1, 2, 3]
 
 
@@ -423,15 +411,27 @@ def test_inpainting_edge_keep_threshold():
     v = ExpansionVectors([1, 1], [1])
     expanded = expand(parent, v)
     preds = _preds([0.0, 0.0], [1.0, 1.0], [0.0], [0.6, 0.4])
-    _, decision = apply_inpainting(
-        preds, expanded, [[0], [1]], [[0]], v, 0, None, 0, 0
-    )
+    _, decision = apply_inpainting(preds, expanded, 0)
     assert decision.edge_keep.tolist() == [1, 0]
 
 
-def test_inpainting_unexpanded_copy_parent_features():
-    from hyperforge.pipeline import _Conditioning
+def _feature_preds(expanded):
+    """Predictions that keep every left split even and change each feature to -9."""
+    n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
+    split = np.ones(n)
+    for g in sibling_groups(expanded.cluster_of_left):
+        split[g] = 2.0 / len(g) - 1.0
+    return {
+        "left_expansion": np.zeros((n, 1)),
+        "left_split": split.reshape(-1, 1),
+        "left_features": np.full((n, 1), -9.0),
+        "right_expansion": np.zeros((m, 1)),
+        "right_features": np.full((m, 1), -9.0),
+        "edge_keep": np.ones((e, 1)),
+    }
 
+
+def test_inpainting_unexpanded_copy_parent_features():
     parent = BipartiteGraph(
         2,
         1,
@@ -440,30 +440,31 @@ def test_inpainting_unexpanded_copy_parent_features():
         left_features=np.array([[1.5], [2.5]]),
         right_features=np.array([[7.0]]),
     )
-    v = ExpansionVectors([1, 1], [1])
-    expanded = expand(parent, v)
-    cond = _Conditioning(
-        left_spectral=np.zeros((2, 4)),
-        right_spectral=np.zeros((1, 4)),
-        eigenvalues=np.zeros(4),
-        left_parent_features=parent.left_features.copy(),
-        right_parent_features=parent.right_features.copy(),
-    )
-    preds = {
-        "left_expansion": np.array([[5.0], [0.0]]),
-        "left_split": np.array([[1.0], [1.0]]),
-        "left_features": np.array([[-9.0], [-9.0]]),
-        "right_expansion": np.array([[0.0]]),
-        "right_features": np.array([[-9.0]]),
-        "edge_keep": np.ones((2, 1)),
-    }
-    v_out, decision = apply_inpainting(
-        preds, expanded, [[0], [1]], [[0]], v, 1, cond, 1, 1
-    )
+    expanded = expand(parent, ExpansionVectors([1, 1], [1]))
+    preds = _feature_preds(expanded)
+    preds["left_expansion"][0] = 5.0
+    v_out, decision = apply_inpainting(preds, expanded, 1)
     # both left children here are unexpanded singletons of this level's graph
-    assert decision.left_features[0, 0] == 1.5
-    assert decision.left_features[1, 0] == 2.5
-    assert decision.right_features[0, 0] == 7.0
+    assert v_out.left.tolist() == [2, 1]
+    assert decision.left_features[:, 0].tolist() == [1.5, 2.5]
+    assert decision.right_features[:, 0].tolist() == [7.0]
+
+    # a path l0 - r0 - l1 - r1 - l2 whose ends clone, expanded with every
+    # perturbation edge: extra edges change neither the groups nor the copies
+    parent = BipartiteGraph(
+        3,
+        2,
+        np.array([[0, 0], [1, 0], [1, 1], [2, 1]]),
+        np.array([4, 1, 1], dtype=np.int64),
+        left_features=np.array([[1.5], [2.5], [3.5]]),
+        right_features=np.array([[7.0], [8.0]]),
+    )
+    v = ExpansionVectors([2, 1, 1], [1, 2])
+    expanded = perturb_expand(parent, v, 1, 1.0, np.random.default_rng(0))
+    assert expanded.num_edges > expand(parent, v).num_edges
+    _, decision = apply_inpainting(_feature_preds(expanded), expanded, 0)
+    assert decision.left_features[:, 0].tolist() == [-9.0, -9.0, 2.5, 3.5]
+    assert decision.right_features[:, 0].tolist() == [7.0, -9.0, -9.0]
 
 
 def _keep_of(expanded, scores_by_edge, keep_connected=True):
@@ -471,12 +472,7 @@ def _keep_of(expanded, scores_by_edge, keep_connected=True):
     n, m = expanded.num_left, expanded.num_right
     scores = [scores_by_edge[(int(a), int(b))] for a, b in expanded.edges]
     preds = _preds([0.0] * n, [1.0] * n, [0.0] * m, scores)
-    groups_l = [[i] for i in range(n)]
-    groups_r = [[j] for j in range(m)]
-    v = ExpansionVectors([1] * n, [1] * m)
-    _, decision = apply_inpainting(
-        preds, expanded, groups_l, groups_r, v, 0, None, 0, 0, keep_connected=keep_connected
-    )
+    _, decision = apply_inpainting(preds, expanded, 0, keep_connected=keep_connected)
     kept = {(int(a), int(b)) for (a, b), k in zip(expanded.edges, decision.edge_keep) if k}
     return kept, decision
 
