@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import expit
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "linear",
     "reshape",
     "concat",
+    "incidence",
     "gather_rows",
     "segment_sum",
     "silu",
@@ -189,7 +191,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` as one tape node."""
-    out_data = x.data @ w.data + b.data
+    out_data = x.data @ w.data
+    out_data += b.data
     if not _needs(x, w, b):
         return Tensor(out_data)
 
@@ -218,9 +221,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     """Smooth gated activation x * sigmoid(x); kink-free for FD checks."""
     sig = expit(a.data)
-    out_data = a.data * sig
     if not _needs(a):
-        return Tensor(out_data)
+        sig *= a.data
+        return Tensor(sig)
+    out_data = a.data * sig
 
     def bwd(g):
         a.accumulate_grad(g * sig * (1.0 + a.data * (1.0 - sig)))
@@ -263,25 +267,45 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, True, tuple(tensors), bwd)
 
 
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
+def incidence(index: np.ndarray, num_rows: int) -> csr_array:
+    """The ``(num_rows, len(index))`` 0/1 matrix with a one at ``(index[e], e)``.
+
+    Multiplying by it sums the rows ``e`` of an operand into row
+    ``index[e]``: the forward of :func:`segment_sum` and the backward of
+    :func:`gather_rows`.  Each row lists its columns in increasing order, so
+    a product adds the rows in index order, starting from zero, bit for bit
+    like a scatter-add loop over ``e``.  Built from a stable argsort, once
+    per index array, for every product that follows.
+    """
     index = np.asarray(index, dtype=np.int64)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
+    order = np.argsort(index, kind="stable")
+    return csr_array((np.ones(index.size), order, indptr), shape=(num_rows, index.size))
+
+
+def gather_rows(a: Tensor, index: np.ndarray, scatter: csr_array) -> Tensor:
+    """Rows ``a[index]``; ``scatter`` is :func:`incidence` of ``index`` over
+    the rows of ``a``, which sums the gradient back onto them."""
     out_data = a.data[index]
     if not _needs(a):
         return Tensor(out_data)
+    if scatter.shape != (a.shape[0], out_data.shape[0]):
+        raise ValueError(f"incidence of shape {scatter.shape} does not scatter onto {a.shape[0]} rows")
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, index, g)
-        a.accumulate_grad(acc)
+        a.accumulate_grad(scatter @ g)
 
     return Tensor(out_data, True, (a,), bwd)
 
 
-def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Row-wise scatter-add: out[s] = sum of rows with segment_ids == s."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.zeros((num_segments,) + a.data.shape[1:])
-    np.add.at(out_data, segment_ids, a.data)
+def segment_sum(a: Tensor, segment_ids: np.ndarray, scatter: csr_array) -> Tensor:
+    """Row-wise scatter-add: out[s] = sum of rows with segment_ids == s.
+
+    ``scatter`` is :func:`incidence` of ``segment_ids``; its row count is
+    the number of segments.
+    """
+    out_data = scatter @ a.data
     if not _needs(a):
         return Tensor(out_data)
 
@@ -301,9 +325,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
     inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
     normed = centered * inv
-    out_data = normed * gain.data + bias.data
     if not _needs(x, gain, bias):
-        return Tensor(out_data)
+        normed *= gain.data
+        normed += bias.data
+        return Tensor(normed)
+    out_data = normed * gain.data + bias.data
 
     def bwd(g):
         if x.requires_grad:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import incidence
 from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand
 from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
 
@@ -188,12 +189,10 @@ def merge_left(
         for member in g:
             assign[member] = new_idx
 
-    budgets = np.zeros(len(groups), dtype=np.int64)
-    np.add.at(budgets, assign, b.left_budgets)
+    budgets = np.bincount(assign, weights=b.left_budgets, minlength=len(groups)).astype(np.int64)
     features = None
     if b.left_features is not None:
-        weighted = np.zeros((len(groups), b.left_features.shape[1]))
-        np.add.at(weighted, assign, b.left_features * b.left_budgets[:, None])
+        weighted = incidence(assign, len(groups)) @ (b.left_features * b.left_budgets[:, None])
         features = weighted / budgets[:, None]
 
     if b.num_edges:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 from typing import Mapping
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
@@ -85,7 +86,9 @@ class LevelEncoding:
     Built by :meth:`Denoiser.encode_level` from the edges, spectral rows,
     budgets, node count and parent features of a :class:`DenoiserInput`;
     those stay fixed while a level is integrated, so a sampler computes
-    this once per level instead of once per Euler step.
+    this once per level instead of once per Euler step.  That includes the
+    :func:`~hyperforge.autodiff.incidence` of each edge endpoint column,
+    through which every gather and segment sum of the level scatters.
     """
 
     pe_left: Tensor
@@ -99,6 +102,8 @@ class LevelEncoding:
     left_film_bias: Tensor
     right_film_gain: Tensor
     right_film_bias: Tensor
+    left_incidence: csr_array
+    right_incidence: csr_array
 
     @property
     def rows(self) -> tuple[int, int, int]:
@@ -339,9 +344,12 @@ class Denoiser:
         """Every forward term that reads only the level-constant fields of
         ``inp``: spectral encodings and their edge gathers, the budget and
         node-count projections, and the FiLM gain and bias of the parent
-        features.  Builds tape nodes unless called under ``no_grad``."""
+        features, and the incidence of each edge endpoint column.  Builds
+        tape nodes unless called under ``no_grad``."""
         c = self.config
         n, m = inp.num_left, inp.num_right
+        src, dst = inp.edges[:, 0], inp.edges[:, 1]
+        left_incidence, right_incidence = ad.incidence(src, n), ad.incidence(dst, m)
         pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues)
         pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues)
         budget_enc = sinusoidal_encoding(inp.left_budgets, c.budget_encoding_dim, c.budget_base_freq)
@@ -352,8 +360,8 @@ class Denoiser:
         return LevelEncoding(
             pe_left=pe_left,
             pe_right=pe_right,
-            pe_edge_left=ad.gather_rows(pe_left, inp.edges[:, 0]),
-            pe_edge_right=ad.gather_rows(pe_right, inp.edges[:, 1]),
+            pe_edge_left=ad.gather_rows(pe_left, src, left_incidence),
+            pe_edge_right=ad.gather_rows(pe_right, dst, right_incidence),
             budget=self.budget_proj(Tensor(budget_enc)),
             nnodes_left=self.nnodes_proj(Tensor(np.tile(n_enc, (n, 1)))),
             nnodes_right=self.nnodes_proj(Tensor(np.tile(n_enc, (m, 1)))),
@@ -361,6 +369,8 @@ class Denoiser:
             left_film_bias=self.left_film_bias(left_pf),
             right_film_gain=ad.add(one, self.right_film_gain(right_pf)),
             right_film_bias=self.right_film_bias(right_pf),
+            left_incidence=left_incidence,
+            right_incidence=right_incidence,
         )
 
     def forward(self, inp: DenoiserInput) -> dict[str, Tensor]:
@@ -413,12 +423,13 @@ class Denoiser:
         h_right = self.right_in_ln(ad.silu(self.right_in(ad.concat(right_parts, axis=1))))
         h_edge = self.edge_in_ln(ad.silu(self.edge_in(ad.concat(edge_parts, axis=1))))
 
+        inc_l, inc_r = level.left_incidence, level.right_incidence
         for layer in self.layers:
-            x_e = ad.concat([h_edge, ad.gather_rows(h_left, src), ad.gather_rows(h_right, dst)], axis=1)
+            x_e = ad.concat([h_edge, ad.gather_rows(h_left, src, inc_l), ad.gather_rows(h_right, dst, inc_r)], axis=1)
             gate = ad.mul(layer["mlp_a"](x_e), layer["mlp_b"](x_e))
             h_edge = layer["ln_e"](ad.add(h_edge, layer["lin_o"](gate)))
-            agg_l = ad.segment_sum(h_edge, src, n)
-            agg_r = ad.segment_sum(h_edge, dst, m)
+            agg_l = ad.segment_sum(h_edge, src, inc_l)
+            agg_r = ad.segment_sum(h_edge, dst, inc_r)
             h_left = layer["ln_left"](ad.add(h_left, layer["mlp_left"](ad.concat([h_left, agg_l], axis=1))))
             h_right = layer["ln_right"](ad.add(h_right, layer["mlp_right"](ad.concat([h_right, agg_r], axis=1))))
 

@@ -30,6 +30,7 @@ __all__ = [
     "endpoint_velocity",
     "sample_prior",
     "simplex_project",
+    "split_pairs",
     "project_split_groups",
     "ot_couple",
     "integrate",
@@ -143,35 +144,76 @@ def simplex_project(z) -> np.ndarray:
     Sorted-threshold procedure: sort descending, find the largest prefix whose
     running mean stays under its last element, subtract that threshold, clip
     at zero.  The result sums to one with non-negative entries.
+
+    Raises:
+        ValueError: for an empty vector or a non-finite entry.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if z.size == 0:
-        raise ValueError("cannot project an empty vector")
+    if z.size == 0 or not np.isfinite(z).all():
+        raise ValueError("can only project a non-empty finite vector")
     u = np.sort(z)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, z.size + 1)
     cond = u - css / idx > 0
+    if not cond.any():
+        # cond[0] is u0 - (u0 - 1) > 0, true in exact arithmetic; past 2**53
+        # rounding loses it, so project the shifted z - max(z) instead
+        return simplex_project(z - u[0])
     rho = int(np.nonzero(cond)[0][-1]) + 1
     tau = css[rho - 1] / rho
     return np.maximum(z - tau, 0.0)
 
 
-def project_split_groups(values: np.ndarray, sibling_groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Project mapped split coordinates group-wise back onto valid splits.
+def split_pairs(sibling_groups: Sequence[Sequence[int]], size: int) -> np.ndarray:
+    """The sibling pairs of a split head over ``size`` children, as one
+    ``(P, 2)`` index array for :func:`project_split_groups`.
 
-    Values live in the 2x - 1 coordinates; each sibling group is mapped to
-    fraction space, projected onto its simplex, and mapped back.
+    This is where the groups are checked, once per level; every child that
+    no pair names is an only child.
+
+    Raises:
+        ValueError: unless the groups cover ``range(size)`` disjointly with
+            one or two members each.
+    """
+    _check_groups(sibling_groups, size)
+    if any(len(g) > 2 for g in sibling_groups):
+        raise ValueError("split groups must have one or two members")
+    return np.array([g for g in sibling_groups if len(g) == 2], dtype=np.int64).reshape(-1, 2)
+
+
+def _project_pairs(z: np.ndarray) -> np.ndarray:
+    """:func:`simplex_project` of every row of a ``(P, 2)`` array, with the
+    same float operations: for a pair ``hi >= lo`` the rule keeps both
+    entries when ``lo`` exceeds the two-term threshold, else the top one."""
+    hi = z.max(axis=1, keepdims=True)
+    lo = z.min(axis=1, keepdims=True)
+    one = hi - 1.0
+    two = ((hi + lo) - 1.0) / 2
+    keep_two = lo - two > 0
+    out = np.maximum(z - np.where(keep_two, two, one), 0.0)
+    # rows where rounding failed both tests, which takes entries past 2**53
+    for i in np.flatnonzero(~(keep_two | (hi - one > 0))):
+        out[i] = simplex_project(z[i])
+    return out
+
+
+def project_split_groups(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Project mapped split coordinates pair-wise back onto valid splits.
+
+    Values live in the 2x - 1 coordinates.  Each sibling pair of ``pairs``,
+    built and checked by :func:`split_pairs`, is mapped to fraction space,
+    projected onto its simplex and mapped back, all pairs at once and bit
+    for bit as :func:`simplex_project` would; every other child is an only
+    child and gets exactly 1.
+
+    Raises:
+        ValueError: for a non-finite value.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    _check_groups(sibling_groups, values.shape[0])
-    out = np.empty_like(values)
-    for g in sibling_groups:
-        idx = [int(i) for i in g]
-        if len(idx) == 1:
-            out[idx[0]] = 1.0
-            continue
-        frac = simplex_project(unit_from_signed(values[idx]))
-        out[idx] = signed_from_unit(frac)
+    if not np.isfinite(values).all():
+        raise ValueError("can only project finite split values")
+    out = np.ones_like(values)
+    out[pairs] = signed_from_unit(_project_pairs(unit_from_signed(values[pairs])))
     return out
 
 
@@ -225,6 +267,26 @@ def ot_couple(
     return noise
 
 
+def _checked(pred: Mapping[str, np.ndarray], state: dict[str, np.ndarray], step: int) -> dict[str, np.ndarray]:
+    """An endpoint prediction as float arrays, checked to cover every head
+    of ``state`` with its shape and with finite values only."""
+    if set(pred) != set(state):
+        raise ValueError("endpoint prediction must cover every head")
+    out = {}
+    for name, arr in pred.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape != state[name].shape:
+            raise ValueError(f"head {name!r}: prediction shape changed")
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise ValueError(
+                f"non-finite endpoint for head {name!r} at step {step} "
+                f"({int(bad.sum())} entries)"
+            )
+        out[name] = arr
+    return out
+
+
 def integrate(
     endpoint_fn: Callable[[Mapping[str, np.ndarray], float], Mapping[str, np.ndarray]],
     initial: Mapping[str, np.ndarray],
@@ -233,11 +295,11 @@ def integrate(
 ) -> dict[str, np.ndarray]:
     """Explicit Euler integration of the endpoint-parameterized flow.
 
-    Uniform grid t_i = i / steps.  Every endpoint prediction is passed through
-    ``project`` (e.g. group-wise simplex projection of the split head) before
-    use.  The final step assigns the predicted endpoint directly, avoiding the
-    1 / (1 - t) singularity; with steps = 1 the output is the first endpoint
-    prediction.
+    Uniform grid t_i = i / steps.  Every endpoint prediction is checked, then
+    passed through ``project`` (e.g. pair-wise simplex projection of the
+    split head) and checked again before use.  The final step assigns the
+    predicted endpoint directly, avoiding the 1 / (1 - t) singularity; with
+    steps = 1 the output is the first endpoint prediction.
 
     Raises:
         ValueError: on non-finite values, with the offending head and step,
@@ -250,21 +312,10 @@ def integrate(
     dt = 1.0 / steps
     for i in range(steps):
         t = i / steps
-        pred = dict(endpoint_fn(state, t))
-        if set(pred) != set(state):
-            raise ValueError("endpoint prediction must cover every head")
+        pred = _checked(endpoint_fn(state, t), state, i)
         if project is not None:
-            pred = dict(project(pred))
+            pred = _checked(project(pred), state, i)
         for name, arr in pred.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != state[name].shape:
-                raise ValueError(f"head {name!r}: prediction shape changed")
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise ValueError(
-                    f"non-finite endpoint for head {name!r} at step {i} "
-                    f"({int(bad.sum())} entries)"
-                )
             if i == steps - 1:
                 state[name] = arr
             else:

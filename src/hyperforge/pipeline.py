@@ -38,6 +38,7 @@ from .flow import (
     ot_couple,
     project_split_groups,
     sample_prior,
+    split_pairs,
 )
 from .hypergraph import (
     BipartiteGraph,
@@ -827,6 +828,7 @@ def sample_one(
             rho_hat = 0.0
 
         left_groups = sibling_groups(expanded.cluster_of_left)
+        pairs = split_pairs(left_groups, n)
         x0 = _sample_noise(expanded, left_groups, fm, fl, rng)
         inp = _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k)
         with ad.no_grad():
@@ -837,9 +839,7 @@ def sample_one(
 
         def project(preds):
             preds = dict(preds)
-            preds["left_split"] = project_split_groups(
-                preds["left_split"].ravel(), left_groups
-            ).reshape(-1, 1)
+            preds["left_split"] = project_split_groups(preds["left_split"], pairs).reshape(-1, 1)
             return preds
 
         final = integrate(endpoint_fn, x0, steps, project=project)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 import hyperforge.autodiff as ad
 
@@ -87,7 +90,7 @@ def test_sigmoid_stable_at_extremes():
 def test_gather_rows_accumulates():
     w = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
     idx = np.array([0, 0, 2])
-    out = ad.tensor_sum(ad.gather_rows(w, idx))
+    out = ad.tensor_sum(ad.gather_rows(w, idx, ad.incidence(idx, 3)))
     ad.backward(out)
     assert w.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
 
@@ -95,11 +98,62 @@ def test_gather_rows_accumulates():
 def test_segment_sum_forward_and_grad():
     x = ad.Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
     seg = np.array([1, 1, 0])
-    out = ad.segment_sum(x, seg, 2)
+    out = ad.segment_sum(x, seg, ad.incidence(seg, 2))
     assert out.data.tolist() == [[3.0], [3.0]]
     loss = ad.tensor_sum(out * np.array([[2.0], [5.0]]))
     ad.backward(loss)
     assert x.grad.ravel().tolist() == [5.0, 5.0, 2.0]
+
+
+def _scatter_add_reference(ids, rows, num_segments):
+    """Reference scatter-add: ``np.add.at`` into zeros, in index order."""
+    out = np.zeros((num_segments,) + rows.shape[1:])
+    np.add.at(out, ids, rows)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda segments: st.tuples(
+            st.just(segments),
+            st.lists(st.integers(0, segments - 1), max_size=40),
+            st.integers(0, 3),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_incidence_products_match_scatter_add(case, seed):
+    """Sums through the incidence operator equal a scatter-add bit for bit:
+    segment_sum forward and gather_rows backward, on repeated and unsorted
+    ids, segments that no id names, and no ids at all."""
+    segments, ids, width = case
+    ids = np.array(ids, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    # wide magnitudes so that any change of summation order shows
+    rows = rng.normal(size=(ids.size, width)) * 10.0 ** rng.integers(-8, 9, size=(ids.size, width))
+    scatter = ad.incidence(ids, segments)
+    assert scatter.shape == (segments, ids.size)
+
+    x = ad.Tensor(rows, requires_grad=True)
+    summed = ad.segment_sum(x, ids, scatter)
+    assert np.array_equal(summed.data, _scatter_add_reference(ids, rows, segments))
+    g = rng.normal(size=summed.shape)
+    ad.backward(ad.tensor_sum(summed * g))
+    assert np.array_equal(x.grad, g[ids])
+
+    table = ad.Tensor(rng.normal(size=(segments, width)), requires_grad=True)
+    gathered = ad.gather_rows(table, ids, scatter)
+    assert np.array_equal(gathered.data, table.data[ids])
+    ad.backward(ad.tensor_sum(gathered * rows))
+    assert np.array_equal(table.grad, _scatter_add_reference(ids, rows, segments))
+
+
+def test_gather_rows_rejects_mismatched_incidence():
+    w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+    idx = np.array([0, 2])
+    with pytest.raises(ValueError, match="incidence"):
+        ad.gather_rows(w, idx, ad.incidence(idx, 4))
 
 
 def test_concat_and_mean_gradients():
@@ -163,15 +217,37 @@ def _composed_linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
+def _composed_silu(x):
+    """Reference: x times its sigmoid, the sigmoid as its own tape node."""
+    sig = expit(x.data)
+    if not x.requires_grad:
+        return ad.mul(x, ad.Tensor(sig))
+
+    def bwd(g):
+        x.accumulate_grad(g * sig * (1.0 - sig))
+
+    return ad.mul(x, ad.Tensor(sig, True, (x,), bwd))
+
+
 FUSED_CASES = [
     # op, reference, input shapes (x, second, third)
     (ad.linear, _composed_linear, [(5, 4), (4, 3), (3,)]),
     (ad.layer_norm, _composed_layer_norm, [(5, 6), (6,), (6,)]),
+    (ad.silu, _composed_silu, [(5, 6)]),
 ]
+FUSED_IDS = ["linear", "layer_norm", "silu"]
 
 
-@pytest.mark.parametrize("fused, composed, shapes", FUSED_CASES, ids=["linear", "layer_norm"])
-def test_fused_op_matches_composed_reference(fused, composed, shapes):
+@pytest.mark.parametrize(
+    "fused, composed, shapes, inference",
+    [case + (False,) for case in FUSED_CASES] + [case + (True,) for case in FUSED_CASES],
+    ids=FUSED_IDS + [f"{name}-no_grad" for name in FUSED_IDS],
+)
+def test_fused_op_matches_composed_reference(fused, composed, shapes, inference):
+    """The fused op computes the composition's output bit for bit, and its
+    gradients to rounding.  Under ``no_grad`` (``inference``), where it
+    finishes in arrays it allocated itself, it still returns the taped
+    output bit for bit, read-only."""
     rng = np.random.default_rng(11)
     values = [rng.normal(size=s) * 2.0 + 0.5 for s in shapes]
     weights = rng.normal(size=fused(*[ad.Tensor(v) for v in values]).shape)
@@ -187,11 +263,16 @@ def test_fused_op_matches_composed_reference(fused, composed, shapes):
     assert np.array_equal(out_f, out_c)
     for gf, gc in zip(grads_f, grads_c):
         assert np.max(np.abs(gf - gc)) <= 1e-10 * np.max(np.abs(gc))
+    if inference:
+        with ad.no_grad():
+            out = fused(*[ad.Tensor(v, requires_grad=True) for v in values])
+        assert not out.requires_grad
+        assert np.array_equal(out.data, out_f)
+        with pytest.raises(ValueError):
+            out.data[...] = 0.0
 
 
-@pytest.mark.parametrize(
-    "fused, shapes", [(op, shapes) for op, _, shapes in FUSED_CASES], ids=["linear", "layer_norm"]
-)
+@pytest.mark.parametrize("fused, shapes", [(op, shapes) for op, _, shapes in FUSED_CASES], ids=FUSED_IDS)
 def test_fused_op_gradients_vs_fd(fused, shapes):
     rng = np.random.default_rng(12)
     values = [rng.normal(size=s) for s in shapes]

@@ -193,26 +193,52 @@ def _featured_model_and_input(seed=0):
     return den, inp
 
 
+def _perturbed_featured_input(seed=0):
+    """The featured model's input on a perturbed expansion with clones on
+    both sides, built the way the sampler builds it."""
+    from hyperforge.expansion import ExpansionVectors, expand, perturb_expand
+    from hyperforge.hypergraph import BipartiteGraph
+    from hyperforge.pipeline import _head_shapes, _make_input
+
+    rng = np.random.default_rng(seed)
+    g = _graph(n=8, seed=4)
+    b = BipartiteGraph(
+        num_left=g.num_left,
+        num_right=g.num_right,
+        edges=g.edges,
+        left_budgets=np.full(g.num_left, 2, dtype=np.int64),
+        left_features=rng.normal(size=(g.num_left, 3)),
+        right_features=rng.normal(size=(g.num_right, 2)),
+    )
+    v = ExpansionVectors([2, 1, 2] + [1] * (b.num_left - 3), [3, 2] + [1] * (b.num_right - 2))
+    expanded = perturb_expand(b, v, 1, 1.0, rng)
+    # perturbation added edges, which the level's incidences must scatter too
+    assert expanded.num_edges > expand(b, v).num_edges
+    state = {k: rng.normal(size=shape) for k, shape in _head_shapes(expanded, 3, 2).items()}
+    return _make_input(b, expanded, state, 0.0, 0.2, 20.0, FEATURED.spectral_k)
+
+
 def test_predict_with_level_encoding_is_bit_identical():
     from dataclasses import replace
 
-    den, inp = _featured_model_and_input()
-    with ad.no_grad():
-        level = den.encode_level(inp)
-    rng = np.random.default_rng(3)
-    for t in (0.0, 0.37, 0.96):
-        state = dict(
-            t=t,
-            left_state=rng.normal(size=inp.left_state.shape),
-            right_state=rng.normal(size=inp.right_state.shape),
-            edge_state=rng.normal(size=inp.edge_state.shape),
-            left_feature_state=rng.normal(size=inp.left_feature_state.shape),
-            right_feature_state=rng.normal(size=inp.right_feature_state.shape),
-        )
-        plain = den.predict(replace(inp, **state))
-        cached = den.predict(replace(inp, **state, level=level))
-        for k in HEAD_SPECS:
-            assert np.array_equal(plain[k], cached[k]), (t, k)
+    den, plain_inp = _featured_model_and_input()
+    for inp in (plain_inp, _perturbed_featured_input()):
+        with ad.no_grad():
+            level = den.encode_level(inp)
+        rng = np.random.default_rng(3)
+        for t in (0.0, 0.37, 0.96):
+            state = dict(
+                t=t,
+                left_state=rng.normal(size=inp.left_state.shape),
+                right_state=rng.normal(size=inp.right_state.shape),
+                edge_state=rng.normal(size=inp.edge_state.shape),
+                left_feature_state=rng.normal(size=inp.left_feature_state.shape),
+                right_feature_state=rng.normal(size=inp.right_feature_state.shape),
+            )
+            plain = den.predict(replace(inp, **state))
+            cached = den.predict(replace(inp, **state, level=level))
+            for k in HEAD_SPECS:
+                assert np.array_equal(plain[k], cached[k]), (inp.num_edges, t, k)
 
 
 def test_forward_rejects_mismatched_level():

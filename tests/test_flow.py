@@ -13,6 +13,7 @@ from hyperforge.flow import (
     sample_prior,
     signed_from_unit,
     simplex_project,
+    split_pairs,
     unit_from_signed,
 )
 
@@ -122,14 +123,73 @@ def test_simplex_project_properties(raw):
     assert np.all(out >= 0.0)
 
 
+def test_projections_reject_empty_and_nonfinite():
+    for z in ([], [np.nan, 0.5], [np.inf, 0.2], [-np.inf, 0.1, 0.3]):
+        with pytest.raises(ValueError, match="finite"):
+            simplex_project(np.array(z))
+    with pytest.raises(ValueError, match="finite"):
+        project_split_groups(np.array([np.nan, 0.5]), np.array([[0, 1]]))
+
+
+def test_simplex_project_survives_rounding_at_huge_values():
+    """Past 2**53 the first threshold test rounds to 0 > 0; the projection
+    is still the exact one."""
+    assert simplex_project(np.array([1e300, 0.5])).tolist() == [1.0, 0.0]
+    assert simplex_project(np.array([-1e300, -1e300])).tolist() == [0.5, 0.5]
+    assert simplex_project(np.array([1e300, -1e300, 1e300])).tolist() == [0.5, 0.0, 0.5]
+
+
 def test_project_split_groups_per_group():
     values = np.array([3.0, -3.0, 0.4, 10.0])
     groups = [[0, 1], [2], [3]]
-    out = project_split_groups(values, groups)
+    pairs = split_pairs(groups, 4)
+    assert pairs.tolist() == [[0, 1]]
+    out = project_split_groups(values, pairs)
     unit = unit_from_signed(out)
     assert np.sum(unit[[0, 1]]) == pytest.approx(1.0)
     # singletons pin to exactly one
     assert out[2] == 1.0 and out[3] == 1.0
+
+
+_SPLIT_VALUES = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _SPLIT_VALUES, _SPLIT_VALUES), min_size=1, max_size=12))
+def test_project_split_groups_matches_simplex_project(blocks):
+    """All pairs at once give bit for bit what simplex_project gives on each
+    pair, and every only child exactly 1.  Blocks are laid out like an
+    expanded level's sibling blocks: a pair or an only child, in order."""
+    groups, values = [], []
+    for paired, a, b in blocks:
+        groups.append(list(range(len(values), len(values) + 1 + paired)))
+        values.extend([a, b] if paired else [a])
+    values = np.array(values)
+    out = project_split_groups(values, split_pairs(groups, values.size))
+    for g in groups:
+        if len(g) == 1:
+            assert out[g[0]] == 1.0
+        else:
+            expected = signed_from_unit(simplex_project(unit_from_signed(values[g])))
+            assert out[g].tobytes() == expected.tobytes()
+
+
+def test_split_pairs_checks_groups_once_per_level():
+    assert split_pairs([[0], [1, 2], [3]], 4).tolist() == [[1, 2]]
+    assert split_pairs([[0]], 1).shape == (0, 2)
+    assert split_pairs([], 0).shape == (0, 2)
+    for groups, size, reason in (
+        ([[0, 1, 2]], 3, "one or two members"),
+        ([[0, 1], [1, 2]], 3, "disjoint"),
+        ([[0, 3]], 2, "out of range"),
+        ([[0, 1]], 3, "cover every index"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            split_pairs(groups, size)
 
 
 def test_ot_couple_singleton_unchanged():
@@ -239,6 +299,22 @@ def test_integrate_rejects_nonfinite():
 
     with pytest.raises(ValueError, match="a"):
         integrate(endpoint, {"a": np.zeros(1)}, steps=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_names_nonfinite_split_before_projecting(bad):
+    """A non-finite split prediction is reported by head and step; the
+    projection never sees it."""
+    pairs = np.array([[0, 1]])
+
+    def endpoint(state, t):
+        return {"left_split": np.array([bad, 0.5]) if t > 0 else np.zeros(2)}
+
+    def project(preds):
+        return {"left_split": project_split_groups(preds["left_split"], pairs)}
+
+    with pytest.raises(ValueError, match="non-finite endpoint for head 'left_split' at step 1"):
+        integrate(endpoint, {"left_split": np.zeros(2)}, steps=3, project=project)
 
 
 def test_integrate_rejects_step_counts_before_any_prediction():
