@@ -25,7 +25,7 @@ from .expansion import (
     perturb_expand,
     reconstruct_finer,
     refine,
-    split_budget,
+    split_budgets,
 )
 from .coarsening import (
     CoarseningCache,
@@ -45,7 +45,6 @@ from .flow import (
     project_split_groups,
     sample_prior,
     simplex_project,
-    split_pairs,
 )
 from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, sinusoidal_encoding, spectral_rows
 from .datasets import DatasetSpec, gen_ego, gen_sbm, gen_tree, generate_dataset, load_mesh, save_obj
@@ -79,7 +78,7 @@ __all__ = [
     "perturb_expand",
     "reconstruct_finer",
     "refine",
-    "split_budget",
+    "split_budgets",
     "CoarseningCache",
     "CoarseningLevel",
     "CoarseningParams",
@@ -95,7 +94,6 @@ __all__ = [
     "project_split_groups",
     "sample_prior",
     "simplex_project",
-    "split_pairs",
     "Denoiser",
     "DenoiserConfig",
     "DenoiserInput",

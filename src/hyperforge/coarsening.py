@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import incidence
-from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand
+from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand, kept_edges
 from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
 
 __all__ = [
@@ -408,11 +408,7 @@ def sample_coarsening_sequence(
 
         ev = ExpansionVectors([len(g) for g in gl], [len(g) for g in gr])
         expanded = expand(stored[t], ev)
-        fine_edges = {(int(l), int(r)) for l, r in fine.edges}
-        keep = np.array(
-            [1 if (int(l), int(r)) in fine_edges else 0 for l, r in expanded.edges],
-            dtype=np.int8,
-        )
+        keep = kept_edges(expanded, fine)
         if int(keep.sum()) != fine.num_edges:
             raise AssertionError("finer edges escaped the expansion closure")
         fractions = fine.left_budgets / expanded.left_budgets

@@ -39,25 +39,31 @@ __all__ = [
     "spectral_rows",
 ]
 
+# Fixed widths of the encodings and embeddings.
+PE_DIM = 32  # spectral positional encoding
+PHI_DIM = 16  # the sign-invariant map of one eigenvector entry
+ATTR_EMBED_DIM = 16  # budgets, node count and the flow state of the structure heads
+FEAT_EMBED_DIM = 32  # feature states under FiLM
+BUDGET_ENCODING_DIM = 32  # sinusoidal encoding of budgets and node count
+BUDGET_BASE_FREQ = 1e-4
+TIME_ENC_DIM = 8  # Fourier encoding of the flow time
+
+
 @dataclass(frozen=True)
 class DenoiserConfig:
     """Architecture hyperparameters.
 
     ``node_feature_dim`` / ``edge_feature_dim`` are the widths of the left
-    and right feature vectors of the data (either may be zero).
+    and right feature vectors of the data (either may be zero).  The
+    encoding widths are the module constants above; older checkpoints that
+    record them as config keys still load, and one saved with other widths
+    fails on the first parameter whose shape differs.
     """
 
     hidden_dim: int = 64
     num_layers: int = 4
     mlp_hidden: int = 128
     spectral_k: int = 8
-    pe_dim: int = 32
-    phi_dim: int = 16
-    attr_embed_dim: int = 16
-    feat_embed_dim: int = 32
-    budget_encoding_dim: int = 32
-    budget_base_freq: float = 1e-4
-    time_enc_dim: int = 8
     node_feature_dim: int = 0
     edge_feature_dim: int = 0
 
@@ -66,8 +72,6 @@ class DenoiserConfig:
             raise ValueError("hidden_dim and num_layers must be positive")
         if self.spectral_k < 1:
             raise ValueError("spectral_k must be positive")
-        if self.budget_encoding_dim % 2 or self.time_enc_dim % 2:
-            raise ValueError("encoding dims must be even")
         if self.node_feature_dim < 0 or self.edge_feature_dim < 0:
             raise ValueError("feature dims must be nonnegative")
 
@@ -266,25 +270,25 @@ class Denoiser:
         c = config
         s = self.store
 
-        self.phi = _MLP(s, "signnet.phi", 2, c.phi_dim, c.phi_dim, rng)
-        self.rho = _MLP(s, "signnet.rho", c.spectral_k * c.phi_dim, c.pe_dim, c.pe_dim, rng)
+        self.phi = _MLP(s, "signnet.phi", 2, PHI_DIM, PHI_DIM, rng)
+        self.rho = _MLP(s, "signnet.rho", c.spectral_k * PHI_DIM, PE_DIM, PE_DIM, rng)
 
-        self.budget_proj = _Linear(s, "cond.budget", c.budget_encoding_dim, c.attr_embed_dim, rng)
-        self.nnodes_proj = _Linear(s, "cond.nnodes", c.budget_encoding_dim, c.attr_embed_dim, rng)
+        self.budget_proj = _Linear(s, "cond.budget", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
+        self.nnodes_proj = _Linear(s, "cond.nnodes", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
 
-        self.left_state_embed = _Linear(s, "embed.left_state", 2, c.attr_embed_dim, rng)
-        self.right_state_embed = _Linear(s, "embed.right_state", 1, c.attr_embed_dim, rng)
-        self.edge_state_embed = _Linear(s, "embed.edge_state", 1, c.attr_embed_dim, rng)
-        self.left_feat_embed = _Linear(s, "embed.left_feat", c.node_feature_dim, c.feat_embed_dim, rng)
-        self.right_feat_embed = _Linear(s, "embed.right_feat", c.edge_feature_dim, c.feat_embed_dim, rng)
-        self.left_film_gain = _Linear(s, "film.left.gain", c.node_feature_dim, c.feat_embed_dim, rng)
-        self.left_film_bias = _Linear(s, "film.left.bias", c.node_feature_dim, c.feat_embed_dim, rng)
-        self.right_film_gain = _Linear(s, "film.right.gain", c.edge_feature_dim, c.feat_embed_dim, rng)
-        self.right_film_bias = _Linear(s, "film.right.bias", c.edge_feature_dim, c.feat_embed_dim, rng)
+        self.left_state_embed = _Linear(s, "embed.left_state", 2, ATTR_EMBED_DIM, rng)
+        self.right_state_embed = _Linear(s, "embed.right_state", 1, ATTR_EMBED_DIM, rng)
+        self.edge_state_embed = _Linear(s, "embed.edge_state", 1, ATTR_EMBED_DIM, rng)
+        self.left_feat_embed = _Linear(s, "embed.left_feat", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_feat_embed = _Linear(s, "embed.right_feat", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
+        self.left_film_gain = _Linear(s, "film.left.gain", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.left_film_bias = _Linear(s, "film.left.bias", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_film_gain = _Linear(s, "film.right.gain", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_film_bias = _Linear(s, "film.right.bias", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
 
-        left_in = c.pe_dim + 2 * c.attr_embed_dim + c.attr_embed_dim + c.feat_embed_dim + c.time_enc_dim + 1
-        right_in = c.pe_dim + c.attr_embed_dim + c.attr_embed_dim + c.feat_embed_dim + c.time_enc_dim + 1
-        edge_in = 2 * c.pe_dim + c.attr_embed_dim + c.time_enc_dim + 1
+        left_in = PE_DIM + 2 * ATTR_EMBED_DIM + ATTR_EMBED_DIM + FEAT_EMBED_DIM + TIME_ENC_DIM + 1
+        right_in = PE_DIM + ATTR_EMBED_DIM + ATTR_EMBED_DIM + FEAT_EMBED_DIM + TIME_ENC_DIM + 1
+        edge_in = 2 * PE_DIM + ATTR_EMBED_DIM + TIME_ENC_DIM + 1
         self.left_in = _Linear(s, "in.left", left_in, c.hidden_dim, rng)
         self.right_in = _Linear(s, "in.right", right_in, c.hidden_dim, rng)
         self.edge_in = _Linear(s, "in.edge", edge_in, c.hidden_dim, rng)
@@ -327,7 +331,7 @@ class Denoiser:
         across eigenvectors.  Flipping any column's sign leaves the output
         unchanged.  All (row, column) pairs go through the shared map as one
         batch per sign, row-major, so row r's block for column i lands in
-        columns ``i * phi_dim : (i + 1) * phi_dim`` of the input to the mixer.
+        columns ``i * PHI_DIM : (i + 1) * PHI_DIM`` of the input to the mixer.
         """
         k = self.config.spectral_k
         num_rows = rows.shape[0]
@@ -338,7 +342,7 @@ class Denoiser:
         flipped = pairs.copy()
         flipped[:, 0] = -flipped[:, 0]
         both = ad.add(self.phi(Tensor(pairs)), self.phi(Tensor(flipped)))
-        return self.rho(ad.reshape(both, (num_rows, k * self.config.phi_dim)))
+        return self.rho(ad.reshape(both, (num_rows, k * PHI_DIM)))
 
     def encode_level(self, inp: DenoiserInput) -> LevelEncoding:
         """Every forward term that reads only the level-constant fields of
@@ -346,14 +350,13 @@ class Denoiser:
         node-count projections, and the FiLM gain and bias of the parent
         features, and the incidence of each edge endpoint column.  Builds
         tape nodes unless called under ``no_grad``."""
-        c = self.config
         n, m = inp.num_left, inp.num_right
         src, dst = inp.edges[:, 0], inp.edges[:, 1]
         left_incidence, right_incidence = ad.incidence(src, n), ad.incidence(dst, m)
         pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues)
         pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues)
-        budget_enc = sinusoidal_encoding(inp.left_budgets, c.budget_encoding_dim, c.budget_base_freq)
-        n_enc = sinusoidal_encoding(np.array([inp.total_left]), c.budget_encoding_dim, c.budget_base_freq)
+        budget_enc = sinusoidal_encoding(inp.left_budgets, BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
+        n_enc = sinusoidal_encoding(np.array([inp.total_left]), BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
         left_pf = Tensor(inp.left_parent_features)
         right_pf = Tensor(inp.right_parent_features)
         one = Tensor(1.0)
@@ -374,14 +377,13 @@ class Denoiser:
         )
 
     def forward(self, inp: DenoiserInput) -> dict[str, Tensor]:
-        c = self.config
         n, m, e = inp.num_left, inp.num_right, inp.num_edges
         level = inp.level
         if level is None:
             level = self.encode_level(inp)
         elif level.rows != (n, m, e):
             raise ValueError(f"level encoding has {level.rows} (left, right, edge) rows, input has {(n, m, e)}")
-        t_vec = fourier_time_encoding(inp.t, c.time_enc_dim)
+        t_vec = fourier_time_encoding(inp.t, TIME_ENC_DIM)
 
         lf_embed = ad.add(
             ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state)), level.left_film_gain),

@@ -11,11 +11,19 @@ only contracts adjacent nodes, so every edge of a finer level joins children
 of adjacent parents.  A model trained on perturbed expansions therefore
 learns to drop about the share of input edges that perturbation adds, and
 sampling has to expand the same way the model was trained.
+
+Each level-structure primitive has one vectorised home here, used by
+coarsening, training and sampling alike: the child pairs of parent pairs
+(:func:`expand` and :func:`perturb_expand`), the sibling pairs of an
+expanded side (:func:`sibling_pairs`), the integer budget split of every
+left block at once (:func:`split_budgets`) and the kept-edge mask of a finer
+level (:func:`kept_edges`).  Every left block has one or two children, so the
+sibling pairs and the only children cover the left side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +35,9 @@ __all__ = [
     "RefinementDecision",
     "expand",
     "perturb_expand",
-    "sibling_groups",
-    "split_budget",
+    "sibling_pairs",
+    "split_budgets",
+    "kept_edges",
     "refine",
     "reconstruct_finer",
 ]
@@ -89,10 +98,17 @@ class RefinementDecision:
         object.__setattr__(self, "right_features", rf)
 
 
-def _child_offsets(counts: np.ndarray) -> np.ndarray:
-    off = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    return off
+def _child_pairs(v: ExpansionVectors, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Every child pair of the parent pairs ``(ps[i], qs[i])``, pair after
+    pair: entry k of pair (p, q) is the child pair (k // rc, k % rc) of the
+    two sibling blocks, where rc = ``v.right[q]``."""
+    sizes = v.left[ps] * v.right[qs]
+    pair = np.repeat(np.arange(ps.size), sizes)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rc = v.right[qs[pair]]
+    left = (np.cumsum(v.left) - v.left)[ps[pair]] + k // rc
+    right = (np.cumsum(v.right) - v.right)[qs[pair]] + k % rc
+    return np.stack([left, right], axis=1)
 
 
 def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
@@ -105,33 +121,17 @@ def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
     """
     if v.left.shape[0] != b.num_left or v.right.shape[0] != b.num_right:
         raise ValueError("expansion vector length mismatch")
-    loff = _child_offsets(v.left)
-    roff = _child_offsets(v.right)
-    num_left = int(loff[-1])
-    num_right = int(roff[-1])
-
-    pieces = []
-    for p, q in b.edges:
-        lc, rc = int(v.left[p]), int(v.right[q])
-        block = np.empty((lc * rc, 2), dtype=np.int64)
-        block[:, 0] = np.repeat(np.arange(loff[p], loff[p] + lc), rc)
-        block[:, 1] = np.tile(np.arange(roff[q], roff[q] + rc), lc)
-        pieces.append(block)
-    edges = np.concatenate(pieces) if pieces else np.zeros((0, 2), dtype=np.int64)
-
-    cl = np.repeat(np.arange(b.num_left, dtype=np.int64), v.left)
-    cr = np.repeat(np.arange(b.num_right, dtype=np.int64), v.right)
     lf = None if b.left_features is None else np.repeat(b.left_features, v.left, axis=0)
     rf = None if b.right_features is None else np.repeat(b.right_features, v.right, axis=0)
     return BipartiteGraph(
-        num_left=num_left,
-        num_right=num_right,
-        edges=edges,
+        num_left=int(v.left.sum()),
+        num_right=int(v.right.sum()),
+        edges=_child_pairs(v, b.edges[:, 0], b.edges[:, 1]),
         left_budgets=np.repeat(b.left_budgets, v.left),
         left_features=lf,
         right_features=rf,
-        cluster_of_left=cl,
-        cluster_of_right=cr,
+        cluster_of_left=np.repeat(np.arange(b.num_left, dtype=np.int64), v.left),
+        cluster_of_right=np.repeat(np.arange(b.num_right, dtype=np.int64), v.right),
     )
 
 
@@ -147,7 +147,8 @@ def perturb_expand(
     For every left/right child pair that is not an expanded edge but whose
     parents sit within bipartite distance ``2 * radius + 1``, an extra edge is
     added independently with probability ``edge_prob``.  The draws run over
-    parent pairs in row-major order, ``lc * rc`` draws per pair.
+    parent pairs in row-major order, one per child pair in the order of
+    :func:`_child_pairs`.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -166,88 +167,77 @@ def perturb_expand(
     for _ in range(radius):
         reach = np.minimum(reach + left_hops @ reach, 1.0)
     reach[b.edges[:, 0], b.edges[:, 1]] = 0.0
-    ps, qs = np.nonzero(reach)
-    sizes = v.left[ps] * v.right[qs]
-    keep = rng.random(int(sizes.sum())) < edge_prob
-    # draw k of parent pair (p, q) is child pair (k // rc, k % rc), as in expand
-    pair = np.repeat(np.arange(ps.size), sizes)
-    k = np.arange(pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rc = v.right[qs[pair]]
-    left = _child_offsets(v.left)[ps[pair]] + k // rc
-    right = _child_offsets(v.right)[qs[pair]] + k % rc
-    extra = np.stack([left, right], axis=1)[keep]
+    candidates = _child_pairs(v, *np.nonzero(reach))
+    extra = candidates[rng.random(candidates.shape[0]) < edge_prob]
     if extra.shape[0] == 0:
         return base
-    return BipartiteGraph(
-        num_left=base.num_left,
-        num_right=base.num_right,
-        edges=np.concatenate([base.edges, extra]),
-        left_budgets=base.left_budgets,
-        left_features=base.left_features,
-        right_features=base.right_features,
-        cluster_of_left=base.cluster_of_left,
-        cluster_of_right=base.cluster_of_right,
-    )
+    return replace(base, edges=np.concatenate([base.edges, extra]))
 
 
-def split_budget(parent_budget: int, fractions) -> np.ndarray:
-    """Integer budget split: round(parent * fraction) with sum correction.
+def sibling_pairs(cluster_map: np.ndarray) -> np.ndarray:
+    """The ``(P, 2)`` child indices of every block of exactly two children in
+    an expanded graph's ``cluster_of_left`` or ``cluster_of_right``, in block
+    order.  Only children and right triples name no pair."""
+    sizes = np.bincount(cluster_map)
+    first = (np.cumsum(sizes) - sizes)[sizes == 2]
+    return np.stack([first, first + 1], axis=1)
 
-    Rounding is half-up per child, children are clamped to >= 1, and any
-    surplus is removed starting from the highest index while any deficit is
-    added starting from the lowest, so on exact ties the lowest-index child
-    ends up with the larger share.
+
+def split_budgets(budgets: np.ndarray, fractions, cluster_of_left: np.ndarray) -> np.ndarray:
+    """Integer budget split of every left block at once.
+
+    Each block's budget is the ``budgets`` entry of its first child.  Every
+    child gets round(budget * fraction), rounding half up, and at least 1;
+    a pair whose shares then exceed the budget gives the surplus back one
+    unit at a time, second child first and in turns, skipping a child at 1,
+    and a pair short of it gets the rest one unit at a time, first child
+    first and in turns.  On exact ties the first child ends up with the
+    larger share.  An only child gets the whole budget.
 
     Raises:
-        ValueError: if the parent budget cannot give every child >= 1, or the
-            fractions are off the simplex beyond tolerance.
+        ValueError: for a block of more than two children, a budget that
+            cannot give every child of its block >= 1, or fractions off the
+            simplex of their block beyond tolerance (an entry below -1e-9 or
+            a block sum more than 1e-6 away from 1).
     """
     f = np.asarray(fractions, dtype=np.float64).reshape(-1)
-    g = f.shape[0]
-    if g < 1:
-        raise ValueError("need at least one child")
-    parent_budget = int(parent_budget)
-    if parent_budget < g:
-        raise ValueError(f"parent budget {parent_budget} cannot cover {g} children")
-    if np.any(f < -1e-9) or abs(f.sum() - 1.0) > 1e-6:
+    sizes = np.bincount(cluster_of_left)
+    if sizes.max(initial=0) > 2:
+        raise ValueError("a budget split covers one or two children")
+    block_budget = np.asarray(budgets, dtype=np.int64)[np.cumsum(sizes) - sizes]
+    if np.any(block_budget < sizes):
+        raise ValueError("a parent budget cannot cover its children")
+    sums = np.bincount(cluster_of_left, weights=f, minlength=sizes.size)
+    if np.any(f < -1e-9) or not np.all(np.abs(sums - 1.0) <= 1e-6):
         raise ValueError("fractions are off the simplex beyond tolerance")
-    f = np.clip(f, 0.0, None)
-
-    out = np.floor(parent_budget * f + 0.5).astype(np.int64)
-    np.clip(out, 1, None, out=out)
-    diff = int(out.sum()) - parent_budget
-    while diff > 0:
-        for i in range(g - 1, -1, -1):
-            if out[i] > 1:
-                out[i] -= 1
-                diff -= 1
-                if diff == 0:
-                    break
-    while diff < 0:
-        for i in range(g):
-            out[i] += 1
-            diff += 1
-            if diff == 0:
-                break
+    out = block_budget[cluster_of_left]
+    first, second = sibling_pairs(cluster_of_left).T
+    budget = out[first]
+    a = np.maximum(np.floor(budget * np.clip(f[first], 0.0, None) + 0.5).astype(np.int64), 1)
+    b = np.maximum(np.floor(budget * np.clip(f[second], 0.0, None) + 0.5).astype(np.int64), 1)
+    surplus = np.maximum(a + b - budget, 0)
+    deficit = np.maximum(budget - a - b, 0)
+    # turns alternate, second child first, until a child is down to 1
+    from_b = np.minimum(b - 1, np.maximum((surplus + 1) // 2, surplus - (a - 1)))
+    out[first] = a - (surplus - from_b) + (deficit + 1) // 2
+    out[second] = b - from_b + deficit // 2
     return out
 
 
-def sibling_groups(cluster_map: np.ndarray) -> list[list[int]]:
-    """Index lists of the consecutive blocks of equal labels in an expanded
-    graph's ``cluster_of_left`` or ``cluster_of_right``: the sibling groups."""
-    if cluster_map.shape[0] == 0:
-        return []
-    starts = np.flatnonzero(np.diff(cluster_map)) + 1
-    return [g.tolist() for g in np.split(np.arange(cluster_map.shape[0]), starts)]
+def kept_edges(expanded: BipartiteGraph, fine: BipartiteGraph) -> np.ndarray:
+    """0/1 mask over ``expanded.edges``: 1 where ``fine`` has the same edge."""
+    width = expanded.num_right
+    keys = expanded.edges[:, 0] * width + expanded.edges[:, 1]
+    return np.isin(keys, fine.edges[:, 0] * width + fine.edges[:, 1]).astype(np.int8)
 
 
 def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteGraph:
     """Apply a refinement decision to an expanded graph.
 
     Keeps the selected edges, splits each parent budget over its sibling block
-    per the stored fractions, and swaps in the refined feature matrices (when
-    absent, the inherited parent features are kept).  The result carries no
-    sibling maps; it is a plain level again.
+    per the stored fractions with :func:`split_budgets`, and swaps in the
+    refined feature matrices (when absent, the inherited parent features are
+    kept).  The result carries no sibling maps; it is a plain level again.
     """
     if expanded.cluster_of_left is None or expanded.cluster_of_right is None:
         raise ValueError("refine requires an expanded graph with sibling maps")
@@ -257,9 +247,7 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
         raise ValueError("budget_split length mismatch")
 
     kept = expanded.edges[decision.edge_keep.astype(bool)]
-    budgets = np.empty(expanded.num_left, dtype=np.int64)
-    for g in sibling_groups(expanded.cluster_of_left):
-        budgets[g] = split_budget(int(expanded.left_budgets[g[0]]), decision.budget_split[g])
+    budgets = split_budgets(expanded.left_budgets, decision.budget_split, expanded.cluster_of_left)
 
     lf = decision.left_features if decision.left_features is not None else expanded.left_features
     rf = decision.right_features if decision.right_features is not None else expanded.right_features

@@ -3,8 +3,11 @@
 States follow straight-line interpolants x_t = t * x1 + (1 - t) * x0.  Models
 predict the endpoint x1; the induced velocity is (x1_hat - x_t) / (1 - t).
 Binary/ternary structure targets live in [-1, 1]; budget-split fractions live
-on per-group probability simplices and travel through the affine map
-x -> 2x - 1.  Noise for split heads comes from a symmetric Dirichlet; noise
+on the probability simplex of each left sibling pair and travel through the
+affine map x -> 2x - 1, while an only child's split is the constant 1.  A
+level's sibling pairs come as one ``(P, 2)`` index array, built by
+:func:`hyperforge.expansion.sibling_pairs` from the expanded graph's sibling
+maps.  Noise for split heads comes from a symmetric Dirichlet per pair; noise
 within expanded sibling pairs can be optimal-transport coupled by a cost-based
 swap that preserves the per-slot noise marginals.
 
@@ -30,7 +33,6 @@ __all__ = [
     "endpoint_velocity",
     "sample_prior",
     "simplex_project",
-    "split_pairs",
     "project_split_groups",
     "ot_couple",
     "integrate",
@@ -93,48 +95,31 @@ def endpoint_velocity(x_t: np.ndarray, x1_hat: np.ndarray, t: float) -> np.ndarr
     return (x1_hat - x_t) / (1.0 - t)
 
 
-def _check_groups(groups: Sequence[Sequence[int]], size: int) -> None:
-    seen: set[int] = set()
-    for g in groups:
-        if len(g) == 0:
-            raise ValueError("empty sibling group")
-        for i in g:
-            if not 0 <= int(i) < size:
-                raise ValueError("group index out of range")
-            if int(i) in seen:
-                raise ValueError("groups must be disjoint")
-            seen.add(int(i))
-    if len(seen) != size:
-        raise ValueError("groups must cover every index")
-
-
 def sample_prior(
     spec: FlowHeadSpec,
     shape: tuple[int, ...],
     rng: np.random.Generator,
-    sibling_groups: Sequence[Sequence[int]] | None = None,
+    pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw x0 noise for one head.
 
     Gaussian heads get i.i.d. standard normals.  Dirichlet heads (budget
-    splits) draw one symmetric Dirichlet per sibling group, mapped by 2x - 1;
-    singleton groups are the constant 1.
+    splits) draw one symmetric Dirichlet per sibling pair of ``pairs``, in
+    pair order and mapped by 2x - 1; every child that no pair names is an
+    only child and gets the constant 1.  All pairs come from one
+    ``rng.dirichlet`` call, which uses the generator as one call per pair
+    would.
     """
     if spec.prior == "gaussian":
         return rng.standard_normal(shape)
     if len(shape) != 1:
         raise ValueError("dirichlet prior is defined over a flat per-child vector")
-    if sibling_groups is None:
-        raise ValueError("dirichlet prior needs sibling groups")
-    _check_groups(sibling_groups, shape[0])
-    out = np.empty(shape[0], dtype=np.float64)
-    for g in sibling_groups:
-        if len(g) == 1:
-            out[int(g[0])] = 1.0
-        else:
-            draw = rng.dirichlet([spec.dirichlet_alpha] * len(g))
-            for slot, val in zip(g, draw):
-                out[int(slot)] = 2.0 * val - 1.0
+    if pairs is None:
+        raise ValueError("dirichlet prior needs sibling pairs")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    out = np.ones(shape[0], dtype=np.float64)
+    draws = rng.dirichlet([spec.dirichlet_alpha] * 2, size=pairs.shape[0])
+    out[pairs] = 2.0 * draws - 1.0
     return out
 
 
@@ -164,23 +149,6 @@ def simplex_project(z) -> np.ndarray:
     return np.maximum(z - tau, 0.0)
 
 
-def split_pairs(sibling_groups: Sequence[Sequence[int]], size: int) -> np.ndarray:
-    """The sibling pairs of a split head over ``size`` children, as one
-    ``(P, 2)`` index array for :func:`project_split_groups`.
-
-    This is where the groups are checked, once per level; every child that
-    no pair names is an only child.
-
-    Raises:
-        ValueError: unless the groups cover ``range(size)`` disjointly with
-            one or two members each.
-    """
-    _check_groups(sibling_groups, size)
-    if any(len(g) > 2 for g in sibling_groups):
-        raise ValueError("split groups must have one or two members")
-    return np.array([g for g in sibling_groups if len(g) == 2], dtype=np.int64).reshape(-1, 2)
-
-
 def _project_pairs(z: np.ndarray) -> np.ndarray:
     """:func:`simplex_project` of every row of a ``(P, 2)`` array, with the
     same float operations: for a pair ``hi >= lo`` the rule keeps both
@@ -200,11 +168,12 @@ def _project_pairs(z: np.ndarray) -> np.ndarray:
 def project_split_groups(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Project mapped split coordinates pair-wise back onto valid splits.
 
-    Values live in the 2x - 1 coordinates.  Each sibling pair of ``pairs``,
-    built and checked by :func:`split_pairs`, is mapped to fraction space,
-    projected onto its simplex and mapped back, all pairs at once and bit
-    for bit as :func:`simplex_project` would; every other child is an only
-    child and gets exactly 1.
+    Values live in the 2x - 1 coordinates.  Each sibling pair of the
+    ``(P, 2)`` array ``pairs``, as :func:`hyperforge.expansion.sibling_pairs`
+    builds it, is mapped to fraction space, projected onto its simplex and
+    mapped back, all pairs at once and bit for bit as
+    :func:`simplex_project` would; every other child is an only child and
+    gets exactly 1.
 
     Raises:
         ValueError: for a non-finite value.

@@ -26,10 +26,11 @@ from .expansion import (
     ExpansionVectors,
     RefinementDecision,
     expand,
+    kept_edges,
     perturb_expand,
     refine,
-    sibling_groups,
-    split_budget,
+    sibling_pairs,
+    split_budgets,
 )
 from .flow import (
     FlowHeadSpec,
@@ -38,7 +39,6 @@ from .flow import (
     ot_couple,
     project_split_groups,
     sample_prior,
-    split_pairs,
 )
 from .hypergraph import (
     BipartiteGraph,
@@ -88,6 +88,10 @@ HEAD_SPECS = {
     "right_features": FlowHeadSpec("right_features"),
     "edge_keep": FlowHeadSpec("edge_keep"),
 }
+
+# TrainConfig fields that name files.  Checkpoints leave them out, so that
+# their bytes do not depend on where a run wrote; sampling reads none of them.
+_PATH_FIELDS = ("data_dir", "checkpoint_dir", "log_path")
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -204,8 +208,6 @@ class TrainingExample:
     targets: dict[str, np.ndarray]
     rho_hat: float
     total_left: int
-    left_groups: list[list[int]]
-    right_groups: list[list[int]]
 
 
 def build_training_example(
@@ -256,10 +258,7 @@ def build_training_example(
     if expanded.num_left != fine.num_left or expanded.num_right != fine.num_right:
         raise AssertionError("expanded level size drifted from the stored level")
 
-    fine_edges = {(int(a), int(b)) for a, b in fine.edges}
-    edge_target = np.array(
-        [1.0 if (int(a), int(b)) in fine_edges else -1.0 for a, b in expanded.edges]
-    ).reshape(-1, 1)
+    edge_target = (2.0 * kept_edges(expanded, fine) - 1.0).reshape(-1, 1)
 
     if l >= 1:
         v_next = levels[l].expansion
@@ -285,8 +284,6 @@ def build_training_example(
         targets=targets,
         rho_hat=float(rho_hat),
         total_left=levels[0].bipartite.num_left,
-        left_groups=sibling_groups(expanded.cluster_of_left),
-        right_groups=sibling_groups(expanded.cluster_of_right),
     )
 
 
@@ -347,7 +344,7 @@ def _head_shapes(expanded: BipartiteGraph, fm: int, fl: int) -> dict[str, tuple[
 
 def _sample_noise(
     expanded: BipartiteGraph,
-    left_groups: list[list[int]],
+    left_pairs: np.ndarray,
     fm: int,
     fl: int,
     rng: np.random.Generator,
@@ -357,7 +354,7 @@ def _sample_noise(
     for name, spec in HEAD_SPECS.items():
         shape = shapes[name]
         if spec.prior == "dirichlet":
-            noise[name] = sample_prior(spec, (shape[0],), rng, sibling_groups=left_groups).reshape(-1, 1)
+            noise[name] = sample_prior(spec, (shape[0],), rng, pairs=left_pairs).reshape(-1, 1)
         else:
             noise[name] = sample_prior(spec, shape, rng)
     return noise
@@ -386,10 +383,11 @@ def couple_noise(
     are not modified.
     """
     noise = dict(noise)
-    edges = example.expanded.edges
-    for side, groups in enumerate((example.left_groups, example.right_groups)):
-        pairs = [g for g in groups if len(g) == 2]
-        if not pairs:
+    expanded = example.expanded
+    edges = expanded.edges
+    for side, cluster_map in enumerate((expanded.cluster_of_left, expanded.cluster_of_right)):
+        pairs = sibling_pairs(cluster_map)
+        if not pairs.size:
             continue
         names = _SIDE_HEADS[side] + ("edge_keep",)
         sizes = [noise[h].size for h in names]
@@ -430,7 +428,7 @@ def prepare_step(
     fl: int,
 ) -> tuple[DenoiserInput, dict[str, np.ndarray]]:
     """Noise the targets at a uniform time and build the network input."""
-    noise = _sample_noise(example.expanded, example.left_groups, fm, fl, rng)
+    noise = _sample_noise(example.expanded, sibling_pairs(example.expanded.cluster_of_left), fm, fl, rng)
     noise = couple_noise(noise, example.targets, example)
     t = float(rng.uniform())
     state = {k: interpolate(noise[k], example.targets[k], t) for k in noise}
@@ -533,7 +531,7 @@ def train(cfg: TrainConfig) -> dict:
     latest_path = ckpt_dir / "checkpoint.hfck"
     best_path = ckpt_dir / "best.hfck"
     extra = {
-        "train": {k: v for k, v in asdict(cfg).items()},
+        "train": {k: v for k, v in asdict(cfg).items() if k not in _PATH_FIELDS},
         "dataset_kind": manifest.get("kind"),
         "train_graphs_connected": all(is_connected(h) for h in train_graphs),
     }
@@ -628,26 +626,22 @@ def apply_inpainting(
 ) -> tuple[ExpansionVectors, RefinementDecision]:
     """Turn integrated endpoints into hard expansion and refinement choices.
 
-    Applies the budget constraints: splits are 1 on singletons, (0.5, 0.5)
-    on budget-2 pairs, clusters whose post-split budget is 1 cannot be
+    Applies the budget constraints: splits are 1 on only children, (0.5,
+    0.5) on budget-2 pairs, clusters whose post-split budget is 1 cannot be
     expanded (n⁺ shrinks to the expandable count), and unexpanded children
-    keep their parent's features on both sides.  The sibling groups and the
+    keep their parent's features on both sides.  The sibling blocks and the
     parent features come from ``expanded``: its sibling maps and the feature
     rows its children inherited.  Edges are kept where their endpoint
     exceeds ``EDGE_KEEP_THRESHOLD``; with ``keep_connected`` that choice is
     repaired by :func:`_connected_support`.
     """
-    left_groups = sibling_groups(expanded.cluster_of_left)
+    cluster_of_left = expanded.cluster_of_left
     budgets = expanded.left_budgets
+    siblings = np.bincount(cluster_of_left)[cluster_of_left]
     fractions = (predictions["left_split"].ravel() + 1.0) / 2.0
-    for g in left_groups:
-        if len(g) == 1:
-            fractions[g[0]] = 1.0
-        elif int(budgets[g[0]]) == 2:
-            fractions[g] = 0.5
-    child_budgets = np.empty(expanded.num_left, dtype=np.int64)
-    for g in left_groups:
-        child_budgets[g] = split_budget(int(budgets[g[0]]), fractions[g])
+    fractions[siblings == 1] = 1.0
+    fractions[(siblings == 2) & (budgets == 2)] = 0.5
+    child_budgets = split_budgets(budgets, fractions, cluster_of_left)
 
     scores = predictions["left_expansion"].ravel()
     expandable = np.flatnonzero(child_budgets >= 2)
@@ -827,9 +821,8 @@ def sample_one(
             n_plus = 0
             rho_hat = 0.0
 
-        left_groups = sibling_groups(expanded.cluster_of_left)
-        pairs = split_pairs(left_groups, n)
-        x0 = _sample_noise(expanded, left_groups, fm, fl, rng)
+        pairs = sibling_pairs(expanded.cluster_of_left)
+        x0 = _sample_noise(expanded, pairs, fm, fl, rng)
         inp = _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k)
         with ad.no_grad():
             inp.level = denoiser.encode_level(inp)

@@ -3,6 +3,7 @@ import pytest
 
 import hyperforge.autodiff as ad
 from hyperforge.denoiser import (
+    PE_DIM,
     Denoiser,
     DenoiserConfig,
     DenoiserInput,
@@ -121,7 +122,7 @@ def test_encode_spectral_matches_per_column_loop():
             with ad.no_grad():
                 ours = den.encode_spectral(rows, lam).data
                 ref = encode_spectral_reference(den, rows, lam).data
-            assert ours.shape == (rows.shape[0], SMALL.pe_dim)
+            assert ours.shape == (rows.shape[0], PE_DIM)
             assert np.max(np.abs(ours - ref)) < 1e-12
 
 
@@ -352,8 +353,6 @@ def test_config_round_trip_and_validation():
     assert DenoiserConfig.from_dict(extra) == cfg
     with pytest.raises(ValueError):
         DenoiserConfig(hidden_dim=0)
-    with pytest.raises(ValueError):
-        DenoiserConfig(time_enc_dim=7)
 
 
 def test_save_and_from_checkpoint(tmp_path):
@@ -370,6 +369,44 @@ def test_save_and_from_checkpoint(tmp_path):
     again = back.predict(inp)
     for k in HEAD_SPECS:
         assert np.array_equal(base[k], again[k])
+
+
+# The encoding widths that checkpoints recorded as config keys before they
+# became module constants, at the values of those constants.
+_RECORDED_WIDTHS = {
+    "pe_dim": 32,
+    "phi_dim": 16,
+    "attr_embed_dim": 16,
+    "feat_embed_dim": 32,
+    "budget_encoding_dim": 32,
+    "budget_base_freq": 1e-4,
+    "time_enc_dim": 8,
+}
+
+
+def test_checkpoint_recording_encoding_widths_loads(tmp_path):
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    inp = _input_for(_graph(), SMALL)
+    path = tmp_path / "old.hfck"
+    ad.save_checkpoint(path, den.store, {**SMALL.to_dict(), **_RECORDED_WIDTHS})
+    back = Denoiser.from_checkpoint(path)
+    assert back.config == SMALL
+    base, again = den.predict(inp), back.predict(inp)
+    for k in HEAD_SPECS:
+        assert np.array_equal(base[k], again[k])
+
+
+def test_checkpoint_with_other_widths_names_the_parameter(tmp_path):
+    """A checkpoint saved with phi_dim = 8 fails on the first array whose
+    shape the fixed widths do not give."""
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    store = ad.ParameterStore()
+    for name, t in den.store.items():
+        store.create(name, np.zeros((2, 8)) if name == "signnet.phi.lin1.w" else t.data)
+    path = tmp_path / "narrow.hfck"
+    ad.save_checkpoint(path, store, {**SMALL.to_dict(), **_RECORDED_WIDTHS, "phi_dim": 8})
+    with pytest.raises(ValueError, match=r"'signnet.phi.lin1.w' has shape \(2, 8\), expected \(2, 16\)"):
+        Denoiser.from_checkpoint(path)
 
 
 def test_forward_rejects_nonfinite_head():

@@ -13,9 +13,9 @@ from hyperforge.flow import (
     sample_prior,
     signed_from_unit,
     simplex_project,
-    split_pairs,
     unit_from_signed,
 )
+from hyperforge.expansion import sibling_pairs
 
 
 def dykstra_simplex(z, iters=2000):
@@ -65,18 +65,60 @@ def test_signed_unit_maps():
 
 def test_prior_dirichlet_singleton_is_one():
     spec = FlowHeadSpec("left_split", "dirichlet", 1.5)
-    out = sample_prior(spec, (3,), np.random.default_rng(2), sibling_groups=[[0], [1], [2]])
-    assert np.allclose(out, 1.0)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    out = sample_prior(spec, (3,), rng, pairs=np.zeros((0, 2), dtype=np.int64))
+    assert out.tolist() == [1.0, 1.0, 1.0]
+    # only children draw nothing
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="pairs"):
+        sample_prior(spec, (3,), rng)
 
 
 def test_prior_dirichlet_groups_sum_to_one_in_unit_space():
     spec = FlowHeadSpec("left_split", "dirichlet", 1.5)
-    groups = [[0, 1], [2], [3, 4]]
-    out = sample_prior(spec, (5,), np.random.default_rng(3), sibling_groups=groups)
+    pairs = sibling_pairs(np.array([0, 0, 1, 2, 2]))
+    assert pairs.tolist() == [[0, 1], [3, 4]]
+    out = sample_prior(spec, (5,), np.random.default_rng(3), pairs=pairs)
     unit = unit_from_signed(out)
-    for g in groups:
+    assert out[2] == 1.0
+    for g in pairs:
         assert np.sum(unit[g]) == pytest.approx(1.0)
         assert np.all(unit[g] >= 0.0)
+
+
+def reference_sample_prior(spec, size, rng, groups):
+    """The per-group Dirichlet loop that one batched draw replaced, kept as
+    the oracle."""
+    out = np.empty(size, dtype=np.float64)
+    for g in groups:
+        if len(g) == 1:
+            out[g[0]] = 1.0
+        else:
+            draw = rng.dirichlet([spec.dirichlet_alpha] * len(g))
+            for slot, val in zip(g, draw):
+                out[slot] = 2.0 * val - 1.0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 2), max_size=40),
+    alpha=st.sampled_from([0.05, 0.5, 1.0, 1.5, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prior_dirichlet_pairs_match_sequential_draws(counts, alpha, seed):
+    """One draw for all P pairs is bit-equal to P draws in pair order and
+    leaves the generator in the same state."""
+    spec = FlowHeadSpec("left_split", "dirichlet", alpha)
+    cluster_map = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum([0] + counts)
+    groups = [list(range(a, b)) for a, b in zip(offsets[:-1], offsets[1:])]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = sample_prior(spec, (cluster_map.size,), rng, pairs=sibling_pairs(cluster_map))
+    expected = reference_sample_prior(spec, cluster_map.size, ref_rng, groups)
+    assert out.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_prior_gaussian_moments():
@@ -141,8 +183,7 @@ def test_simplex_project_survives_rounding_at_huge_values():
 
 def test_project_split_groups_per_group():
     values = np.array([3.0, -3.0, 0.4, 10.0])
-    groups = [[0, 1], [2], [3]]
-    pairs = split_pairs(groups, 4)
+    pairs = sibling_pairs(np.array([0, 0, 1, 2]))
     assert pairs.tolist() == [[0, 1]]
     out = project_split_groups(values, pairs)
     unit = unit_from_signed(out)
@@ -169,27 +210,14 @@ def test_project_split_groups_matches_simplex_project(blocks):
         groups.append(list(range(len(values), len(values) + 1 + paired)))
         values.extend([a, b] if paired else [a])
     values = np.array(values)
-    out = project_split_groups(values, split_pairs(groups, values.size))
+    cluster_map = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    out = project_split_groups(values, sibling_pairs(cluster_map))
     for g in groups:
         if len(g) == 1:
             assert out[g[0]] == 1.0
         else:
             expected = signed_from_unit(simplex_project(unit_from_signed(values[g])))
             assert out[g].tobytes() == expected.tobytes()
-
-
-def test_split_pairs_checks_groups_once_per_level():
-    assert split_pairs([[0], [1, 2], [3]], 4).tolist() == [[1, 2]]
-    assert split_pairs([[0]], 1).shape == (0, 2)
-    assert split_pairs([], 0).shape == (0, 2)
-    for groups, size, reason in (
-        ([[0, 1, 2]], 3, "one or two members"),
-        ([[0, 1], [1, 2]], 3, "disjoint"),
-        ([[0, 3]], 2, "out of range"),
-        ([[0, 1]], 3, "cover every index"),
-    ):
-        with pytest.raises(ValueError, match=reason):
-            split_pairs(groups, size)
 
 
 def test_ot_couple_singleton_unchanged():

@@ -108,6 +108,16 @@ def test_duplicate_incidence_rejected():
         )
 
 
+@pytest.mark.parametrize("cluster_map", [[0, 0], [1, 1, 2], [0, 0, 2], [0, 1, 0], [0, 1]])
+def test_cluster_map_must_label_consecutive_blocks(cluster_map):
+    """Sibling pairs and budget splits read blocks off the cluster maps
+    without checking them again; the graph rejects any other map."""
+    edges = np.array([[0, 0]])
+    assert BipartiteGraph(3, 1, edges, cluster_of_left=[0, 0, 1]).cluster_of_left.tolist() == [0, 0, 1]
+    with pytest.raises(ValueError, match="cluster_of_left"):
+        BipartiteGraph(3, 1, edges, cluster_of_left=cluster_map)
+
+
 def test_is_connected():
     assert is_connected(Hypergraph(3, [(0, 1), (1, 2)]))
     assert is_connected(Hypergraph(1, []))

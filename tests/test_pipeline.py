@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import signal
 from contextlib import contextmanager
 
@@ -13,7 +14,7 @@ import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import DatasetSpec, gen_tree, generate_dataset
 from hyperforge.denoiser import Denoiser, DenoiserConfig
-from hyperforge.expansion import ExpansionVectors, expand, perturb_expand, refine, sibling_groups
+from hyperforge.expansion import ExpansionVectors, expand, perturb_expand, refine, sibling_pairs, split_budgets
 from hyperforge.hypergraph import (
     BipartiteGraph,
     Hypergraph,
@@ -38,6 +39,7 @@ from hyperforge.pipeline import (
     write_dot,
 )
 from test_coarsening import _arbitrary_hypergraphs
+from test_expansion import reference_sibling_groups
 
 
 SMALL = DenoiserConfig(hidden_dim=16, num_layers=1, mlp_hidden=24, spectral_k=4)
@@ -128,7 +130,7 @@ def test_training_example_finest_level_stops_expanding():
     assert np.all(ex.targets["right_expansion"] == -1.0)
     assert ex.rho_hat == 0.0
     fracs = (ex.targets["left_split"].ravel() + 1.0) / 2.0
-    for g in ex.left_groups:
+    for g in reference_sibling_groups(ex.expanded.cluster_of_left):
         assert np.sum(fracs[g]) == pytest.approx(1.0)
 
 
@@ -166,14 +168,14 @@ def test_couple_noise_preserves_group_multisets():
     rng = np.random.default_rng(3)
     from hyperforge.pipeline import _sample_noise
 
-    noise = _sample_noise(ex.expanded, ex.left_groups, 0, 0, rng)
+    noise = _sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), 0, 0, rng)
     coupled = couple_noise({k: v.copy() for k, v in noise.items()}, ex.targets, ex)
-    for g in ex.left_groups:
+    for g in reference_sibling_groups(ex.expanded.cluster_of_left):
         for key in ("left_expansion", "left_split"):
             assert np.allclose(
                 np.sort(coupled[key][g].ravel()), np.sort(noise[key][g].ravel())
             )
-    for g in ex.right_groups:
+    for g in reference_sibling_groups(ex.expanded.cluster_of_right):
         assert np.allclose(
             np.sort(coupled["right_expansion"][g].ravel()),
             np.sort(noise["right_expansion"][g].ravel()),
@@ -214,8 +216,9 @@ def _reference_couple_noise(noise, targets, example):
                 noise["edge_keep"][ei, 0] = ekj
                 noise["edge_keep"][ej, 0] = eki
 
-    couple(example.left_groups, left_inc, ("left_expansion", "left_split", "left_features"))
-    couple(example.right_groups, right_inc, ("right_expansion", "right_features"))
+    expanded = example.expanded
+    couple(reference_sibling_groups(expanded.cluster_of_left), left_inc, ("left_expansion", "left_split", "left_features"))
+    couple(reference_sibling_groups(expanded.cluster_of_right), right_inc, ("right_expansion", "right_features"))
     return noise
 
 
@@ -234,7 +237,7 @@ def _coupling_cases(draw):
     ex = build_training_example(
         seq, draw(st.integers(0, seq.num_levels - 1)), rng, fm, fl, perturbation=draw(st.booleans())
     )
-    noise = pipeline._sample_noise(ex.expanded, ex.left_groups, fm, fl, rng)
+    noise = pipeline._sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), fm, fl, rng)
     targets = ex.targets
     if draw(st.booleans()):
         targets = {k: rng.normal(size=v.shape) for k, v in targets.items()}
@@ -386,9 +389,7 @@ def test_inpainting_post_split_budgets_gate_selection():
     expanded = expand(parent, v)
     preds = _preds([0.1, 5.0], [2.0 * (2 / 3) - 1.0, 2.0 * (1 / 3) - 1.0], [0.0], [1.0, 1.0])
     v_out, decision = apply_inpainting(preds, expanded, 1)
-    from hyperforge.expansion import split_budget
-
-    child = split_budget(3, decision.budget_split)
+    child = split_budgets(expanded.left_budgets, decision.budget_split, expanded.cluster_of_left)
     assert child.tolist() == [2, 1]
     assert v_out.left.tolist() == [2, 1]
 
@@ -419,7 +420,7 @@ def _feature_preds(expanded):
     """Predictions that keep every left split even and change each feature to -9."""
     n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
     split = np.ones(n)
-    for g in sibling_groups(expanded.cluster_of_left):
+    for g in reference_sibling_groups(expanded.cluster_of_left):
         split[g] = 2.0 / len(g) - 1.0
     return {
         "left_expansion": np.zeros((n, 1)),
@@ -732,6 +733,22 @@ def test_train_deterministic_loss_trace(toy_data, tmp_path):
     from pathlib import Path
 
     assert Path(log_a).read_text() == Path(log_b).read_text()
+
+
+def test_checkpoint_bytes_do_not_depend_on_paths(toy_data, tmp_path):
+    """Two identical runs whose data, checkpoints and logs live in different
+    directories write byte-identical checkpoints."""
+    written = []
+    for run in ("a", "b"):
+        data = tmp_path / run / "data"
+        shutil.copytree(toy_data, data)
+        ckpt = tmp_path / run / "ckpt"
+        train(_toy_cfg(data, ckpt, max_steps=4, val_every=2, log_path=str(tmp_path / run / "log.csv")))
+        written.append((ckpt / "checkpoint.hfck").read_bytes())
+    assert written[0] == written[1]
+    recorded = Denoiser.from_checkpoint(ckpt / "checkpoint.hfck").extra_config["train"]
+    assert not {"data_dir", "checkpoint_dir", "log_path"} & set(recorded)
+    assert recorded["seed"] == 5
 
 
 def test_train_rejects_empty_val_split_before_any_step(tmp_path, monkeypatch):
