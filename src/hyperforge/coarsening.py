@@ -13,12 +13,11 @@ hyperedge coarsens to one node and one hyperedge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import incidence
 from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand, kept_edges
 from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
 
@@ -167,10 +166,33 @@ def _part_connected(part: tuple[int, ...], left_nbhd: list[set[int]]) -> bool:
     return not remaining
 
 
+def _weighted_means(
+    features: np.ndarray, weights: np.ndarray, assign: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Per-group mean of ``features`` rows weighted by ``weights``.
+
+    Row ``i`` joins group ``assign[i]``, whose weights sum to ``totals``.  Each
+    group adds its weighted rows to zero in ascending row order, one member
+    rank at a time, then divides by its total.
+    """
+    out = np.zeros((totals.size, features.shape[1]))
+    if not features.shape[1]:
+        return out
+    weighted = features * weights[:, None]
+    order = np.argsort(assign, kind="stable")
+    grouped = assign[order]
+    rank = np.arange(order.size) - np.searchsorted(grouped, grouped)
+    for r in range(rank.max(initial=-1) + 1):
+        at = rank == r
+        out[grouped[at]] += weighted[order[at]]
+    return out / totals[:, None]
+
+
 def merge_left(
     b: BipartiteGraph, parts: Sequence[Sequence[int]], allow_disconnected: bool = False
 ) -> BipartiteGraph:
-    """Merge left-node groups: budgets add, features average budget-weighted.
+    """Merge left-node groups: budgets add, features average budget-weighted
+    (:func:`_weighted_means`), right nodes and their features stay.
 
     Unlisted nodes stay as singletons; merged node order is by least original
     member.  Each part must induce a connected piece of the clique expansion
@@ -190,10 +212,6 @@ def merge_left(
             assign[member] = new_idx
 
     budgets = np.bincount(assign, weights=b.left_budgets, minlength=len(groups)).astype(np.int64)
-    features = None
-    if b.left_features is not None:
-        weighted = incidence(assign, len(groups)) @ (b.left_features * b.left_budgets[:, None])
-        features = weighted / budgets[:, None]
 
     if b.num_edges:
         mapped = np.stack([assign[b.edges[:, 0]], b.edges[:, 1]], axis=1)
@@ -205,7 +223,7 @@ def merge_left(
         num_right=b.num_right,
         edges=mapped,
         left_budgets=budgets,
-        left_features=features,
+        left_features=_weighted_means(b.left_features, b.left_budgets, assign, budgets),
         right_features=b.right_features,
     )
 
@@ -227,9 +245,9 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
     into consecutive chunks of at most ``MAX_RIGHT_EXPANSION`` (the most one
     right expansion can undo); the chunks stay distinct right nodes and merge
     further at a later level.  Groups are ordered by least member.  Features
-    merge by budget-weighted mean; right budgets are tracked only
-    inside coarsening (they are not a BipartiteGraph field) so they travel
-    through this function explicitly.
+    merge by budget-weighted mean, as in :func:`merge_left`; right budgets
+    are tracked only inside coarsening (they are not a BipartiteGraph field)
+    so they travel through this function explicitly.
     """
     if right_budgets is None:
         rb = np.ones(b.num_right, dtype=np.int64)
@@ -246,26 +264,20 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
     chunks = (tuple(g[i : i + cap]) for g in by_nbhd.values() for i in range(0, len(g), cap))
     groups = sorted(chunks, key=lambda g: g[0])
 
-    new_rb = np.array([sum(int(rb[r]) for r in g) for g in groups], dtype=np.int64)
-    features = None
-    if b.right_features is not None:
-        features = np.stack(
-            [
-                (b.right_features[list(g)] * rb[list(g), None]).sum(axis=0) / new_rb[i]
-                for i, g in enumerate(groups)
-            ]
-        )
+    assign = np.empty(b.num_right, dtype=np.int64)
+    assign[[r for g in groups for r in g]] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     edges = []
     for new_idx, g in enumerate(groups):
         for l in sorted(nbhds[g[0]]):
             edges.append((l, new_idx))
+    new_rb = np.bincount(assign, weights=rb, minlength=len(groups)).astype(np.int64)
     graph = BipartiteGraph(
         num_left=b.num_left,
         num_right=len(groups),
         edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
         left_budgets=b.left_budgets,
         left_features=b.left_features,
-        right_features=features,
+        right_features=_weighted_means(b.right_features, rb, assign, new_rb),
     )
     return DedupResult(graph=graph, groups=tuple(groups), right_budgets=new_rb)
 
@@ -329,21 +341,8 @@ def _permute_bipartite(
         num_right=b.num_right,
         edges=edges,
         left_budgets=b.left_budgets[lperm],
-        left_features=None if b.left_features is None else b.left_features[lperm],
-        right_features=None if b.right_features is None else b.right_features[rperm],
-    )
-
-
-def _zero_features(b: BipartiteGraph) -> BipartiteGraph:
-    if b.left_features is None and b.right_features is None:
-        return b
-    return BipartiteGraph(
-        num_left=b.num_left,
-        num_right=b.num_right,
-        edges=b.edges,
-        left_budgets=b.left_budgets,
-        left_features=None if b.left_features is None else np.zeros_like(b.left_features),
-        right_features=None if b.right_features is None else np.zeros_like(b.right_features),
+        left_features=b.left_features[lperm],
+        right_features=b.right_features[rperm],
     )
 
 
@@ -388,7 +387,11 @@ def sample_coarsening_sequence(
 
     top = len(raw) - 1
     if top >= 1:
-        raw[top] = _zero_features(raw[top])
+        raw[top] = replace(
+            raw[top],
+            left_features=np.zeros_like(raw[top].left_features),
+            right_features=np.zeros_like(raw[top].right_features),
+        )
 
     # Top-down pass: fix each level's node order to the expansion order of its
     # parent, then record exact targets against the re-indexed finer level.

@@ -116,20 +116,19 @@ def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
 
     Each parent becomes a consecutive block of children (ascending parent
     order); every expanded edge set contains all child pairs of each parent
-    edge.  Children inherit the parent budget and feature row verbatim; right
-    budgets are not modeled past this point.
+    edge.  Children inherit the parent budget and feature row verbatim, so
+    both feature matrices keep their width (0 included); right budgets are
+    not modeled past this point.
     """
     if v.left.shape[0] != b.num_left or v.right.shape[0] != b.num_right:
         raise ValueError("expansion vector length mismatch")
-    lf = None if b.left_features is None else np.repeat(b.left_features, v.left, axis=0)
-    rf = None if b.right_features is None else np.repeat(b.right_features, v.right, axis=0)
     return BipartiteGraph(
         num_left=int(v.left.sum()),
         num_right=int(v.right.sum()),
         edges=_child_pairs(v, b.edges[:, 0], b.edges[:, 1]),
         left_budgets=np.repeat(b.left_budgets, v.left),
-        left_features=lf,
-        right_features=rf,
+        left_features=np.repeat(b.left_features, v.left, axis=0),
+        right_features=np.repeat(b.right_features, v.right, axis=0),
         cluster_of_left=np.repeat(np.arange(b.num_left, dtype=np.int64), v.left),
         cluster_of_right=np.repeat(np.arange(b.num_right, dtype=np.int64), v.right),
     )
@@ -251,10 +250,6 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
 
     lf = decision.left_features if decision.left_features is not None else expanded.left_features
     rf = decision.right_features if decision.right_features is not None else expanded.right_features
-    if lf is not None and lf.shape[0] != expanded.num_left:
-        raise ValueError("left feature rows mismatch")
-    if rf is not None and rf.shape[0] != expanded.num_right:
-        raise ValueError("right feature rows mismatch")
     return BipartiteGraph(
         num_left=expanded.num_left,
         num_right=expanded.num_right,

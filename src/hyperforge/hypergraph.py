@@ -46,13 +46,14 @@ def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
     return out
 
 
-def _as_float_features(arr, rows: int, what: str) -> np.ndarray | None:
+def _as_float_features(arr, rows: int, what: str) -> np.ndarray:
+    """A ``(rows, dim)`` float matrix; None is the ``(rows, 0)`` matrix."""
     if arr is None:
-        return None
+        return np.zeros((rows, 0))
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != rows:
         raise ValueError(f"{what} must have shape ({rows}, dim), got {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if out.size and not np.all(np.isfinite(out)):
         raise ValueError(f"{what} contain non-finite entries")
     return out
 
@@ -64,7 +65,7 @@ class Hypergraph:
     Hyperedges are stored as sorted tuples of distinct node indices.  Duplicate
     hyperedges are permitted in the container (they only ever merge inside
     coarsening).  Features are optional float matrices aligned with nodes and
-    hyperedges respectively.
+    hyperedges respectively; an empty matrix is stored as None.
     """
 
     num_nodes: int
@@ -96,8 +97,8 @@ class Hypergraph:
         object.__setattr__(self, "hyperedges", tuple(canon))
         nf = _as_float_features(node_features, num_nodes, "node features")
         ef = _as_float_features(hyperedge_features, len(canon), "hyperedge features")
-        object.__setattr__(self, "node_features", _freeze(nf))
-        object.__setattr__(self, "hyperedge_features", _freeze(ef))
+        object.__setattr__(self, "node_features", _freeze(nf) if nf.size else None)
+        object.__setattr__(self, "hyperedge_features", _freeze(ef) if ef.size else None)
 
     @property
     def num_hyperedges(self) -> int:
@@ -130,8 +131,10 @@ class BipartiteGraph:
     """Star-expansion bipartite graph with per-left-node integer budgets.
 
     ``edges`` is an (E, 2) int array of (left, right) incidences in ascending
-    lexicographic order.  ``cluster_of_left`` / ``cluster_of_right`` map each
-    node to its parent cluster and are only meaningful right after an
+    lexicographic order.  ``left_features`` / ``right_features`` are always
+    ``(rows, dim)`` float matrices; ``dim == 0`` means no features, and None
+    passed in stands for that.  ``cluster_of_left`` / ``cluster_of_right`` map
+    each node to its parent cluster and are only meaningful right after an
     expansion; they are None otherwise.
     """
 
@@ -139,8 +142,8 @@ class BipartiteGraph:
     num_right: int
     edges: np.ndarray
     left_budgets: np.ndarray
-    left_features: np.ndarray | None = None
-    right_features: np.ndarray | None = None
+    left_features: np.ndarray
+    right_features: np.ndarray
     cluster_of_left: np.ndarray | None = None
     cluster_of_right: np.ndarray | None = None
 
@@ -282,7 +285,8 @@ class SpectralBasis:
 def star_expand(h: Hypergraph) -> BipartiteGraph:
     """Build the bipartite incidence graph: nodes left, hyperedges right.
 
-    Every left node starts with budget 1; features are carried over verbatim.
+    Every left node starts with budget 1; features are carried over verbatim,
+    a missing matrix as one of width 0.
     """
     edges = [
         (v, e_idx) for e_idx, he in enumerate(h.hyperedges) for v in he
@@ -321,7 +325,7 @@ def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
 
 
 def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:
-    """Inverse of :func:`star_expand`.
+    """Inverse of :func:`star_expand`; features of width 0 become None.
 
     Raises:
         ValueError: if some right node has no incident edge (it would encode

@@ -8,6 +8,9 @@ alternates deterministic-size expansion with learned refinement until the
 target node count is reached, enforcing the budget inpainting rules along
 the way.  It expands the way the checkpoint's model was trained and, when
 every training graph was connected, keeps every refined level connected.
+Every level carries its node and hyperedge feature matrices, of width 0 for
+graphs without features, so the widths of the feature heads are read off
+the level.
 """
 
 from __future__ import annotations
@@ -190,15 +193,6 @@ class SampleRequest:
             raise ValueError("count must be >= 1")
 
 
-def _feat(arr: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
-    if arr is None:
-        return np.zeros((rows, dim))
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != (rows, dim):
-        raise ValueError(f"feature block has shape {arr.shape}, expected {(rows, dim)}")
-    return arr
-
-
 @dataclass
 class TrainingExample:
     """One assembled supervision instance at a sampled coarsening level."""
@@ -214,8 +208,6 @@ def build_training_example(
     seq: CoarseningSequence,
     level_index: int,
     rng: np.random.Generator,
-    node_feature_dim: int,
-    edge_feature_dim: int,
     perturbation: bool = True,
     perturb_radius: int = 2,
     perturb_prob: float = 0.5,
@@ -225,7 +217,9 @@ def build_training_example(
     The input graph is the (optionally perturbed) expansion of the next
     coarser level; refinement targets come from the stored decision via edge
     membership in the finer level, and expansion targets come from the finer
-    level's own stored expansion (all-ones at the finest level).
+    level's own stored expansion (all-ones at the finest level).  Feature
+    targets are the finer level's features, zeros of the same width at the
+    top level.
     """
     levels = seq.levels
     top = len(levels) - 1
@@ -239,8 +233,8 @@ def build_training_example(
         stored = levels[l + 1].refinement
         fine = levels[l].bipartite
         split_fracs = stored.budget_split
-        left_feat_target = _feat(fine.left_features, fine.num_left, node_feature_dim)
-        right_feat_target = _feat(fine.right_features, fine.num_right, edge_feature_dim)
+        left_feat_target = fine.left_features
+        right_feat_target = fine.right_features
     else:
         parent = levels[top].bipartite
         v_parent = ExpansionVectors(
@@ -248,8 +242,8 @@ def build_training_example(
         )
         fine = parent
         split_fracs = np.ones(parent.num_left)
-        left_feat_target = np.zeros((parent.num_left, node_feature_dim))
-        right_feat_target = np.zeros((parent.num_right, edge_feature_dim))
+        left_feat_target = np.zeros_like(parent.left_features)
+        right_feat_target = np.zeros_like(parent.right_features)
 
     if perturbation:
         expanded = perturb_expand(parent, v_parent, perturb_radius, perturb_prob, rng)
@@ -310,19 +304,17 @@ def _make_input(
     """The denoiser input of one level at flow time ``t``.
 
     Each child gets its parent's spectral rows, gathered through the sibling
-    maps of ``expanded``, and the parent features it inherited there; the
-    feature widths are those of the feature heads in ``state``.
+    maps of ``expanded``, and the parent features it inherited there.
     """
     lrows, rrows, lam = spectral_rows(parent, spectral_k)
-    n, m = expanded.num_left, expanded.num_right
     return DenoiserInput(
         edges=expanded.edges,
         left_spectral=lrows[expanded.cluster_of_left],
         right_spectral=rrows[expanded.cluster_of_right],
         eigenvalues=lam,
         left_budgets=expanded.left_budgets.astype(np.float64),
-        left_parent_features=_feat(expanded.left_features, n, state["left_features"].shape[1]),
-        right_parent_features=_feat(expanded.right_features, m, state["right_features"].shape[1]),
+        left_parent_features=expanded.left_features,
+        right_parent_features=expanded.right_features,
         t=t,
         rho_hat=rho_hat,
         total_left=total_left,
@@ -330,26 +322,22 @@ def _make_input(
     )
 
 
-def _head_shapes(expanded: BipartiteGraph, fm: int, fl: int) -> dict[str, tuple[int, ...]]:
+def _head_shapes(expanded: BipartiteGraph) -> dict[str, tuple[int, ...]]:
     n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
     return {
         "left_expansion": (n, 1),
         "left_split": (n, 1),
-        "left_features": (n, fm),
+        "left_features": expanded.left_features.shape,
         "right_expansion": (m, 1),
-        "right_features": (m, fl),
+        "right_features": expanded.right_features.shape,
         "edge_keep": (e, 1),
     }
 
 
 def _sample_noise(
-    expanded: BipartiteGraph,
-    left_pairs: np.ndarray,
-    fm: int,
-    fl: int,
-    rng: np.random.Generator,
+    expanded: BipartiteGraph, left_pairs: np.ndarray, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    shapes = _head_shapes(expanded, fm, fl)
+    shapes = _head_shapes(expanded)
     noise: dict[str, np.ndarray] = {}
     for name, spec in HEAD_SPECS.items():
         shape = shapes[name]
@@ -424,11 +412,9 @@ def prepare_step(
     example: TrainingExample,
     rng: np.random.Generator,
     spectral_k: int,
-    fm: int,
-    fl: int,
 ) -> tuple[DenoiserInput, dict[str, np.ndarray]]:
     """Noise the targets at a uniform time and build the network input."""
-    noise = _sample_noise(example.expanded, sibling_pairs(example.expanded.cluster_of_left), fm, fl, rng)
+    noise = _sample_noise(example.expanded, sibling_pairs(example.expanded.cluster_of_left), rng)
     noise = couple_noise(noise, example.targets, example)
     t = float(rng.uniform())
     state = {k: interpolate(noise[k], example.targets[k], t) for k in noise}
@@ -438,14 +424,19 @@ def prepare_step(
     return inp, example.targets
 
 
-def _feature_dims(graphs: list[Hypergraph]) -> tuple[int, int]:
-    fm = fl = 0
-    for h in graphs:
-        if h.node_features is not None:
-            fm = max(fm, h.node_features.shape[1])
-        if h.hyperedge_features is not None:
-            fl = max(fl, h.hyperedge_features.shape[1])
-    return fm, fl
+def _feature_widths(graphs: list[Hypergraph]) -> tuple[int, int]:
+    """The (node, hyperedge) feature widths that all ``graphs`` share; 0 for none.
+
+    Raises:
+        ValueError: if the graphs differ in either width.
+    """
+    widths = {
+        tuple(0 if f is None else f.shape[1] for f in (h.node_features, h.hyperedge_features))
+        for h in graphs
+    }
+    if len(widths) > 1:
+        raise ValueError(f"graphs mix (node, hyperedge) feature widths {sorted(widths)}")
+    return widths.pop()
 
 
 def _step_loss_tensor(denoiser: Denoiser, inp: DenoiserInput, targets: dict[str, np.ndarray]):
@@ -460,10 +451,7 @@ def _step_loss_tensor(denoiser: Denoiser, inp: DenoiserInput, targets: dict[str,
 
 
 def _validation_batch(
-    val_graphs: list[Hypergraph],
-    cfg: TrainConfig,
-    fm: int,
-    fl: int,
+    val_graphs: list[Hypergraph], cfg: TrainConfig
 ) -> list[tuple[DenoiserInput, dict[str, np.ndarray]]]:
     """The fixed, reproducible validation draw: inputs and targets."""
     vrng = np.random.default_rng([cfg.seed, 2])
@@ -474,12 +462,12 @@ def _validation_batch(
         seq = sample_coarsening_sequence(g, params, vrng)
         level = int(vrng.integers(seq.num_levels))
         example = build_training_example(
-            seq, level, vrng, fm, fl,
+            seq, level, vrng,
             perturbation=cfg.perturbation,
             perturb_radius=cfg.perturb_radius,
             perturb_prob=cfg.perturb_prob,
         )
-        batch.append(prepare_step(example, vrng, cfg.spectral_k, fm, fl))
+        batch.append(prepare_step(example, vrng, cfg.spectral_k))
     return batch
 
 
@@ -497,6 +485,8 @@ def train(cfg: TrainConfig) -> dict:
     loss), and a CSV loss log.  Aborts with a state dump on non-finite loss.
     Each checkpoint records, next to the config, whether every training
     graph is connected; sampling then keeps every refined level connected.
+    The train and val graphs must share their node and hyperedge feature
+    widths, which set the denoiser's; a mix is rejected before any step.
     ``phase_s`` in the summary holds the seconds spent over all steps in
     ``data`` (take, example, prepare), ``forward``, ``backward`` and
     ``optimizer``; validation and checkpoint writes are outside all four.
@@ -511,7 +501,7 @@ def train(cfg: TrainConfig) -> dict:
         raise ValueError("empty training split")
     if cfg.val_every and not val_graphs:
         raise ValueError("empty val split: set val_every=0 to train without validation")
-    fm, fl = _feature_dims(train_graphs)
+    fm, fl = _feature_widths(train_graphs + val_graphs)
 
     dconfig = DenoiserConfig(
         hidden_dim=cfg.hidden_dim,
@@ -537,7 +527,7 @@ def train(cfg: TrainConfig) -> dict:
     }
 
     # built once: the draw depends on the seed only, the loss on the parameters
-    val_batch = _validation_batch(val_graphs, cfg, fm, fl) if 0 < cfg.val_every <= cfg.max_steps else []
+    val_batch = _validation_batch(val_graphs, cfg) if 0 < cfg.val_every <= cfg.max_steps else []
     best_val = np.inf
     phase_s = dict.fromkeys(("data", "forward", "backward", "optimizer"), 0.0)
     start = time.time()
@@ -548,12 +538,12 @@ def train(cfg: TrainConfig) -> dict:
             graph_id = int(rng.integers(len(train_graphs)))
             item = cache.take(graph_id, rng)
             example = build_training_example(
-                item.sequence, item.level_index, rng, fm, fl,
+                item.sequence, item.level_index, rng,
                 perturbation=cfg.perturbation,
                 perturb_radius=cfg.perturb_radius,
                 perturb_prob=cfg.perturb_prob,
             )
-            inp, targets = prepare_step(example, rng, cfg.spectral_k, fm, fl)
+            inp, targets = prepare_step(example, rng, cfg.spectral_k)
             t1 = time.perf_counter()
             denoiser.store.zero_grad()
             loss = _step_loss_tensor(denoiser, inp, targets)
@@ -677,16 +667,12 @@ def apply_inpainting(
 
 
 def _inherit_on_only_children(
-    predicted: np.ndarray, inherited: np.ndarray | None, cluster_of: np.ndarray
-) -> np.ndarray | None:
+    predicted: np.ndarray, inherited: np.ndarray, cluster_of: np.ndarray
+) -> np.ndarray:
     """Predicted features with the row of every only child set to the row it
-    inherited from its parent; None for a side without features."""
-    if predicted.shape[1] == 0:
-        return None
-    out = predicted.copy()
+    inherited from its parent."""
     only = np.bincount(cluster_of)[cluster_of] == 1
-    out[only] = _feat(inherited, *predicted.shape)[only]
-    return out
+    return np.where(only[:, None], inherited, predicted)
 
 
 def _connected_support(expanded: BipartiteGraph, scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -742,18 +728,8 @@ def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
         return b, keep
     right_map = -np.ones(b.num_right, dtype=np.int64)
     right_map[keep] = np.arange(keep.size)
-    edges = b.edges.copy()
-    if edges.size:
-        edges[:, 1] = right_map[edges[:, 1]]
-    rf = None if b.right_features is None else b.right_features[keep]
-    reduced = BipartiteGraph(
-        num_left=b.num_left,
-        num_right=int(keep.size),
-        edges=edges,
-        left_budgets=b.left_budgets,
-        left_features=b.left_features,
-        right_features=rf,
-    )
+    edges = np.stack([b.edges[:, 0], right_map[b.edges[:, 1]]], axis=1)
+    reduced = replace(b, num_right=int(keep.size), edges=edges, right_features=b.right_features[keep])
     return reduced, keep
 
 
@@ -786,15 +762,14 @@ def sample_one(
     perturb_prob = float(train_cfg.get("perturb_prob", TrainConfig.perturb_prob))
     keep_connected = bool(denoiser.extra_config.get("train_graphs_connected", False))
     c = denoiser.config
-    fm, fl = c.node_feature_dim, c.edge_feature_dim
     N = int(n_nodes)
     b = BipartiteGraph(
         num_left=1,
         num_right=1,
         edges=np.array([[0, 0]], dtype=np.int64),
         left_budgets=np.array([N], dtype=np.int64),
-        left_features=np.zeros((1, fm)) if fm else None,
-        right_features=np.zeros((1, fl)) if fl else None,
+        left_features=np.zeros((1, c.node_feature_dim)),
+        right_features=np.zeros((1, c.edge_feature_dim)),
     )
     v = ExpansionVectors([1], [1])
     cap = int(4 * np.log2(max(N, 2)) + 16)
@@ -822,7 +797,7 @@ def sample_one(
             rho_hat = 0.0
 
         pairs = sibling_pairs(expanded.cluster_of_left)
-        x0 = _sample_noise(expanded, pairs, fm, fl, rng)
+        x0 = _sample_noise(expanded, pairs, rng)
         inp = _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k)
         with ad.no_grad():
             inp.level = denoiser.encode_level(inp)
@@ -842,28 +817,19 @@ def sample_one(
         budget_sums.append(total_budget)
         if total_budget != N:
             raise AssertionError(f"budget sum drifted to {total_budget}, expected {N}")
-        if b.num_right:
-            # every intermediate level must stay a valid hypergraph picture:
-            # a right node whose edges were all dropped would otherwise be
-            # cloned again next round and snowball
-            pruned, kept = _drop_empty_right(b)
-            if kept.size != b.num_right:
-                dropped += int(b.num_right - kept.size)
-                b = pruned
-                v = ExpansionVectors(v.left, np.asarray(v.right)[kept])
+        # every intermediate level must stay a valid hypergraph picture:
+        # a right node whose edges were all dropped would otherwise be
+        # cloned again next round and snowball
+        pruned, kept = _drop_empty_right(b)
+        if kept.size != b.num_right:
+            dropped += int(b.num_right - kept.size)
+            b = pruned
+            v = ExpansionVectors(v.left, np.asarray(v.right)[kept])
         if b.num_left == N:
             break
 
-    if b.num_right:
-        isolated = int(np.sum(b.left_degrees() == 0))
-        h = collapse_bipartite(b)
-    else:
-        isolated = b.num_left
-        h = Hypergraph(
-            b.num_left,
-            [],
-            node_features=b.left_features,
-        )
+    isolated = int(np.sum(b.left_degrees() == 0))
+    h = collapse_bipartite(b)
     diag = {
         "iterations": iterations,
         "empty_hyperedges_dropped": dropped,

@@ -261,14 +261,14 @@ def _training_loss_setup():
     rng = np.random.default_rng(70)
     h = gen_tree(rng, 12)
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
-    example = build_training_example(seq, 0, rng, 0, 0, perturbation=False)
+    example = build_training_example(seq, 0, rng, perturbation=False)
     cfg = DenoiserConfig(hidden_dim=24, num_layers=2, mlp_hidden=32, spectral_k=4)
     den = Denoiser(cfg, rng=np.random.default_rng(71))
     wrng = np.random.default_rng(72)
     for name, tens in den.store.items():
         if name.startswith("head.") and name.endswith(".w"):
             den.store.replace_value(name, wrng.normal(size=tens.data.shape) * 0.2)
-    inp, targets = prepare_step(example, np.random.default_rng(73), 4, 0, 0)
+    inp, targets = prepare_step(example, np.random.default_rng(73), 4)
     assert inp.left_state.shape[0] == 12
     return den, inp, targets
 

@@ -14,8 +14,14 @@ from hyperforge.coarsening import (
     sample_coarsening_sequence,
 )
 from hyperforge.datasets import gen_sbm, gen_tree
-from hyperforge.expansion import reconstruct_finer
-from hyperforge.hypergraph import BipartiteGraph, Hypergraph, clique_of_bipartite, star_expand
+from hyperforge.expansion import RefinementDecision, expand, reconstruct_finer, refine
+from hyperforge.hypergraph import (
+    BipartiteGraph,
+    Hypergraph,
+    clique_of_bipartite,
+    collapse_bipartite,
+    star_expand,
+)
 
 
 def _line_hypergraph(n=6):
@@ -32,10 +38,7 @@ def _replay_exact(seq):
             return False
         if not np.array_equal(rebuilt.left_budgets, fine.left_budgets):
             return False
-        fa, fb = rebuilt.left_features, fine.left_features
-        if (fa is None) != (fb is None):
-            return False
-        if fa is not None and not np.allclose(fa, fb):
+        if not np.allclose(rebuilt.left_features, fine.left_features):
             return False
     return True
 
@@ -215,6 +218,45 @@ def test_arbitrary_hypergraph_replays(h, seed):
     sizes = [(lvl.bipartite.num_left, lvl.bipartite.num_right) for lvl in seq.levels]
     for (fl, fr), (cl, cr) in zip(sizes[:-1], sizes[1:]):
         assert cl <= fl and cr <= fr
+
+
+@st.composite
+def _featured_hypergraphs(draw):
+    """Arbitrary hypergraphs with node and hyperedge features of width 0 to
+    3; a width-0 side is given as None or as an empty matrix."""
+    h = draw(_arbitrary_hypergraphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    feats = [
+        rng.normal(size=(rows, d)) if d or draw(st.booleans()) else None
+        for rows, d in zip((h.num_nodes, h.num_hyperedges), widths)
+    ]
+    return Hypergraph(h.num_nodes, h.hyperedges, *feats), widths
+
+
+def _assert_widths(b: BipartiteGraph, widths):
+    assert b.left_features.shape == (b.num_left, widths[0])
+    assert b.right_features.shape == (b.num_right, widths[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_featured_hypergraphs(), seed=st.integers(0, 2**32 - 1))
+def test_every_level_carries_the_input_feature_widths(case, seed):
+    h, widths = case
+    for feats, d in zip((h.node_features, h.hyperedge_features), widths):
+        assert (feats is None) == (d == 0)
+    back = collapse_bipartite(star_expand(h))
+    assert (back.node_features is None) == (h.node_features is None)
+    assert (back.hyperedge_features is None) == (h.hyperedge_features is None)
+    seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+    for level in seq.levels:
+        _assert_widths(level.bipartite, widths)
+    for level in seq.levels[1:]:
+        expanded = expand(level.bipartite, level.expansion)
+        _assert_widths(expanded, widths)
+        _assert_widths(refine(expanded, level.refinement), widths)
+        inherit = RefinementDecision(level.refinement.edge_keep, level.refinement.budget_split)
+        _assert_widths(refine(expanded, inherit), widths)
 
 
 def test_single_node_sequence_is_minimal():

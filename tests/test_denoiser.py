@@ -131,7 +131,7 @@ def _children_level(den, b, expanded):
     way the sampler conditions it."""
     from hyperforge.pipeline import _head_shapes, _make_input
 
-    state = {k: np.zeros(shape) for k, shape in _head_shapes(expanded, 0, 0).items()}
+    state = {k: np.zeros(shape) for k, shape in _head_shapes(expanded).items()}
     with ad.no_grad():
         return den.encode_level(_make_input(b, expanded, state, 0.5, 0.2, float(b.num_left), SMALL.spectral_k))
 
@@ -215,7 +215,7 @@ def _perturbed_featured_input(seed=0):
     expanded = perturb_expand(b, v, 1, 1.0, rng)
     # perturbation added edges, which the level's incidences must scatter too
     assert expanded.num_edges > expand(b, v).num_edges
-    state = {k: rng.normal(size=shape) for k, shape in _head_shapes(expanded, 3, 2).items()}
+    state = {k: rng.normal(size=shape) for k, shape in _head_shapes(expanded).items()}
     return _make_input(b, expanded, state, 0.0, 0.2, 20.0, FEATURED.spectral_k)
 
 

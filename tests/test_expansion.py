@@ -318,8 +318,8 @@ def reference_expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
         num_right=int(roff[-1]),
         edges=edges,
         left_budgets=np.repeat(b.left_budgets, v.left),
-        left_features=None if b.left_features is None else np.repeat(b.left_features, v.left, axis=0),
-        right_features=None if b.right_features is None else np.repeat(b.right_features, v.right, axis=0),
+        left_features=np.repeat(b.left_features, v.left, axis=0),
+        right_features=np.repeat(b.right_features, v.right, axis=0),
         cluster_of_left=np.repeat(np.arange(b.num_left), v.left),
         cluster_of_right=np.repeat(np.arange(b.num_right), v.right),
     )

@@ -213,6 +213,21 @@ def test_jsonl_round_trip(tmp_path):
             assert np.allclose(a.node_features, b.node_features)
 
 
+def test_jsonl_round_trip_featured_without_hyperedges(tmp_path):
+    """A featured graph with no hyperedges, built directly or collapsed from a
+    level without right nodes, stores its empty hyperedge features as None
+    and survives a JSONL round trip."""
+    feats = np.arange(6, dtype=np.float64).reshape(3, 2)
+    direct = Hypergraph(3, [], node_features=feats, hyperedge_features=np.zeros((0, 2)))
+    collapsed = collapse_bipartite(BipartiteGraph(3, 0, [], left_features=feats, right_features=np.zeros((0, 2))))
+    path = tmp_path / "graphs.jsonl"
+    write_graphs_jsonl(path, [direct, collapsed])
+    for h in read_graphs_jsonl(path):
+        assert h.num_nodes == 3 and h.hyperedges == ()
+        assert np.array_equal(h.node_features, feats)
+        assert h.hyperedge_features is None
+
+
 def test_record_round_trip_preserves_features():
     h = Hypergraph(
         3,

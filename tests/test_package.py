@@ -102,8 +102,8 @@ def test_traced_sampling_and_training_step():
     t.install()
     try:
         _, diag = pipeline.sample_one(den, 6, np.random.default_rng(2), steps=2)
-        example = pipeline.build_training_example(seq, 0, rng, 0, 0)
-        inp, targets = pipeline.prepare_step(example, rng, cfg.spectral_k, 0, 0)
+        example = pipeline.build_training_example(seq, 0, rng)
+        inp, targets = pipeline.prepare_step(example, rng, cfg.spectral_k)
         den.store.zero_grad()
         ad.backward(pipeline._step_loss_tensor(den, inp, targets))
         den.store.adam_step(1e-3)

@@ -107,7 +107,7 @@ def test_training_example_shapes_and_mapping():
     seq = _tree_sequence(seed=1)
     rng = np.random.default_rng(2)
     for l in range(len(seq.levels)):
-        ex = build_training_example(seq, l, rng, 0, 0, perturbation=False)
+        ex = build_training_example(seq, l, rng, perturbation=False)
         n, m, e = ex.expanded.num_left, ex.expanded.num_right, ex.expanded.num_edges
         t = ex.targets
         assert t["left_expansion"].shape == (n, 1)
@@ -124,7 +124,7 @@ def test_training_example_shapes_and_mapping():
 
 def test_training_example_finest_level_stops_expanding():
     seq = _tree_sequence(seed=3)
-    ex = build_training_example(seq, 0, np.random.default_rng(0), 0, 0, perturbation=False)
+    ex = build_training_example(seq, 0, np.random.default_rng(0), perturbation=False)
     # the finest level clones nothing next; splits/keeps still rebuild level 0
     assert np.all(ex.targets["left_expansion"] == -1.0)
     assert np.all(ex.targets["right_expansion"] == -1.0)
@@ -135,11 +135,23 @@ def test_training_example_finest_level_stops_expanding():
 
 
 def test_training_example_top_level():
-    seq = _tree_sequence(seed=4)
+    rng = np.random.default_rng(4)
+    h = gen_tree(rng, num_nodes=16)
+    h = Hypergraph(
+        h.num_nodes,
+        h.hyperedges,
+        node_features=rng.normal(size=(h.num_nodes, 2)),
+        hyperedge_features=rng.normal(size=(h.num_hyperedges, 1)),
+    )
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
     top = len(seq.levels) - 1
-    ex = build_training_example(seq, top, np.random.default_rng(0), 2, 0, perturbation=False)
+    ex = build_training_example(seq, top, np.random.default_rng(0), perturbation=False)
     assert ex.expanded.num_left == 1
+    # the top level's features were zeroed, and so are its feature targets
+    assert ex.targets["left_features"].shape == (1, 2)
+    assert ex.targets["right_features"].shape == (1, 1)
     assert np.all(ex.targets["left_features"] == 0.0)
+    assert np.all(ex.targets["right_features"] == 0.0)
     assert np.all(ex.targets["left_split"] == 1.0)
 
 
@@ -148,7 +160,7 @@ def test_training_example_perturbation_extras_target_removal():
     # force extras with p = 1 at a level with more than one node
     l = 0
     ex = build_training_example(
-        seq, l, np.random.default_rng(1), 0, 0,
+        seq, l, np.random.default_rng(1),
         perturbation=True, perturb_radius=2, perturb_prob=1.0,
     )
     fine = seq.levels[l].bipartite
@@ -164,11 +176,11 @@ def test_couple_noise_preserves_group_multisets():
         i for i in range(1, len(seq.levels))
         if any(len(g) == 2 for g in _groups_of(seq, i))
     )
-    ex = build_training_example(seq, l - 1, np.random.default_rng(2), 0, 0, perturbation=False)
+    ex = build_training_example(seq, l - 1, np.random.default_rng(2), perturbation=False)
     rng = np.random.default_rng(3)
     from hyperforge.pipeline import _sample_noise
 
-    noise = _sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), 0, 0, rng)
+    noise = _sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), rng)
     coupled = couple_noise({k: v.copy() for k, v in noise.items()}, ex.targets, ex)
     for g in reference_sibling_groups(ex.expanded.cluster_of_left):
         for key in ("left_expansion", "left_split"):
@@ -224,20 +236,29 @@ def _reference_couple_noise(noise, targets, example):
 
 @st.composite
 def _coupling_cases(draw):
-    """A training example at any level of a tree or an arbitrary hypergraph,
-    plainly or perturbedly expanded, with feature heads of width 0 to 2."""
+    """A training example at any level of a tree or an arbitrary hypergraph
+    with node and hyperedge features of width 0 to 2, plainly or perturbedly
+    expanded."""
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         h = gen_tree(np.random.default_rng(seed), num_nodes=draw(st.integers(4, 24)))
     else:
         h = draw(_arbitrary_hypergraphs())
     rng = np.random.default_rng([seed, 1])
-    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
     fm, fl = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    ex = build_training_example(
-        seq, draw(st.integers(0, seq.num_levels - 1)), rng, fm, fl, perturbation=draw(st.booleans())
+    h = Hypergraph(
+        h.num_nodes,
+        h.hyperedges,
+        node_features=rng.normal(size=(h.num_nodes, fm)),
+        hyperedge_features=rng.normal(size=(h.num_hyperedges, fl)),
     )
-    noise = pipeline._sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), fm, fl, rng)
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
+    ex = build_training_example(
+        seq, draw(st.integers(0, seq.num_levels - 1)), rng, perturbation=draw(st.booleans())
+    )
+    assert ex.targets["left_features"].shape == (ex.expanded.num_left, fm)
+    assert ex.targets["right_features"].shape == (ex.expanded.num_right, fl)
+    noise = pipeline._sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), rng)
     targets = ex.targets
     if draw(st.booleans()):
         targets = {k: rng.normal(size=v.shape) for k, v in targets.items()}
@@ -270,8 +291,8 @@ def _groups_of(seq, level):
 
 def test_prepare_step_shapes():
     seq = _tree_sequence(seed=7)
-    ex = build_training_example(seq, 0, np.random.default_rng(0), 0, 0, perturbation=False)
-    inp, x_t = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k, 0, 0)
+    ex = build_training_example(seq, 0, np.random.default_rng(0), perturbation=False)
+    inp, x_t = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k)
     n, m, e = ex.expanded.num_left, ex.expanded.num_right, ex.expanded.num_edges
     assert inp.left_state.shape == (n, 2)
     assert inp.right_state.shape == (m, 1)
@@ -287,12 +308,12 @@ def test_training_step_on_right_only_levels():
     seq = sample_coarsening_sequence(Hypergraph(1, [[0]] * 7), CoarseningParams(), np.random.default_rng(0))
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     for l in range(len(seq.levels)):
-        ex = build_training_example(seq, l, np.random.default_rng(l), 0, 0)
+        ex = build_training_example(seq, l, np.random.default_rng(l))
         assert ex.expanded.num_right == seq.levels[l].bipartite.num_right
         if l >= 1:
             assert ex.rho_hat == 0.0
             assert ex.targets["right_expansion"].max() == 1.0
-        inp, targets = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k, 0, 0)
+        inp, targets = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k)
         den.store.zero_grad()
         loss = pipeline._step_loss_tensor(den, inp, targets)
         ad.backward(loss)
@@ -772,6 +793,44 @@ def test_train_rejects_empty_val_split_before_any_step(tmp_path, monkeypatch):
     summary = train(_toy_cfg(data, ckpt, val_every=0, max_steps=2))
     assert len(steps) == 2
     assert summary["best_checkpoint"] is None
+
+
+@pytest.mark.parametrize(
+    "train_widths, val_widths, mixed",
+    [
+        ((3, 2, 3), (3,), "[(2, 0), (3, 0)]"),
+        ((3, 3, 3), (0,), "[(0, 0), (3, 0)]"),
+    ],
+    ids=["3d-and-2d-nodes", "featured-and-featureless"],
+)
+def test_train_rejects_mixed_feature_widths_before_any_step(
+    tmp_path, monkeypatch, train_widths, val_widths, mixed
+):
+    rng = np.random.default_rng(0)
+
+    def featured(width):
+        h = gen_tree(rng, num_nodes=8)
+        feats = rng.normal(size=(h.num_nodes, width)) if width else None
+        return Hypergraph(h.num_nodes, h.hyperedges, node_features=feats)
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for split, widths in (("train", train_widths), ("val", val_widths), ("test", (3,))):
+        write_graphs_jsonl(data / f"{split}.jsonl", [featured(w) for w in widths])
+    (data / "manifest.json").write_text(json.dumps({"kind": "tree"}))
+    steps = []
+    real_prepare_step = pipeline.prepare_step
+
+    def counted_prepare_step(*args, **kwargs):
+        steps.append(1)
+        return real_prepare_step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prepare_step", counted_prepare_step)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match=re.escape(f"feature widths {mixed}")):
+        train(_toy_cfg(data, ckpt, val_every=2, max_steps=4))
+    assert steps == []
+    assert not (ckpt / "loss.csv").exists()
 
 
 def test_trained_checkpoint_samples(toy_data, tmp_path):

@@ -4,8 +4,11 @@ The zero-head model (every head has zero weights) outputs its biases
 exactly, so what ``sample_one`` builds depends only on the seed and never on
 the order of float operations.  Its split head outputs even splits, so the
 odd sizes are the ones whose refined budgets show the rounding rule.  The same holds for the integer targets of a
-coarsening.  The pins below are values of the implementation at the time they
-were recorded; a change of seeded structure fails here, stating the seed.
+coarsening.  The featured pins hash float bytes: the budget-weighted feature
+means of every coarsening level of featured trees, and the noised input and
+targets of ``prepare_step`` on one of them.  The pins below are values of the
+implementation at the time they were recorded; a change of seeded structure
+or of featured float outputs fails here, stating the seed.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import gen_tree
 from hyperforge.denoiser import Denoiser, DenoiserConfig
+from hyperforge.hypergraph import Hypergraph
 
 ZERO_HEAD = DenoiserConfig(hidden_dim=8, num_layers=1, mlp_hidden=8, spectral_k=2)
 
@@ -51,6 +55,18 @@ COARSENING_TARGETS = {
     3: (7, "fe4ae00c1418f80a3d15a8a0e412dbecc6bab4b2c21e6f17c51831930d62c7af"),
 }
 
+# tree seed -> (levels, sha256 of the node and hyperedge feature matrices of
+# every level) for a tree with 3-d node and 2-d hyperedge features
+FEATURED_COARSENING = {
+    0: (7, "e430c1f39cf612e6c3fc70a028d4c1fe105b4e859656be3fb43ea84b2d1cae73"),
+    1: (8, "ec4086c16bcb263f093cf789a5d2fe6276a5998cbfe3b101b024d35ffbad83a1"),
+    2: (8, "a58c1702ebea9e767defdefe40ad4ea5d522c3072fca0673eea39c7cfde5cd10"),
+    3: (6, "e96684fa1f2c368eda51340d47663e34927fe60628824960452a6cffeaf8fd99"),
+}
+
+# sha256 of every level's prepare_step input and targets, featured tree seed 0
+FEATURED_STEP = "079054dbc77adb9c400e42dd3069c6bb95ecafbe4f8627ca8084fea6c0a7f9c9"
+
 
 def _digest(arrays) -> str:
     h = hashlib.sha256()
@@ -59,6 +75,54 @@ def _digest(arrays) -> str:
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _bytes_digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def featured_tree(seed: int) -> tuple[Hypergraph, np.random.Generator]:
+    rng = np.random.default_rng(seed)
+    h = gen_tree(rng, num_nodes=16)
+    h = Hypergraph(
+        h.num_nodes,
+        h.hyperedges,
+        node_features=rng.normal(size=(h.num_nodes, 3)),
+        hyperedge_features=rng.normal(size=(h.num_hyperedges, 2)),
+    )
+    return h, rng
+
+
+def featured_coarsening(seed: int) -> tuple[int, str]:
+    h, rng = featured_tree(seed)
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
+    arrays = []
+    for level in seq.levels:
+        arrays += [level.bipartite.left_features, level.bipartite.right_features]
+    return seq.num_levels, _bytes_digest(arrays)
+
+
+def featured_step() -> str:
+    h, rng = featured_tree(0)
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
+    arrays = []
+    for level in range(seq.num_levels):
+        example = pipeline.build_training_example(seq, level, rng)
+        inp, targets = pipeline.prepare_step(example, rng, 4)
+        arrays += [
+            inp.edges, inp.left_spectral, inp.right_spectral, inp.eigenvalues,
+            inp.left_budgets, inp.left_parent_features, inp.right_parent_features,
+            inp.left_state, inp.right_state, inp.edge_state,
+            inp.left_feature_state, inp.right_feature_state,
+            np.array([inp.t, inp.rho_hat, inp.total_left]),
+        ]
+        arrays += [targets[name] for name in sorted(targets)]
+    return _bytes_digest(arrays)
 
 
 def sample_structure(n: int, seed: int, monkeypatch) -> tuple[tuple, str]:
@@ -107,3 +171,12 @@ def test_zero_head_sample_structure_is_pinned(n, seed, monkeypatch):
 @pytest.mark.parametrize("seed", sorted(COARSENING_TARGETS))
 def test_tree_coarsening_targets_are_pinned(seed):
     assert coarsening_targets(seed) == COARSENING_TARGETS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(FEATURED_COARSENING))
+def test_featured_tree_coarsening_features_are_pinned(seed):
+    assert featured_coarsening(seed) == FEATURED_COARSENING[seed]
+
+
+def test_featured_prepare_step_is_pinned():
+    assert featured_step() == FEATURED_STEP
