@@ -9,6 +9,11 @@ stochastic gate and an overlap check.  Each level records the exact expansion
 and refinement targets that rebuild the next-finer level, so the whole
 sequence is losslessly replayable.  Every hypergraph with at least one
 hyperedge coarsens to one node and one hyperedge.
+
+Each level is built with array operations, without a Python loop over
+incidences: the clique pairs and the right-node groups come from every right
+node's neighbour run (:meth:`BipartiteGraph.right_runs`), and left groups are
+numbered by their least member.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "DedupResult",
     "merge_left",
     "dedup_right",
-    "complete_left_partition",
     "sample_coarsening_sequence",
 ]
 
@@ -126,44 +130,66 @@ def _variation_costs(clique: CliqueExpansion, preserve_k: int) -> np.ndarray:
     return 0.5 * (deg[u] + deg[v]) * np.einsum("ij,ij->i", diff, diff)
 
 
-def complete_left_partition(parts: Sequence[Sequence[int]], num_left: int) -> list[tuple[int, ...]]:
-    """Extend disjoint parts with singletons and sort groups by least member."""
-    seen: set[int] = set()
-    groups: list[tuple[int, ...]] = []
-    for part in parts:
-        members = tuple(sorted(int(x) for x in part))
-        if not members:
-            raise ValueError("empty part")
-        if members[0] < 0 or members[-1] >= num_left:
-            raise ValueError("part member out of range")
-        if seen.intersection(members):
-            raise ValueError("parts must be disjoint")
-        seen.update(members)
-        groups.append(members)
-    groups.extend((i,) for i in range(num_left) if i not in seen)
-    groups.sort(key=lambda g: g[0])
-    return groups
+_PART_ERRORS = ("empty part", "part member out of range", "part lists a node twice", "parts must be disjoint")
 
 
-def _left_neighbor_sets(b: BipartiteGraph) -> list[set[int]]:
-    sets: list[set[int]] = [set() for _ in range(b.num_left)]
-    for l, r in b.edges:
-        sets[l].add(int(r))
-    return sets
+def _left_assign(parts: Sequence[Sequence[int]], num_left: int) -> np.ndarray:
+    """Group index of every left node: ``parts`` completed with singletons,
+    groups ordered by least member.
+
+    Raises on the first invalid part, with the first of its faults in the
+    order of ``_PART_ERRORS``; a part meets an earlier part when it shares a
+    node with it.
+    """
+    sizes = np.array([len(p) for p in parts], dtype=np.int64)
+    flat = np.array([int(x) for p in parts for x in p], dtype=np.int64)
+    part = np.repeat(np.arange(sizes.size), sizes)
+    # Occurrences sorted by node, then part: a repeated node repeats within
+    # its part or meets the earlier part listing it.
+    order = np.lexsort((part, flat))
+    node, part = flat[order], part[order]
+    again = np.flatnonzero(node[1:] == node[:-1]) + 1
+    if not sizes.all() or again.size or (node.size and (node[0] < 0 or node[-1] >= num_left)):
+        fault = np.full(sizes.size, len(_PART_ERRORS))
+        fault[sizes == 0] = 0
+        np.minimum.at(fault, part[(node < 0) | (node >= num_left)], 1)
+        np.minimum.at(fault, part[again], np.where(part[again] == part[again - 1], 2, 3))
+        raise ValueError(_PART_ERRORS[fault[np.argmax(fault < len(_PART_ERRORS))]])
+    leader = np.arange(num_left)
+    if flat.size:
+        leader[node] = np.minimum.reduceat(flat, np.cumsum(sizes) - sizes)[part]
+    return _number_by_leader(leader)
 
 
-def _part_connected(part: tuple[int, ...], left_nbhd: list[set[int]]) -> bool:
-    if len(part) == 1:
-        return True
-    remaining = set(part[1:])
-    frontier = {part[0]}
-    reach_right = set(left_nbhd[part[0]])
-    while remaining and frontier:
-        frontier = {x for x in remaining if left_nbhd[x] & reach_right}
-        for x in frontier:
-            reach_right |= left_nbhd[x]
-        remaining -= frontier
-    return not remaining
+def _number_by_leader(leader: np.ndarray) -> np.ndarray:
+    """Group index of every node from its group's least member ``leader[i]``,
+    groups numbered in ascending order of least member."""
+    is_leader = leader == np.arange(leader.size)
+    return (np.cumsum(is_leader) - 1)[leader]
+
+
+def _first_disconnected_group(b: BipartiteGraph, assign: np.ndarray, hub: np.ndarray) -> int | None:
+    """First group whose members do not all meet through right nodes they
+    share, or None.
+
+    ``hub[e]`` numbers the (group, right node) pair of edge ``e``.  Labels
+    propagate as minima between left nodes and hubs until they settle, so
+    each node ends with the least node of its piece of its group.
+    """
+    left = b.edges[:, 0]
+    labels = np.arange(b.num_left)
+    while True:
+        hub_label = np.full(hub.max(initial=-1) + 1, b.num_left)
+        np.minimum.at(hub_label, hub, labels[left])
+        settled = labels.copy()
+        np.minimum.at(settled, left, hub_label[hub])
+        if np.array_equal(settled, labels):
+            break
+        labels = settled
+    least = np.full(int(assign.max()) + 1, b.num_left)
+    np.minimum.at(least, assign, labels)
+    bad = np.flatnonzero(least[assign] != labels)
+    return int(assign[bad].min()) if bad.size else None
 
 
 def _weighted_means(
@@ -198,30 +224,27 @@ def merge_left(
     member.  Each part must induce a connected piece of the clique expansion
     unless ``allow_disconnected`` (the sampler's last-resort bridge for
     disconnected inputs).
+
+    Raises:
+        ValueError: on the first part that is empty, out of range, lists a
+            node twice, meets an earlier part or (checked after all parts
+            are valid) is not connected.
     """
-    groups = complete_left_partition(parts, b.num_left)
-    if not allow_disconnected:
-        left_nbhd = _left_neighbor_sets(b)
-        for g in groups:
-            if not _part_connected(g, left_nbhd):
-                raise ValueError(f"part {g} is not connected in the clique expansion")
+    assign = _left_assign(parts, b.num_left)
+    num_groups = int(assign.max()) + 1
+    width = max(b.num_right, 1)
+    keys, hub = np.unique(assign[b.edges[:, 0]] * width + b.edges[:, 1], return_inverse=True)
+    if not allow_disconnected and num_groups < b.num_left:
+        bad = _first_disconnected_group(b, assign, hub)
+        if bad is not None:
+            g = tuple(np.flatnonzero(assign == bad).tolist())
+            raise ValueError(f"part {g} is not connected in the clique expansion")
 
-    assign = np.empty(b.num_left, dtype=np.int64)
-    for new_idx, g in enumerate(groups):
-        for member in g:
-            assign[member] = new_idx
-
-    budgets = np.bincount(assign, weights=b.left_budgets, minlength=len(groups)).astype(np.int64)
-
-    if b.num_edges:
-        mapped = np.stack([assign[b.edges[:, 0]], b.edges[:, 1]], axis=1)
-        mapped = np.unique(mapped, axis=0)
-    else:
-        mapped = np.zeros((0, 2), dtype=np.int64)
+    budgets = np.bincount(assign, weights=b.left_budgets, minlength=num_groups).astype(np.int64)
     return BipartiteGraph(
-        num_left=len(groups),
+        num_left=num_groups,
         num_right=b.num_right,
-        edges=mapped,
+        edges=np.stack([keys // width, keys % width], axis=1),
         left_budgets=budgets,
         left_features=_weighted_means(b.left_features, b.left_budgets, assign, budgets),
         right_features=b.right_features,
@@ -230,12 +253,20 @@ def merge_left(
 
 @dataclass(frozen=True)
 class DedupResult:
-    """Output of :func:`dedup_right`: merged graph, merge groups in the new
-    right order, and the summed right budgets (coarsening-internal)."""
+    """Output of :func:`dedup_right`: merged graph, the merged right node of
+    every input right node, and the summed right budgets
+    (coarsening-internal)."""
 
     graph: BipartiteGraph
-    groups: tuple[tuple[int, ...], ...]
+    assign: np.ndarray
     right_budgets: np.ndarray
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Merge groups in the new right order, members ascending."""
+        members = np.argsort(self.assign, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.assign)).tolist()
+        return tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
 
 def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
@@ -256,30 +287,37 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
         if rb.shape[0] != b.num_right:
             raise ValueError("right budget length mismatch")
 
-    nbhds = b.right_neighborhoods()
-    by_nbhd: dict[frozenset[int], list[int]] = {}
-    for r, nb in enumerate(nbhds):
-        by_nbhd.setdefault(nb, []).append(r)
-    cap = MAX_RIGHT_EXPANSION
-    chunks = (tuple(g[i : i + cap]) for g in by_nbhd.values() for i in range(0, len(g), cap))
-    groups = sorted(chunks, key=lambda g: g[0])
-
-    assign = np.empty(b.num_right, dtype=np.int64)
-    assign[[r for g in groups for r in g]] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    edges = []
-    for new_idx, g in enumerate(groups):
-        for l in sorted(nbhds[g[0]]):
-            edges.append((l, new_idx))
-    new_rb = np.bincount(assign, weights=rb, minlength=len(groups)).astype(np.int64)
+    # Right nodes sorted by run size, then run, then index: equal runs are
+    # consecutive and ascending, so each cap-sized chunk opens at a position
+    # whose rank in its run class is a multiple of the cap.
+    members, offsets = b.right_runs()
+    sizes = offsets[1:] - offsets[:-1]
+    rows = np.full((b.num_right, sizes.max(initial=0)), -1)
+    right = np.repeat(np.arange(b.num_right), sizes)
+    rows[right, np.arange(members.size) - offsets[right]] = members
+    order = np.lexsort((*rows.T[::-1], sizes))
+    rows = rows[order]
+    opens_class = np.ones(b.num_right, dtype=bool)
+    opens_class[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    position = np.arange(b.num_right)
+    rank = position - np.maximum.accumulate(np.where(opens_class, position, 0))
+    opens_chunk = rank % MAX_RIGHT_EXPANSION == 0
+    leader = np.empty(b.num_right, dtype=np.int64)
+    leader[order] = order[opens_chunk][np.cumsum(opens_chunk) - 1]
+    assign = _number_by_leader(leader)
+    num_groups = int(assign.max(initial=-1)) + 1
+    # The merged edges are the chunk leaders' edges.
+    kept = b.edges[leader[b.edges[:, 1]] == b.edges[:, 1]]
+    new_rb = np.bincount(assign, weights=rb, minlength=num_groups).astype(np.int64)
     graph = BipartiteGraph(
         num_left=b.num_left,
-        num_right=len(groups),
-        edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+        num_right=num_groups,
+        edges=np.stack([kept[:, 0], assign[kept[:, 1]]], axis=1),
         left_budgets=b.left_budgets,
         left_features=b.left_features,
         right_features=_weighted_means(b.right_features, rb, assign, new_rb),
     )
-    return DedupResult(graph=graph, groups=tuple(groups), right_budgets=new_rb)
+    return DedupResult(graph=graph, assign=assign, right_budgets=new_rb)
 
 
 def _sample_level_contractions(
@@ -295,11 +333,8 @@ def _sample_level_contractions(
 
     clique = clique_of_bipartite(b)
     costs = _variation_costs(clique, params.preserve_k)
-    if clique.num_edges:
-        order = np.lexsort((clique.edges[:, 1], clique.edges[:, 0], costs))
-        candidates = [tuple(int(x) for x in clique.edges[i]) for i in order]
-    else:
-        candidates = []
+    # Clique edges are in ascending (u, v) order, which breaks cost ties.
+    candidates = clique.edges[np.argsort(costs, kind="stable")].tolist()
 
     used: set[int] = set()
     accepted: list[tuple[int, int]] = []
@@ -346,6 +381,16 @@ def _permute_bipartite(
     )
 
 
+def _children_in_order(assign: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finer nodes in the order of their coarser node's stored position
+    (coarser node i is ``perm[i]`` of ``assign``), ascending within each, and
+    the child count of every stored coarser node."""
+    position = np.empty_like(perm)
+    position[perm] = np.arange(perm.size)
+    parent = position[assign]
+    return np.argsort(parent, kind="stable"), np.bincount(parent, minlength=perm.size)
+
+
 def sample_coarsening_sequence(
     h: Hypergraph, params: CoarseningParams, rng: np.random.Generator
 ) -> CoarseningSequence:
@@ -364,8 +409,9 @@ def sample_coarsening_sequence(
 
     b0 = star_expand(h)
     raw: list[BipartiteGraph] = [b0]
-    left_groups_per_step: list[list[tuple[int, ...]]] = [[]]
-    right_groups_per_step: list[list[tuple[int, ...]]] = [[]]
+    # The coarser node of every node, per side and step.
+    left_assign: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    right_assign: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     right_budgets = np.ones(b0.num_right, dtype=np.int64)
 
     # Terminates: ``Hypergraph`` rejects empty hyperedges, so every right
@@ -378,11 +424,10 @@ def sample_coarsening_sequence(
         if cur.num_left > 1:
             pairs, bridged = _sample_level_contractions(cur, params, rng)
         merged = merge_left(cur, pairs, allow_disconnected=bridged)
-        left_groups = complete_left_partition(pairs, cur.num_left)
         dedup = dedup_right(merged, right_budgets)
         raw.append(dedup.graph)
-        left_groups_per_step.append(left_groups)
-        right_groups_per_step.append([tuple(g) for g in dedup.groups])
+        left_assign.append(_left_assign(pairs, cur.num_left))
+        right_assign.append(dedup.assign)
         right_budgets = dedup.right_budgets
 
     top = len(raw) - 1
@@ -402,14 +447,12 @@ def sample_coarsening_sequence(
     targets: list[tuple[ExpansionVectors, RefinementDecision] | None] = [None] * (top + 1)
 
     for t in range(top, 0, -1):
-        gl = [tuple(sorted(left_groups_per_step[t][old])) for old in lperm]
-        gr = [tuple(sorted(right_groups_per_step[t][old])) for old in rperm]
-        child_lperm = np.array([i for g in gl for i in g], dtype=np.int64)
-        child_rperm = np.array([i for g in gr for i in g], dtype=np.int64)
+        child_lperm, left_sizes = _children_in_order(left_assign[t], lperm)
+        child_rperm, right_sizes = _children_in_order(right_assign[t], rperm)
         fine = _permute_bipartite(raw[t - 1], child_lperm, child_rperm)
         stored[t - 1] = fine
 
-        ev = ExpansionVectors([len(g) for g in gl], [len(g) for g in gr])
+        ev = ExpansionVectors(left_sizes, right_sizes)
         expanded = expand(stored[t], ev)
         keep = kept_edges(expanded, fine)
         if int(keep.sum()) != fine.num_edges:

@@ -115,15 +115,19 @@ def _canonical_edges(edges, num_left: int, num_right: int) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be pairs (left, right)")
-    if arr[:, 0].min() < 0 or arr[:, 0].max() >= num_left:
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    if lo[0] < 0 or hi[0] >= num_left:
         raise ValueError("left endpoint out of range")
-    if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_right:
+    if lo[1] < 0 or hi[1] >= num_right:
         raise ValueError("right endpoint out of range")
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    if arr.shape[0] > 1 and np.any(np.all(arr[1:] == arr[:-1], axis=1)):
+    # One key per incidence orders pairs lexicographically.
+    key = arr[:, 0] * num_right + arr[:, 1]
+    if np.all(key[1:] > key[:-1]):
+        return arr.copy()
+    order = np.argsort(key, kind="stable")
+    if np.any(key[order[1:]] == key[order[:-1]]):
         raise ValueError("duplicate incidence edge")
-    return arr
+    return arr[order]
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,8 @@ class BipartiteGraph:
         if arr.shape != (size,):
             raise ValueError(f"{what} length mismatch")
         if size:
-            if arr[0] != 0 or np.any(np.diff(arr) < 0) or np.any(np.diff(arr) > 1):
+            step = arr[1:] - arr[:-1]
+            if arr[0] != 0 or np.any((step < 0) | (step > 1)):
                 raise ValueError(f"{what} must label consecutive ascending blocks")
         return arr
 
@@ -210,12 +215,22 @@ class BipartiteGraph:
     def right_degrees(self) -> np.ndarray:
         return np.bincount(self.edges[:, 1], minlength=self.num_right)
 
+    def right_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every right node's neighbour run: the left neighbours of right node
+        ``r``, ascending, are ``members[offsets[r]:offsets[r + 1]]``.
+
+        A stable sort of the canonical edges by right endpoint, with offsets
+        from the right degrees, as ``autodiff.incidence`` builds its rows.
+        """
+        order = np.argsort(self.edges[:, 1], kind="stable")
+        offsets = np.zeros(self.num_right + 1, dtype=np.int64)
+        np.cumsum(self.right_degrees(), out=offsets[1:])
+        return self.edges[order, 0], offsets
+
     def right_neighborhoods(self) -> list[frozenset[int]]:
         """Left-neighbor set of every right node."""
-        sets: list[set[int]] = [set() for _ in range(self.num_right)]
-        for l, r in self.edges:
-            sets[r].add(int(l))
-        return [frozenset(s) for s in sets]
+        members, offsets = (a.tolist() for a in self.right_runs())
+        return [frozenset(members[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
 
     def same_topology(self, other: "BipartiteGraph") -> bool:
         return (
@@ -308,20 +323,16 @@ def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
     Of a hypergraph ``h`` this is ``clique_of_bipartite(star_expand(h))``,
     where the weight of {u, v} counts the hyperedges containing both.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for nb in b.right_neighborhoods():
-        members = sorted(nb)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                key = (members[i], members[j])
-                counts[key] = counts.get(key, 0) + 1
-    if counts:
-        pairs = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[tuple(p)] for p in pairs], dtype=np.int64)
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-        weights = np.zeros(0, dtype=np.int64)
-    return CliqueExpansion(b.num_left, pairs, weights)
+    members, offsets = b.right_runs()
+    sizes = offsets[1:] - offsets[:-1]
+    # Each run position pairs with every later position of its run: the
+    # position of rank i in a run of size d opens d - 1 - i pairs.
+    later = np.repeat(sizes - 1, sizes) - (np.arange(members.size) - np.repeat(offsets[:-1], sizes))
+    first = np.repeat(np.arange(members.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    n = b.num_left
+    keys, weights = np.unique(members[first] * n + members[second], return_counts=True)
+    return CliqueExpansion(n, np.stack([keys // n, keys % n], axis=1), weights)
 
 
 def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:
@@ -331,15 +342,14 @@ def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:
         ValueError: if some right node has no incident edge (it would encode
             an empty hyperedge).
     """
-    members: list[list[int]] = [[] for _ in range(b.num_right)]
-    for l, r in b.edges:
-        members[r].append(int(l))
-    for r, group in enumerate(members):
-        if not group:
-            raise ValueError(f"right node {r} has no incident edges (empty hyperedge)")
+    members, offsets = b.right_runs()
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if empty.size:
+        raise ValueError(f"right node {empty[0]} has no incident edges (empty hyperedge)")
+    members, offsets = members.tolist(), offsets.tolist()
     return Hypergraph(
         num_nodes=b.num_left,
-        hyperedges=[tuple(sorted(g)) for g in members],
+        hyperedges=[members[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
         node_features=b.left_features,
         hyperedge_features=b.right_features,
     )

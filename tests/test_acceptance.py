@@ -401,6 +401,7 @@ def test_criterion_08_equivariance():
 # 9. smoke training
 
 
+@pytest.mark.slow
 def test_criterion_09_smoke_training(toy_tree_dataset, tmp_path):
     cfg = TrainConfig(
         data_dir=str(toy_tree_dataset),
@@ -432,6 +433,7 @@ def test_criterion_09_smoke_training(toy_tree_dataset, tmp_path):
 # 10. trained-model sanity
 
 
+@pytest.mark.slow
 def test_criterion_10_trained_sampling(toy_tree_dataset, tmp_path):
     cfg = TrainConfig(
         data_dir=str(toy_tree_dataset),
@@ -530,6 +532,7 @@ def test_criterion_11_metric_oracles():
 # 12. sampling cost growth
 
 
+@pytest.mark.slow
 def test_criterion_12_sampling_cost(untrained_model):
     sizes = [32, 64, 128, 256]
     sample_one(untrained_model, 32, np.random.default_rng(120))  # warm-up

@@ -8,7 +8,6 @@ from hyperforge.coarsening import (
     CoarseningParams,
     CoarseningSequence,
     _variation_costs,
-    complete_left_partition,
     dedup_right,
     merge_left,
     sample_coarsening_sequence,
@@ -73,9 +72,18 @@ def test_merge_rejects_disconnected_part():
     assert merged.num_left == b.num_left - 1
 
 
-def test_complete_left_partition_fills_singletons():
-    groups = complete_left_partition([[1, 3]], 5)
-    assert groups == [(0,), (1, 3), (2,), (4,)]
+def test_merge_fills_singletons_in_least_member_order():
+    b = BipartiteGraph(5, 1, [[l, 0] for l in range(5)], [1, 2, 3, 4, 5])
+    merged = merge_left(b, [[3, 1]])
+    assert merged.left_budgets.tolist() == [1, 6, 3, 5]
+
+
+def test_part_listing_a_node_twice_is_rejected():
+    b = star_expand(_line_hypergraph())
+    with pytest.raises(ValueError, match="part lists a node twice"):
+        merge_left(b, [[1, 2, 1]])
+    with pytest.raises(ValueError, match="part lists a node twice"):
+        merge_left(b, [[1, 1]], allow_disconnected=True)
 
 
 def test_dedup_identical_neighborhoods():
@@ -370,3 +378,167 @@ def test_cache_returns_levels_and_resamples():
     # next take resamples a fresh sequence
     fresh = cache.take(1, rng)
     assert fresh.sequence is not first.sequence
+
+
+# ---------------------------------------------------------------------------
+# Oracles: loop-by-loop references for the vectorised level structure.
+
+
+@st.composite
+def _adversarial_levels(draw):
+    """Bipartite levels with empty right nodes, isolated left nodes, many
+    copies of one right neighbourhood and budgets above one."""
+    num_left = draw(st.integers(1, 9))
+    num_right = draw(st.integers(0, 9))
+    nbhd = st.frozensets(st.integers(0, num_left - 1), max_size=num_left)
+    pool = draw(st.lists(nbhd, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=num_right, max_size=num_right))
+    edges = [(l, r) for r, ls in enumerate(picks) for l in ls]
+    budgets = draw(st.lists(st.integers(1, 4), min_size=num_left, max_size=num_left))
+    return BipartiteGraph(num_left, num_right, np.array(edges, dtype=np.int64).reshape(-1, 2), budgets)
+
+
+def _neighbour_sets(b, side):
+    """Neighbour set of every node of ``side`` (0 left, 1 right), by a loop
+    over the incidences."""
+    sets = [set() for _ in range(b.num_left if side == 0 else b.num_right)]
+    for edge in b.edges.tolist():
+        sets[edge[side]].add(edge[1 - side])
+    return sets
+
+
+def _clique_reference(b):
+    counts = {}
+    for nb in _neighbour_sets(b, 1):
+        members = sorted(nb)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                key = (members[i], members[j])
+                counts[key] = counts.get(key, 0) + 1
+    pairs = sorted(counts)
+    return pairs, [counts[p] for p in pairs]
+
+
+def _dedup_reference(b, right_budgets):
+    """Groups of identical neighbourhoods in chunks of three, ordered by
+    least member; merged edges and summed budgets."""
+    nbhds = _neighbour_sets(b, 1)
+    by_nbhd = {}
+    for r, nb in enumerate(nbhds):
+        by_nbhd.setdefault(frozenset(nb), []).append(r)
+    chunks = [tuple(g[i : i + 3]) for g in by_nbhd.values() for i in range(0, len(g), 3)]
+    groups = sorted(chunks, key=lambda g: g[0])
+    edges = sorted((l, k) for k, g in enumerate(groups) for l in nbhds[g[0]])
+    budgets = [sum(right_budgets[r] for r in g) for g in groups]
+    return tuple(groups), edges, budgets
+
+
+def _partition_reference(parts, num_left):
+    seen, groups = set(), []
+    for part in parts:
+        members = tuple(sorted(part))
+        if not members:
+            return "empty part"
+        if members[0] < 0 or members[-1] >= num_left:
+            return "part member out of range"
+        if len(set(members)) < len(members):
+            return "part lists a node twice"
+        if seen.intersection(members):
+            return "parts must be disjoint"
+        seen.update(members)
+        groups.append(members)
+    groups.extend((i,) for i in range(num_left) if i not in seen)
+    return sorted(groups)
+
+
+def _connected_reference(group, left_nbhds):
+    """Breadth-first search over members that share a right node."""
+    reached, frontier = {group[0]}, [group[0]]
+    while frontier:
+        x = frontier.pop()
+        for y in group:
+            if y not in reached and left_nbhds[x] & left_nbhds[y]:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == len(group)
+
+
+def _merge_reference(b, parts):
+    """The merged (edges, budgets), or the error text of the first part
+    that is not connected."""
+    groups = _partition_reference(parts, b.num_left)
+    left_nbhds = _neighbour_sets(b, 0)
+    for g in groups:
+        if not _connected_reference(g, left_nbhds):
+            return f"part {g} is not connected in the clique expansion"
+    new = {x: k for k, g in enumerate(groups) for x in g}
+    edges = sorted({(new[l], r) for l, r in b.edges.tolist()})
+    budgets = [sum(int(b.left_budgets[x]) for x in g) for g in groups]
+    return edges, budgets
+
+
+@st.composite
+def _levels_with_parts(draw):
+    """A level and disjoint parts of 1 to 4 members, listed in any order."""
+    b = draw(_adversarial_levels())
+    nodes = draw(st.permutations(range(b.num_left)))
+    sizes = draw(st.lists(st.integers(1, 4), max_size=b.num_left))
+    parts, start = [], 0
+    for size in sizes:
+        if start < len(nodes):
+            parts.append(list(nodes[start : start + size]))
+        start += size
+    return b, parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_adversarial_levels())
+def test_clique_matches_pair_loop_oracle(b):
+    clique = clique_of_bipartite(b)
+    pairs, weights = _clique_reference(b)
+    assert clique.edges.reshape(-1, 2).tolist() == [list(p) for p in pairs]
+    assert clique.weights.tolist() == weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_adversarial_levels(), data=st.data())
+def test_dedup_matches_grouping_oracle(b, data):
+    rb = data.draw(st.lists(st.integers(1, 5), min_size=b.num_right, max_size=b.num_right))
+    res = dedup_right(b, np.array(rb, dtype=np.int64))
+    groups, edges, budgets = _dedup_reference(b, rb)
+    assert res.groups == groups
+    assert res.graph.edges.tolist() == [list(e) for e in edges]
+    assert res.right_budgets.tolist() == budgets
+    assert res.graph.num_right == len(groups)
+    assert [res.assign[g].tolist() for g in map(list, groups)] == [[k] * len(g) for k, g in enumerate(groups)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_levels_with_parts())
+def test_merge_left_matches_bfs_oracle(case):
+    b, parts = case
+    expected = _merge_reference(b, parts)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            merge_left(b, parts)
+        assert str(err.value) == expected
+        return
+    merged = merge_left(b, parts)
+    assert merged.edges.tolist() == [list(e) for e in expected[0]]
+    assert merged.left_budgets.tolist() == expected[1]
+    assert merged.num_right == b.num_right
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_adversarial_levels(), data=st.data())
+def test_merge_left_partition_matches_loop_oracle(b, data):
+    member = st.integers(-1, b.num_left)
+    parts = data.draw(st.lists(st.lists(member, max_size=4), max_size=5))
+    expected = _partition_reference(parts, b.num_left)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            merge_left(b, parts, allow_disconnected=True)
+        assert str(err.value) == expected
+    else:
+        merged = merge_left(b, parts, allow_disconnected=True)
+        assert merged.left_budgets.tolist() == [sum(int(b.left_budgets[x]) for x in g) for g in expected]

@@ -6,7 +6,10 @@ the order of float operations.  Its split head outputs even splits, so the
 odd sizes are the ones whose refined budgets show the rounding rule.  The same holds for the integer targets of a
 coarsening.  The featured pins hash float bytes: the budget-weighted feature
 means of every coarsening level of featured trees, and the noised input and
-targets of ``prepare_step`` on one of them.  The pins below are values of the
+targets of ``prepare_step`` on one of them.  The sequence pins hash every
+array of whole coarsening sequences of ego, SBM and adversarial hypergraphs,
+plain and featured, and the generator state after them, so they also pin
+the number of random draws.  The pins below are values of the
 implementation at the time they were recorded; a change of seeded structure
 or of featured float outputs fails here, stating the seed.
 """
@@ -18,7 +21,7 @@ import pytest
 
 import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
-from hyperforge.datasets import gen_tree
+from hyperforge.datasets import gen_ego, gen_sbm, gen_tree
 from hyperforge.denoiser import Denoiser, DenoiserConfig
 from hyperforge.hypergraph import Hypergraph
 
@@ -66,6 +69,26 @@ FEATURED_COARSENING = {
 
 # sha256 of every level's prepare_step input and targets, featured tree seed 0
 FEATURED_STEP = "079054dbc77adb9c400e42dd3069c6bb95ecafbe4f8627ca8084fea6c0a7f9c9"
+
+# (family, seed) -> (levels, sha256 of every array of the sequence and of the
+# generator's next draws); "+f" marks the featured variant
+SEQUENCES = {
+    ("ego", 0): (32, "d3e283acc068171adefa5e6444d21eabb2f90caf3724e7ee056a599cbf11dc51"),
+    ("ego", 1): (24, "ce40bb2e075f458aca3a0b0ba3096de8797f868812d4078cd97da32bb3ee2077"),
+    ("ego+f", 2): (36, "6b1a4e7d4d194d64f4e343a357657cd312c303d85e6ca258dc85f91f53a64750"),
+    ("sbm", 0): (11, "78a222a9eb6b5e4be4e2c3bb7a96bfadcc909f33259f9413aa98612d1fac8cfd"),
+    ("sbm", 1): (11, "095dec52ebdc41d1db4caf42c6b3dde9ff531fb517ec9ad34d629f021762b43f"),
+    ("sbm+f", 2): (11, "1227d2c680e88edbfb1d3b21800f445d3c4d2d5455e38ca3933dea60cc03d605"),
+    ("adversarial", 0): (15, "516d905371f2dcf66909d06d253991283b3267df9e002c79006da57bee9934e4"),
+    ("adversarial", 1): (16, "e81dfea91d24e5833cd2ac53f3bedf57f50861e4669212b61cb2f26e30afc31c"),
+    ("adversarial", 2): (7, "bf6d7f3aa172121093df02b53b5126ee0231de7ca5ac9a93d073b68fe9ba0d4a"),
+    ("adversarial", 3): (8, "46c3d340cbf8c4ddde3bd697595e79838951b7f1d0d69d4f8bdf5603c09876b9"),
+    # four and five copies of one hyperedge
+    ("adversarial", 6): (9, "dcd6f52d57d3d1784631ac91aeb8295ffd2754d3632a35515b0823b6a80b18de"),
+    ("adversarial", 29): (9, "8d3983a688e27b69a65e39322b1a82a3deea211fdadb9ea0b5beffd5c7535a48"),
+    ("adversarial+f", 4): (8, "339ae849ba65c535a9ebc808e32e9e1d95bfc6bc776dc7ebeb75861f7b0295a7"),
+    ("adversarial+f", 5): (12, "e5d3ecf9f48382c187507adae4c63284cd5e0c07c4c8b03c17da592fc7a0b34c"),
+}
 
 
 def _digest(arrays) -> str:
@@ -125,6 +148,49 @@ def featured_step() -> str:
     return _bytes_digest(arrays)
 
 
+def adversarial(rng: np.random.Generator) -> Hypergraph:
+    """A valid hypergraph outside every shipped family: duplicate and
+    singleton hyperedges, isolated nodes and, often, several components."""
+    n = int(rng.integers(4, 25))
+    edges: list[tuple[int, ...]] = []
+    for _ in range(int(rng.integers(1, 13))):
+        r = rng.random()
+        if edges and r < 0.25:
+            edges.append(edges[int(rng.integers(len(edges)))])
+        elif r < 0.4:
+            edges.append((int(rng.integers(n)),))
+        else:
+            size = min(int(rng.integers(2, 6)), n)
+            edges.append(tuple(int(v) for v in rng.choice(n, size=size, replace=False)))
+    return Hypergraph(n, edges)
+
+
+GENERATORS = {"ego": gen_ego, "sbm": gen_sbm, "adversarial": adversarial}
+
+
+def sequence_digest(family: str, seed: int) -> tuple[int, str]:
+    rng = np.random.default_rng([seed, 12])
+    kind, featured = family.removesuffix("+f"), family.endswith("+f")
+    h = GENERATORS[kind](rng)
+    if featured:
+        h = Hypergraph(
+            h.num_nodes,
+            h.hyperedges,
+            node_features=rng.normal(size=(h.num_nodes, 3)),
+            hyperedge_features=rng.normal(size=(h.num_hyperedges, 2)),
+        )
+    seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
+    arrays = []
+    for level in seq.levels:
+        b = level.bipartite
+        arrays += [b.edges, b.left_budgets, b.left_features, b.right_features]
+        if level.expansion is not None:
+            rd = level.refinement
+            arrays += [level.expansion.left, level.expansion.right, rd.edge_keep, rd.budget_split]
+    arrays.append(rng.random(2))
+    return seq.num_levels, _bytes_digest(arrays)
+
+
 def sample_structure(n: int, seed: int, monkeypatch) -> tuple[tuple, str]:
     den = Denoiser(ZERO_HEAD, rng=np.random.default_rng(0))
     budgets = []
@@ -180,3 +246,8 @@ def test_featured_tree_coarsening_features_are_pinned(seed):
 
 def test_featured_prepare_step_is_pinned():
     assert featured_step() == FEATURED_STEP
+
+
+@pytest.mark.parametrize("family, seed", sorted(SEQUENCES))
+def test_coarsening_sequences_are_pinned(family, seed):
+    assert sequence_digest(family, seed) == SEQUENCES[family, seed]
