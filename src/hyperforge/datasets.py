@@ -161,7 +161,7 @@ def _parse_off(lines: list[str], path: str) -> tuple[np.ndarray, list[tuple[int,
     faces = []
     pos = 0
     for _ in range(nf):
-        if pos >= len(tokens):
+        if pos + 4 > len(tokens):
             raise ValueError(f"{path}: truncated face block")
         count = int(tokens[pos])
         if count != 3:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, asdict
 from math import comb
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import wasserstein_distance
 
 from .hypergraph import Hypergraph, clique_of_bipartite, is_connected, normalized_laplacian, star_expand
 
@@ -68,6 +66,8 @@ def wasserstein_1d(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.size == 0 or b.size == 0:
         raise ValueError("wasserstein_1d needs nonempty multisets")
+    from scipy.stats import wasserstein_distance  # imported here: train, sample and coarsen never call this
+
     return float(wasserstein_distance(a, b))
 
 
@@ -230,6 +230,8 @@ def sample_surface_points(h: Hypergraph, num_points: int, rng: np.random.Generat
 
 def chamfer_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Symmetric point-cloud distance: both mean nearest-neighbor terms."""
+    from scipy.spatial import cKDTree  # imported here: train, sample and coarsen never call this
+
     d_pq = cKDTree(q).query(p)[0].mean()
     d_qp = cKDTree(p).query(q)[0].mean()
     return float(d_pq + d_qp)

@@ -152,7 +152,10 @@ class TrainConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, val, known[key])
+            try:
+                values[key] = _coerce(val, known[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: {exc}") from None
         return cls(**values)
 
     def coarsening_params(self) -> CoarseningParams:
@@ -164,11 +167,11 @@ class TrainConfig:
         )
 
 
-def _coerce(key: str, val: str, typename: str):
+def _coerce(val: str, typename: str):
     if "bool" in typename:
         low = val.lower()
         if low not in _BOOL_STRINGS:
-            raise ValueError(f"config key {key!r}: cannot parse bool from {val!r}")
+            raise ValueError(f"cannot parse bool from {val!r}")
         return _BOOL_STRINGS[low]
     if "int" in typename:
         return int(val)

@@ -145,6 +145,15 @@ def test_load_mesh_rejects_quads(tmp_path):
         load_mesh(path)
 
 
+def test_load_off_rejects_truncated_last_face(tmp_path):
+    """A face count of 3 followed by two indices is cut off, not a 2-node
+    hyperedge."""
+    path = tmp_path / "cut.off"
+    path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 1\n")
+    with pytest.raises(ValueError, match="truncated face block"):
+        load_mesh(path)
+
+
 def test_load_mesh_rejects_bad_index(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")

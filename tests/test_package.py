@@ -4,7 +4,9 @@ up."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +61,22 @@ def test_every_exported_name_is_used():
         if n not in used
     ]
     assert unused == []
+
+
+def test_import_leaves_evaluation_modules_unloaded():
+    """scipy.stats and scipy.spatial serve only the evaluation metrics, so
+    importing the package or its CLI must not load them."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hyperforge, hyperforge.cli\n"
+         "print(*sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.spatial'))))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _import_tracer():

@@ -79,12 +79,15 @@ def test_train_config_unknown_key_names_location(tmp_path):
     cfg_path.write_text("data_dir = x\nnot_a_key = 1\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2"):
         TrainConfig.from_file(cfg_path)
+    cfg_path.write_text("data_dir = x\nmax_steps=2.5\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: config key 'max_steps': invalid literal"):
+        TrainConfig.from_file(cfg_path)
 
 
 def test_train_config_bad_bool(tmp_path):
     cfg_path = tmp_path / "bad2.cfg"
     cfg_path.write_text("perturbation = maybe\n")
-    with pytest.raises(ValueError, match="bool"):
+    with pytest.raises(ValueError, match=r"bad2\.cfg:1: config key 'perturbation': cannot parse bool"):
         TrainConfig.from_file(cfg_path)
 
 
