@@ -48,6 +48,9 @@ _GRAD_ENABLED = True
 # Entries per Adam sweep group: the five arrays of a 32768-entry sweep
 # (1.3 MB) stay in a 2 MB L2 cache, which a whole-buffer sweep does not.
 _ADAM_SWEEP = 1 << 15
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+_LAYER_NORM_EPS = 1e-5
 
 
 @contextmanager
@@ -315,7 +318,7 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, scatter: csr_array) -> Tenso
     return Tensor(out_data, True, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then re-scale.
 
     One tape node; the forward takes the float steps of the composition
@@ -323,7 +326,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     scale = 1.0 / x.data.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + _LAYER_NORM_EPS) ** -0.5
     normed = centered * inv
     if not _needs(x, gain, bias):
         normed *= gain.data
@@ -415,9 +418,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
 
@@ -465,12 +465,7 @@ class ParameterStore:
         self._flat, self._adam_m, self._adam_v = flat, m, v
         self._scratch = np.empty((2, max((stop - start for start, stop, _ in self._groups), default=0)))
 
-    def adam_step(
-        self,
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
+    def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update of every parameter, in place.
 
         It writes the buffers that the parameter tensors read, so a tape
@@ -491,7 +486,7 @@ class ParameterStore:
         if not self._groups:
             self._pack()
         self.step_count += 1
-        b1, b2 = betas
+        b1, b2 = _ADAM_BETAS
         bc1, bc2 = 1 - b1**self.step_count, 1 - b2**self.step_count
         with np.errstate(invalid="ignore", over="ignore"):
             for start, stop, members in self._groups:
@@ -509,7 +504,7 @@ class ParameterStore:
                 # g is spent: it now holds sqrt(v_hat) + eps, and a the new values
                 np.divide(v, bc2, out=g)
                 np.sqrt(g, out=g)
-                g += eps
+                g += _ADAM_EPS
                 np.divide(m, bc1, out=a)
                 a *= lr
                 a /= g

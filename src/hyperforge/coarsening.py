@@ -13,7 +13,9 @@ hyperedge coarsens to one node and one hyperedge.
 Each level is built with array operations, without a Python loop over
 incidences: the clique pairs and the right-node groups come from every right
 node's neighbour run (:meth:`BipartiteGraph.right_runs`), and left groups are
-numbered by their least member.
+numbered by their least member.  Each level is derived once: both merges
+return the coarser node of every input node, the sampler keeps those two
+partitions, and one top-down pass orders every level and records its targets.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import MAX_RIGHT_EXPANSION, ExpansionVectors, RefinementDecision, expand, kept_edges
-from .hypergraph import BipartiteGraph, CliqueExpansion, Hypergraph, clique_of_bipartite, star_expand
+from .hypergraph import (
+    ZERO_EIGENVALUE_THRESHOLD,
+    BipartiteGraph,
+    CliqueExpansion,
+    Hypergraph,
+    clique_of_bipartite,
+    star_expand,
+)
 
 __all__ = [
     "CoarseningParams",
     "CoarseningLevel",
     "CoarseningSequence",
     "CoarseningCache",
-    "DedupResult",
     "merge_left",
     "dedup_right",
     "sample_coarsening_sequence",
@@ -116,13 +124,12 @@ def _variation_costs(clique: CliqueExpansion, preserve_k: int) -> np.ndarray:
     """
     if clique.num_edges == 0:
         return np.zeros(0)
-    W = clique.adjacency()
-    deg = W.sum(axis=1)
-    L = np.diag(deg) - W
+    L = clique.laplacian()
+    deg = L.diagonal()
     vals, vecs = np.linalg.eigh(L)
     k = min(preserve_k, clique.num_nodes)
     coef = np.zeros(k)
-    positive = vals[:k] > 1e-8
+    positive = vals[:k] > ZERO_EIGENVALUE_THRESHOLD
     coef[positive] = vals[:k][positive] ** -0.5
     A = vecs[:, :k] * coef
     u, v = clique.edges[:, 0], clique.edges[:, 1]
@@ -216,14 +223,15 @@ def _weighted_means(
 
 def merge_left(
     b: BipartiteGraph, parts: Sequence[Sequence[int]], allow_disconnected: bool = False
-) -> BipartiteGraph:
+) -> tuple[BipartiteGraph, np.ndarray]:
     """Merge left-node groups: budgets add, features average budget-weighted
     (:func:`_weighted_means`), right nodes and their features stay.
 
-    Unlisted nodes stay as singletons; merged node order is by least original
-    member.  Each part must induce a connected piece of the clique expansion
-    unless ``allow_disconnected`` (the sampler's last-resort bridge for
-    disconnected inputs).
+    Returns the merged graph and the merged left node of every input left
+    node.  Unlisted nodes stay as singletons; merged node order is by least
+    original member.  Each part must induce a connected piece of the clique
+    expansion unless ``allow_disconnected`` (the sampler's last-resort bridge
+    for disconnected inputs).
 
     Raises:
         ValueError: on the first part that is empty, out of range, lists a
@@ -241,7 +249,7 @@ def merge_left(
             raise ValueError(f"part {g} is not connected in the clique expansion")
 
     budgets = np.bincount(assign, weights=b.left_budgets, minlength=num_groups).astype(np.int64)
-    return BipartiteGraph(
+    graph = BipartiteGraph(
         num_left=num_groups,
         num_right=b.num_right,
         edges=np.stack([keys // width, keys % width], axis=1),
@@ -249,27 +257,10 @@ def merge_left(
         left_features=_weighted_means(b.left_features, b.left_budgets, assign, budgets),
         right_features=b.right_features,
     )
+    return graph, assign
 
 
-@dataclass(frozen=True)
-class DedupResult:
-    """Output of :func:`dedup_right`: merged graph, the merged right node of
-    every input right node, and the summed right budgets
-    (coarsening-internal)."""
-
-    graph: BipartiteGraph
-    assign: np.ndarray
-    right_budgets: np.ndarray
-
-    @property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Merge groups in the new right order, members ascending."""
-        members = np.argsort(self.assign, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.assign)).tolist()
-        return tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
-
-
-def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
+def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.ndarray, np.ndarray]:
     """Merge right nodes with identical left neighborhoods.
 
     Each group of identical neighborhoods splits, in ascending index order,
@@ -279,13 +270,13 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
     merge by budget-weighted mean, as in :func:`merge_left`; right budgets
     are tracked only inside coarsening (they are not a BipartiteGraph field)
     so they travel through this function explicitly.
+
+    Returns the merged graph, the merged right node of every input right
+    node, and the summed right budgets.
     """
-    if right_budgets is None:
-        rb = np.ones(b.num_right, dtype=np.int64)
-    else:
-        rb = np.asarray(right_budgets, dtype=np.int64).reshape(-1)
-        if rb.shape[0] != b.num_right:
-            raise ValueError("right budget length mismatch")
+    rb = np.asarray(right_budgets, dtype=np.int64).reshape(-1)
+    if rb.shape[0] != b.num_right:
+        raise ValueError("right budget length mismatch")
 
     # Right nodes sorted by run size, then run, then index: equal runs are
     # consecutive and ascending, so each cap-sized chunk opens at a position
@@ -317,7 +308,7 @@ def dedup_right(b: BipartiteGraph, right_budgets=None) -> DedupResult:
         left_features=b.left_features,
         right_features=_weighted_means(b.right_features, rb, assign, new_rb),
     )
-    return DedupResult(graph=graph, assign=assign, right_budgets=new_rb)
+    return graph, assign, new_rb
 
 
 def _sample_level_contractions(
@@ -366,15 +357,10 @@ def _permute_bipartite(
     linv[lperm] = np.arange(b.num_left)
     rinv = np.empty(b.num_right, dtype=np.int64)
     rinv[rperm] = np.arange(b.num_right)
-    edges = (
-        np.stack([linv[b.edges[:, 0]], rinv[b.edges[:, 1]]], axis=1)
-        if b.num_edges
-        else b.edges
-    )
     return BipartiteGraph(
         num_left=b.num_left,
         num_right=b.num_right,
-        edges=edges,
+        edges=np.stack([linv[b.edges[:, 0]], rinv[b.edges[:, 1]]], axis=1),
         left_budgets=b.left_budgets[lperm],
         left_features=b.left_features[lperm],
         right_features=b.right_features[rperm],
@@ -407,12 +393,10 @@ def sample_coarsening_sequence(
     if h.num_hyperedges < 1:
         raise ValueError("cannot coarsen a hypergraph with no hyperedges")
 
-    b0 = star_expand(h)
-    raw: list[BipartiteGraph] = [b0]
-    # The coarser node of every node, per side and step.
-    left_assign: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    right_assign: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    right_budgets = np.ones(b0.num_right, dtype=np.int64)
+    raw: list[BipartiteGraph] = [star_expand(h)]
+    # The coarser node of every left and right node, per contraction step.
+    assigns: list[tuple[np.ndarray, np.ndarray]] = []
+    right_budgets = np.ones(raw[0].num_right, dtype=np.int64)
 
     # Terminates: ``Hypergraph`` rejects empty hyperedges, so every right
     # neighborhood is non-empty; each level removes at least one left node
@@ -423,57 +407,43 @@ def sample_coarsening_sequence(
         pairs, bridged = [], False
         if cur.num_left > 1:
             pairs, bridged = _sample_level_contractions(cur, params, rng)
-        merged = merge_left(cur, pairs, allow_disconnected=bridged)
-        dedup = dedup_right(merged, right_budgets)
-        raw.append(dedup.graph)
-        left_assign.append(_left_assign(pairs, cur.num_left))
-        right_assign.append(dedup.assign)
-        right_budgets = dedup.right_budgets
+        merged, left_assign = merge_left(cur, pairs, allow_disconnected=bridged)
+        coarse, right_assign, right_budgets = dedup_right(merged, right_budgets)
+        raw.append(coarse)
+        assigns.append((left_assign, right_assign))
 
-    top = len(raw) - 1
-    if top >= 1:
-        raw[top] = replace(
-            raw[top],
-            left_features=np.zeros_like(raw[top].left_features),
-            right_features=np.zeros_like(raw[top].right_features),
+    coarse = raw.pop()
+    if assigns:
+        coarse = replace(
+            coarse,
+            left_features=np.zeros_like(coarse.left_features),
+            right_features=np.zeros_like(coarse.right_features),
         )
 
     # Top-down pass: fix each level's node order to the expansion order of its
     # parent, then record exact targets against the re-indexed finer level.
-    lperm = np.arange(raw[top].num_left)
-    rperm = np.arange(raw[top].num_right)
-    stored: list[BipartiteGraph | None] = [None] * (top + 1)
-    stored[top] = _permute_bipartite(raw[top], lperm, rperm)
-    targets: list[tuple[ExpansionVectors, RefinementDecision] | None] = [None] * (top + 1)
-
-    for t in range(top, 0, -1):
-        child_lperm, left_sizes = _children_in_order(left_assign[t], lperm)
-        child_rperm, right_sizes = _children_in_order(right_assign[t], rperm)
-        fine = _permute_bipartite(raw[t - 1], child_lperm, child_rperm)
-        stored[t - 1] = fine
-
+    lperm = np.arange(coarse.num_left)
+    rperm = np.arange(coarse.num_right)
+    levels: list[CoarseningLevel] = []
+    for (left_assign, right_assign), raw_fine in zip(reversed(assigns), reversed(raw)):
+        lperm, left_sizes = _children_in_order(left_assign, lperm)
+        rperm, right_sizes = _children_in_order(right_assign, rperm)
+        fine = _permute_bipartite(raw_fine, lperm, rperm)
         ev = ExpansionVectors(left_sizes, right_sizes)
-        expanded = expand(stored[t], ev)
+        expanded = expand(coarse, ev)
         keep = kept_edges(expanded, fine)
         if int(keep.sum()) != fine.num_edges:
             raise AssertionError("finer edges escaped the expansion closure")
-        fractions = fine.left_budgets / expanded.left_budgets
-        targets[t] = (
-            ev,
-            RefinementDecision(
-                edge_keep=keep,
-                budget_split=fractions,
-                left_features=fine.left_features,
-                right_features=fine.right_features,
-            ),
+        rd = RefinementDecision(
+            edge_keep=keep,
+            budget_split=fine.left_budgets / expanded.left_budgets,
+            left_features=fine.left_features,
+            right_features=fine.right_features,
         )
-        lperm, rperm = child_lperm, child_rperm
-
-    levels = [CoarseningLevel(bipartite=stored[0])]
-    for t in range(1, top + 1):
-        ev, rd = targets[t]
-        levels.append(CoarseningLevel(bipartite=stored[t], expansion=ev, refinement=rd))
-    return CoarseningSequence(levels=tuple(levels))
+        levels.append(CoarseningLevel(bipartite=coarse, expansion=ev, refinement=rd))
+        coarse = fine
+    levels.append(CoarseningLevel(bipartite=coarse))
+    return CoarseningSequence(levels=tuple(reversed(levels)))
 
 
 @dataclass

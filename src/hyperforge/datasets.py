@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 from itertools import combinations
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 from .hypergraph import Hypergraph, write_graphs_jsonl
@@ -119,6 +118,8 @@ def gen_tree(rng: np.random.Generator, num_nodes: int = TREE_NUM_NODES) -> Hyper
     as the group's node set stays within 5 nodes.  Every tree edge lands in
     exactly one group, so the union of hyperedges covers the tree.
     """
+    import networkx as nx  # imported here: only this generator uses it
+
     tree = nx.random_labeled_tree(num_nodes, seed=int(rng.integers(2**32)))
     edge_list = [tuple(e) for e in tree.edges()]
     order = rng.permutation(len(edge_list))
@@ -141,38 +142,42 @@ def gen_tree(rng: np.random.Generator, num_nodes: int = TREE_NUM_NODES) -> Hyper
     return Hypergraph(num_nodes, hyperedges)
 
 
-def _parse_off(lines: list[str], path: str) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _parse_off(lines: list[str]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     tokens: list[str] = []
     for line in lines:
         body = line.split("#", 1)[0].strip()
         if body:
             tokens.extend(body.split())
     if not tokens or tokens[0].upper() != "OFF":
-        raise ValueError(f"{path}: missing OFF header")
+        raise ValueError("missing OFF header")
     tokens = tokens[1:]
     if len(tokens) < 3:
-        raise ValueError(f"{path}: truncated OFF header")
+        raise ValueError("truncated OFF header")
     nv, nf = int(tokens[0]), int(tokens[1])
+    if nv < 0 or nf < 0:
+        raise ValueError("negative count in OFF header")
     tokens = tokens[3:]
     if len(tokens) < 3 * nv:
-        raise ValueError(f"{path}: truncated vertex block")
+        raise ValueError("truncated vertex block")
     verts = np.array([float(t) for t in tokens[: 3 * nv]]).reshape(nv, 3)
     tokens = tokens[3 * nv :]
     faces = []
     pos = 0
     for _ in range(nf):
         if pos + 4 > len(tokens):
-            raise ValueError(f"{path}: truncated face block")
+            raise ValueError("truncated face block")
         count = int(tokens[pos])
         if count != 3:
-            raise ValueError(f"{path}: non-triangle face with {count} vertices rejected")
+            raise ValueError(f"non-triangle face with {count} vertices rejected")
         face = tuple(int(t) for t in tokens[pos + 1 : pos + 4])
         pos += 4
         faces.append(face)
+    if pos != len(tokens):
+        raise ValueError("tokens after the last declared face")
     return verts, faces
 
 
-def _parse_obj(lines: list[str], path: str) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _parse_obj(lines: list[str]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     verts = []
     faces = []
     for line in lines:
@@ -182,18 +187,18 @@ def _parse_obj(lines: list[str], path: str) -> tuple[np.ndarray, list[tuple[int,
         parts = body.split()
         if parts[0] == "v":
             if len(parts) < 4:
-                raise ValueError(f"{path}: malformed vertex line {body!r}")
+                raise ValueError(f"malformed vertex line {body!r}")
             verts.append([float(x) for x in parts[1:4]])
         elif parts[0] == "f":
             refs = parts[1:]
             if len(refs) != 3:
-                raise ValueError(f"{path}: non-triangle face with {len(refs)} vertices rejected")
+                raise ValueError(f"non-triangle face with {len(refs)} vertices rejected")
             idx = []
             for r in refs:
                 head = r.split("/")[0]
                 i = int(head)
                 if i < 1:
-                    raise ValueError(f"{path}: unsupported face index {r!r}")
+                    raise ValueError(f"unsupported face index {r!r}")
                 idx.append(i - 1)
             faces.append(tuple(idx))
     return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
@@ -208,26 +213,19 @@ def load_mesh(path: str | Path) -> Hypergraph:
     path = Path(path)
     lines = path.read_text().splitlines()
     suffix = path.suffix.lower()
-    if suffix == ".off":
-        verts, faces = _parse_off(lines, str(path))
-    elif suffix == ".obj":
-        verts, faces = _parse_obj(lines, str(path))
-    else:
+    if suffix not in (".off", ".obj"):
         raise ValueError(f"{path}: unsupported mesh format {suffix!r}")
-    nv = verts.shape[0]
-    seen = set()
-    deduped = []
-    for face in faces:
-        if max(face) >= nv or min(face) < 0:
-            raise ValueError(f"{path}: face index out of range")
-        key = tuple(sorted(face))
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(key)
-    if not deduped:
-        raise ValueError(f"{path}: mesh has no faces")
-    return Hypergraph(nv, deduped, node_features=verts)
+    try:
+        verts, faces = _parse_off(lines) if suffix == ".off" else _parse_obj(lines)
+        nv = verts.shape[0]
+        if any(min(face) < 0 or max(face) >= nv for face in faces):
+            raise ValueError("face index out of range")
+        deduped = list(dict.fromkeys(tuple(sorted(face)) for face in faces))
+        if not deduped:
+            raise ValueError("mesh has no faces")
+        return Hypergraph(nv, deduped, node_features=verts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_obj(path: str | Path, h: Hypergraph) -> None:

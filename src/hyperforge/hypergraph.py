@@ -227,11 +227,6 @@ class BipartiteGraph:
         np.cumsum(self.right_degrees(), out=offsets[1:])
         return self.edges[order, 0], offsets
 
-    def right_neighborhoods(self) -> list[frozenset[int]]:
-        """Left-neighbor set of every right node."""
-        members, offsets = (a.tolist() for a in self.right_runs())
-        return [frozenset(members[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
-
     def same_topology(self, other: "BipartiteGraph") -> bool:
         return (
             self.num_left == other.num_left
@@ -272,13 +267,13 @@ class CliqueExpansion:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric weight matrix."""
+    def laplacian(self) -> np.ndarray:
+        """Dense combinatorial Laplacian ``D - W``; its diagonal holds the
+        weighted degrees."""
         W = np.zeros((self.num_nodes, self.num_nodes))
-        if self.edges.size:
-            W[self.edges[:, 0], self.edges[:, 1]] = self.weights
-            W[self.edges[:, 1], self.edges[:, 0]] = self.weights
-        return W
+        W[self.edges[:, 0], self.edges[:, 1]] = self.weights
+        W[self.edges[:, 1], self.edges[:, 0]] = self.weights
+        return np.diag(W.sum(axis=1)) - W
 
 
 @dataclass(frozen=True)

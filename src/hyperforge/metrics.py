@@ -84,11 +84,11 @@ def edge_size_multiset(h: Hypergraph) -> np.ndarray:
     return np.array([len(e) for e in h.hyperedges], dtype=np.int64)
 
 
-def spectral_histogram(h: Hypergraph, bins: int = SPECTRAL_BINS) -> np.ndarray:
+def spectral_histogram(h: Hypergraph) -> np.ndarray:
     """Normalized eigenvalue histogram of the incidence normalized Laplacian."""
     lap = normalized_laplacian(star_expand(h))
     vals = np.linalg.eigvalsh(lap)
-    hist, _ = np.histogram(np.clip(vals, *SPECTRAL_RANGE), bins=bins, range=SPECTRAL_RANGE)
+    hist, _ = np.histogram(np.clip(vals, *SPECTRAL_RANGE), bins=SPECTRAL_BINS, range=SPECTRAL_RANGE)
     total = hist.sum()
     return hist / total if total else hist.astype(np.float64)
 
@@ -120,17 +120,10 @@ def spectral_mmd(set_a: list[Hypergraph], set_b: list[Hypergraph]) -> float:
 
 def _fiedler_bipartition(h: Hypergraph) -> tuple[np.ndarray, np.ndarray] | None:
     clique = clique_of_bipartite(star_expand(h))
-    w = clique.adjacency()
-    if not np.any(w):
+    if clique.num_edges == 0:
         return None
-    lap = np.diag(w.sum(axis=1)) - w
-    vals, vecs = np.linalg.eigh(lap)
-    if len(vals) < 2:
-        return None
-    fiedler = vecs[:, 1]
-    part_a = np.flatnonzero(fiedler >= 0)
-    part_b = np.flatnonzero(fiedler < 0)
-    return part_a, part_b
+    fiedler = np.linalg.eigh(clique.laplacian())[1][:, 1]
+    return np.flatnonzero(fiedler >= 0), np.flatnonzero(fiedler < 0)
 
 
 def _valid_sbm(h: Hypergraph) -> bool:

@@ -171,7 +171,7 @@ def test_criterion_04_weighted_mean_optimal():
             left_budgets=budgets,
             left_features=feats,
         )
-        merged = merge_left(b, [list(range(s))])
+        merged, _ = merge_left(b, [list(range(s))])
         c_star = float(merged.left_features[0, 0])
         grid = np.arange(feats.min(), feats.max() + step, step)
         cost = ((grid[:, None] - feats[:, 0][None, :]) ** 2 * budgets[None, :]).sum(axis=1)

@@ -437,7 +437,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert manifest["format_version"] == 1
     assert manifest["config"]["hidden_dim"] == 64
     assert manifest["step_count"] == 17
-    assert sorted(loaded.names()) == sorted(store.names())
+    assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
     for name, t in store.items():
         assert np.array_equal(loaded[name].data, t.data)
         assert loaded[name].data.dtype == np.float64

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperforge import coarsening
 from hyperforge.coarsening import (
     CoarseningCache,
     CoarseningParams,
@@ -50,7 +51,8 @@ def test_merge_budget_weighted_feature():
         np.array([3, 1], dtype=np.int64),
         left_features=np.array([[0.0], [4.0]]),
     )
-    merged = merge_left(b, [[0, 1]])
+    merged, assign = merge_left(b, [[0, 1]])
+    assert assign.tolist() == [0, 0]
     assert merged.num_left == 1
     assert merged.left_budgets.tolist() == [4]
     # (3*0 + 1*4) / 4 = 1
@@ -59,7 +61,8 @@ def test_merge_budget_weighted_feature():
 
 def test_merge_singletons_is_identity():
     b = star_expand(_line_hypergraph())
-    merged = merge_left(b, [[i] for i in range(b.num_left)])
+    merged, assign = merge_left(b, [[i] for i in range(b.num_left)])
+    assert assign.tolist() == list(range(b.num_left))
     assert merged.same_topology(b)
     assert np.array_equal(merged.left_budgets, b.left_budgets)
 
@@ -68,13 +71,14 @@ def test_merge_rejects_disconnected_part():
     b = star_expand(_line_hypergraph())
     with pytest.raises(ValueError):
         merge_left(b, [[0, 5]])
-    merged = merge_left(b, [[0, 5]], allow_disconnected=True)
+    merged, _ = merge_left(b, [[0, 5]], allow_disconnected=True)
     assert merged.num_left == b.num_left - 1
 
 
 def test_merge_fills_singletons_in_least_member_order():
     b = BipartiteGraph(5, 1, [[l, 0] for l in range(5)], [1, 2, 3, 4, 5])
-    merged = merge_left(b, [[3, 1]])
+    merged, assign = merge_left(b, [[3, 1]])
+    assert assign.tolist() == [0, 1, 2, 1, 3]
     assert merged.left_budgets.tolist() == [1, 6, 3, 5]
 
 
@@ -93,37 +97,39 @@ def test_dedup_identical_neighborhoods():
         np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
         np.ones(2, dtype=np.int64),
     )
-    res = dedup_right(b)
-    assert res.graph.num_right == 1
-    assert res.graph.edges.tolist() == [[0, 0], [1, 0]]
-    assert sorted(map(sorted, res.groups)) == [[0, 1]]
-    assert res.right_budgets.tolist() == [2]
+    graph, assign, right_budgets = dedup_right(b, np.ones(2, dtype=np.int64))
+    assert graph.num_right == 1
+    assert graph.edges.tolist() == [[0, 0], [1, 0]]
+    assert assign.tolist() == [0, 0]
+    assert right_budgets.tolist() == [2]
 
 
 def test_dedup_distinct_is_identity():
     b = star_expand(_line_hypergraph())
-    res = dedup_right(b)
-    assert res.graph.same_topology(b)
-    assert all(len(g) == 1 for g in res.groups)
+    graph, assign, _ = dedup_right(b, np.ones(b.num_right, dtype=np.int64))
+    assert graph.same_topology(b)
+    assert assign.tolist() == list(range(b.num_right))
 
 
 def test_dedup_three_copies_merge_with_cap():
     edges = [[0, j] for j in range(3)] + [[1, j] for j in range(3)]
     b = BipartiteGraph(2, 3, np.array(edges), np.ones(2, dtype=np.int64))
-    res = dedup_right(b)
-    assert res.graph.num_right == 1
-    assert sorted(map(sorted, res.groups)) == [[0, 1, 2]]
-    assert res.right_budgets.tolist() == [3]
+    graph, assign, right_budgets = dedup_right(b, np.ones(3, dtype=np.int64))
+    assert graph.num_right == 1
+    assert assign.tolist() == [0, 0, 0]
+    assert right_budgets.tolist() == [3]
 
 
 def test_dedup_splits_copies_into_chunks_of_three():
     edges = [[l, j] for j in range(7) for l in range(2)]
     b = BipartiteGraph(2, 7, np.array(edges), np.ones(2, dtype=np.int64))
-    res = dedup_right(b)
-    assert res.groups == ((0, 1, 2), (3, 4, 5), (6,))
-    assert res.right_budgets.tolist() == [3, 3, 1]
-    assert res.graph.num_right == 3
-    assert res.graph.right_neighborhoods() == [frozenset({0, 1})] * 3
+    graph, assign, right_budgets = dedup_right(b, np.ones(7, dtype=np.int64))
+    assert assign.tolist() == [0, 0, 0, 1, 1, 1, 2]
+    assert right_budgets.tolist() == [3, 3, 1]
+    assert graph.num_right == 3
+    members, offsets = graph.right_runs()
+    assert members.tolist() == [0, 1] * 3
+    assert offsets.tolist() == [0, 2, 4, 6]
 
 
 def test_duplicate_hyperedge_limits():
@@ -148,6 +154,22 @@ def test_duplicate_hyperedge_limits():
     assert [(lvl.bipartite.num_left, lvl.bipartite.num_right) for lvl in seq.levels] == [(1, 7), (1, 3), (1, 1)]
     assert seq.levels[1].expansion.right.tolist() == [3, 3, 1]
     assert seq.levels[2].expansion.right.tolist() == [3]
+
+
+def test_each_contraction_step_derives_its_left_partition_once(monkeypatch):
+    """``merge_left`` returns the partition it derives, so the sampler does
+    not derive it again."""
+    left_assign, calls = coarsening._left_assign, []
+
+    def counted(parts, num_left):
+        calls.append(num_left)
+        return left_assign(parts, num_left)
+
+    monkeypatch.setattr(coarsening, "_left_assign", counted)
+    for h in (gen_tree(np.random.default_rng(3)), Hypergraph(1, [[0]] * 7)):
+        calls.clear()
+        seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(4))
+        assert calls == [lvl.bipartite.num_left for lvl in seq.levels[:-1]]
 
 
 def test_sequence_rejects_repeated_or_growing_level():
@@ -175,7 +197,9 @@ def _dense_variation_cost(clique, u, v, preserve_k):
     """Oracle: Frobenius norm of B^T L_local B for contracting {u, v}, with
     B = Pi_orth A[[u, v]] and A = U_k diag(lambda^-1/2) the first-k spectral
     basis of the combinatorial Laplacian, zero-eigenvalue columns masked."""
-    W = clique.adjacency()
+    W = np.zeros((clique.num_nodes, clique.num_nodes))
+    for (a, b), weight in zip(clique.edges.tolist(), clique.weights.tolist()):
+        W[a, b] = W[b, a] = weight
     deg = W.sum(axis=1)
     vals, vecs = np.linalg.eigh(np.diag(deg) - W)
     k = min(preserve_k, clique.num_nodes)
@@ -504,13 +528,12 @@ def test_clique_matches_pair_loop_oracle(b):
 @given(b=_adversarial_levels(), data=st.data())
 def test_dedup_matches_grouping_oracle(b, data):
     rb = data.draw(st.lists(st.integers(1, 5), min_size=b.num_right, max_size=b.num_right))
-    res = dedup_right(b, np.array(rb, dtype=np.int64))
+    graph, assign, right_budgets = dedup_right(b, np.array(rb, dtype=np.int64))
     groups, edges, budgets = _dedup_reference(b, rb)
-    assert res.groups == groups
-    assert res.graph.edges.tolist() == [list(e) for e in edges]
-    assert res.right_budgets.tolist() == budgets
-    assert res.graph.num_right == len(groups)
-    assert [res.assign[g].tolist() for g in map(list, groups)] == [[k] * len(g) for k, g in enumerate(groups)]
+    assert assign.tolist() == [k for r in range(b.num_right) for k, g in enumerate(groups) if r in g]
+    assert graph.edges.tolist() == [list(e) for e in edges]
+    assert right_budgets.tolist() == budgets
+    assert graph.num_right == len(groups)
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,7 +546,7 @@ def test_merge_left_matches_bfs_oracle(case):
             merge_left(b, parts)
         assert str(err.value) == expected
         return
-    merged = merge_left(b, parts)
+    merged, _ = merge_left(b, parts)
     assert merged.edges.tolist() == [list(e) for e in expected[0]]
     assert merged.left_budgets.tolist() == expected[1]
     assert merged.num_right == b.num_right
@@ -540,5 +563,18 @@ def test_merge_left_partition_matches_loop_oracle(b, data):
             merge_left(b, parts, allow_disconnected=True)
         assert str(err.value) == expected
     else:
-        merged = merge_left(b, parts, allow_disconnected=True)
+        merged, _ = merge_left(b, parts, allow_disconnected=True)
         assert merged.left_budgets.tolist() == [sum(int(b.left_budgets[x]) for x in g) for g in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_levels_with_parts())
+def test_merge_left_assign_matches_loop_oracle(case):
+    """The merged node of every left node is its group's rank by least
+    member, and summing budgets by it gives the merged budgets."""
+    b, parts = case
+    groups = _partition_reference(parts, b.num_left)
+    merged, assign = merge_left(b, parts, allow_disconnected=True)
+    assert assign.tolist() == [k for x in range(b.num_left) for k, g in enumerate(groups) if x in g]
+    budgets = np.bincount(assign, weights=b.left_budgets)
+    assert budgets.tolist() == merged.left_budgets.tolist()

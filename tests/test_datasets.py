@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,27 @@ def test_load_off_rejects_truncated_last_face(tmp_path):
     path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 1\n")
     with pytest.raises(ValueError, match="truncated face block"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("count.off", "OFF\n4 x 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n", "invalid literal"),
+        ("coord.off", "OFF\n3 1 0\n0 0 0\n1 q 0\n0 1 0\n3 0 1 2\n", "could not convert"),
+        ("face.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 a 3\n", "invalid literal"),
+        ("extra.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 7 7 7\n", "tokens after the last declared face"),
+        ("negative.off", "OFF\n-1 1 0\n0 0 0\n1 0 0\n3 0 1 2\n", "negative count in OFF header"),
+        ("quad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n", "non-triangle face"),
+    ],
+)
+def test_load_mesh_errors_name_the_file(tmp_path, name, text, message):
+    """Every parse error starts with the file's path, once; tokens after the
+    last declared OFF face are an error, not silently dropped."""
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}") as err:
+        load_mesh(path)
+    assert str(err.value).count(str(path)) == 1
 
 
 def test_load_mesh_rejects_bad_index(tmp_path):

@@ -253,5 +253,6 @@ def test_degree_helpers():
     b = star_expand(h)
     assert b.left_degrees().tolist() == [1, 2, 1, 1]
     assert b.right_degrees().tolist() == [2, 3]
-    nbh = b.right_neighborhoods()
-    assert nbh == [frozenset({0, 1}), frozenset({1, 2, 3})]
+    members, offsets = b.right_runs()
+    assert members.tolist() == [0, 1, 1, 2, 3]
+    assert offsets.tolist() == [0, 2, 5]

@@ -64,13 +64,14 @@ def test_every_exported_name_is_used():
 
 
 def test_import_leaves_evaluation_modules_unloaded():
-    """scipy.stats and scipy.spatial serve only the evaluation metrics, so
-    importing the package or its CLI must not load them."""
+    """scipy.stats and scipy.spatial serve only the evaluation metrics, and
+    networkx only the tree generator, so importing the package or its CLI
+    must not load them."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hyperforge, hyperforge.cli\n"
-         "print(*sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.spatial'))))"],
+         "print(*sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.spatial', 'networkx'))))"],
         capture_output=True,
         text=True,
         env=env,
