@@ -9,7 +9,6 @@ from .hypergraph import (
     BipartiteGraph,
     CliqueExpansion,
     Hypergraph,
-    SpectralBasis,
     clique_of_bipartite,
     collapse_bipartite,
     normalized_laplacian,
@@ -37,7 +36,6 @@ from .coarsening import (
     sample_coarsening_sequence,
 )
 from .flow import (
-    FlowHeadSpec,
     endpoint_velocity,
     integrate,
     interpolate,
@@ -64,7 +62,6 @@ __all__ = [
     "BipartiteGraph",
     "CliqueExpansion",
     "Hypergraph",
-    "SpectralBasis",
     "clique_of_bipartite",
     "collapse_bipartite",
     "normalized_laplacian",
@@ -86,7 +83,6 @@ __all__ = [
     "dedup_right",
     "merge_left",
     "sample_coarsening_sequence",
-    "FlowHeadSpec",
     "endpoint_velocity",
     "integrate",
     "interpolate",

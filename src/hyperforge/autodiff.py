@@ -547,14 +547,19 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
     """Read a checkpoint; returns the store and the manifest (with config).
 
     Raises:
-        ValueError: on bad magic, version, or truncated payload.
+        ValueError: on bad magic, version, a truncated header or payload, or
+            bytes after the last array.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise ValueError("not a hyperforge checkpoint (bad magic)")
     off = len(CHECKPOINT_MAGIC)
+    if off + 8 > len(raw):
+        raise ValueError("checkpoint header truncated")
     (hlen,) = struct.unpack_from("<Q", raw, off)
     off += 8
+    if off + hlen > len(raw):
+        raise ValueError("checkpoint header truncated")
     manifest = json.loads(raw[off : off + hlen].decode("utf-8"))
     off += hlen
     if manifest.get("format_version") != CHECKPOINT_VERSION:
@@ -569,5 +574,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
         arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape)
         off += nbytes
         store.create(entry["name"], arr)
+    if off != len(raw):
+        raise ValueError(f"{len(raw) - off} bytes after the last checkpoint array")
     store.step_count = int(manifest.get("step_count", 0))
     return store, manifest

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compare generated graphs against a reference set")
     p.add_argument("--gen", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=["sbm", "ego", "tree", "mesh", "mesh-dir"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 

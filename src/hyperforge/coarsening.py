@@ -447,27 +447,19 @@ def sample_coarsening_sequence(
 
 
 @dataclass
-class CacheItem:
-    """One training draw: a sequence plus the sampled level index."""
-
-    sequence: CoarseningSequence
-    level_index: int
-
-
-@dataclass
 class CoarseningCache:
     """Per-graph queues of not-yet-consumed levels.
 
-    Each take returns a uniformly random unconsumed level of the graph's
-    current sequence; once every level was consumed a fresh sequence is
-    sampled with new RNG draws.
+    Each take returns ``(sequence, level_index)``: the graph's current
+    sequence and a uniformly random unconsumed level of it; once every level
+    was consumed a fresh sequence is sampled with new RNG draws.
     """
 
     graphs: Sequence[Hypergraph]
     params: CoarseningParams
     _state: dict[int, tuple[CoarseningSequence, list[int]]] = field(default_factory=dict)
 
-    def take(self, graph_id: int, rng: np.random.Generator) -> CacheItem:
+    def take(self, graph_id: int, rng: np.random.Generator) -> tuple[CoarseningSequence, int]:
         if not 0 <= graph_id < len(self.graphs):
             raise ValueError(f"unknown graph id {graph_id}")
         entry = self._state.get(graph_id)
@@ -477,4 +469,4 @@ class CoarseningCache:
             self._state[graph_id] = entry
         seq, pending = entry
         level_index = pending.pop(int(rng.integers(len(pending))))
-        return CacheItem(sequence=seq, level_index=level_index)
+        return seq, level_index

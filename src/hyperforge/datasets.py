@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph, write_graphs_jsonl
+from .hypergraph import Hypergraph, read_graphs_jsonl, write_graphs_jsonl
 
 __all__ = [
     "DatasetSpec",
@@ -286,8 +286,6 @@ def read_manifest(data_dir: str | Path) -> dict:
 
 
 def load_dataset_split(data_dir: str | Path, split: str) -> list[Hypergraph]:
-    from .hypergraph import read_graphs_jsonl
-
     if split not in SPLIT_NAMES:
         raise ValueError(f"unknown split {split!r}")
     return read_graphs_jsonl(Path(data_dir) / f"{split}.jsonl")

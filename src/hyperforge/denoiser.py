@@ -190,10 +190,8 @@ def spectral_rows(b: BipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray, np
     Returns (left rows (n, k), right rows (m, k), eigenvalues (k,)), zero
     padded when fewer than ``k`` nonzero eigenpairs exist.
     """
-    lap = normalized_laplacian(b)
-    basis = smallest_nonzero_eigs(lap, k)
-    vecs = basis.eigenvectors
-    return vecs[: b.num_left], vecs[b.num_left :], basis.eigenvalues
+    vals, vecs = smallest_nonzero_eigs(normalized_laplacian(b), k)
+    return vecs[: b.num_left], vecs[b.num_left :], vals
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

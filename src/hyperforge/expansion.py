@@ -73,25 +73,24 @@ class RefinementDecision:
 
     ``edge_keep`` is 0/1 per expanded edge (canonical lexicographic order),
     ``budget_split`` holds one simplex fraction per left child (grouped by
-    sibling blocks), and the feature matrices, when present, replace the
-    inherited parent features wholesale.
+    sibling blocks), and the feature matrices replace the inherited parent
+    features wholesale.
     """
 
     edge_keep: np.ndarray
     budget_split: np.ndarray
-    left_features: np.ndarray | None = None
-    right_features: np.ndarray | None = None
+    left_features: np.ndarray
+    right_features: np.ndarray
 
-    def __init__(self, edge_keep, budget_split, left_features=None, right_features=None):
+    def __init__(self, edge_keep, budget_split, left_features, right_features):
         ek = np.asarray(edge_keep, dtype=np.int8).reshape(-1)
         if ek.size and not np.all((ek == 0) | (ek == 1)):
             raise ValueError("edge_keep entries must be 0 or 1")
         bs = np.asarray(budget_split, dtype=np.float64).reshape(-1)
-        lf = None if left_features is None else np.asarray(left_features, dtype=np.float64)
-        rf = None if right_features is None else np.asarray(right_features, dtype=np.float64)
+        lf = np.asarray(left_features, dtype=np.float64)
+        rf = np.asarray(right_features, dtype=np.float64)
         for arr in (ek, bs, lf, rf):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         object.__setattr__(self, "edge_keep", ek)
         object.__setattr__(self, "budget_split", bs)
         object.__setattr__(self, "left_features", lf)
@@ -235,8 +234,8 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
 
     Keeps the selected edges, splits each parent budget over its sibling block
     per the stored fractions with :func:`split_budgets`, and swaps in the
-    refined feature matrices (when absent, the inherited parent features are
-    kept).  The result carries no sibling maps; it is a plain level again.
+    refined feature matrices.  The result carries no sibling maps; it is a
+    plain level again.
     """
     if expanded.cluster_of_left is None or expanded.cluster_of_right is None:
         raise ValueError("refine requires an expanded graph with sibling maps")
@@ -248,15 +247,13 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
     kept = expanded.edges[decision.edge_keep.astype(bool)]
     budgets = split_budgets(expanded.left_budgets, decision.budget_split, expanded.cluster_of_left)
 
-    lf = decision.left_features if decision.left_features is not None else expanded.left_features
-    rf = decision.right_features if decision.right_features is not None else expanded.right_features
     return BipartiteGraph(
         num_left=expanded.num_left,
         num_right=expanded.num_right,
         edges=kept,
         left_budgets=budgets,
-        left_features=lf,
-        right_features=rf,
+        left_features=decision.left_features,
+        right_features=decision.right_features,
     )
 
 

@@ -21,13 +21,11 @@ draws the same priors and runs :func:`integrate`, which steps with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FlowHeadSpec",
     "TERMINAL_TIME_EPS",
     "interpolate",
     "endpoint_velocity",
@@ -36,36 +34,10 @@ __all__ = [
     "project_split_groups",
     "ot_couple",
     "integrate",
-    "signed_from_unit",
-    "unit_from_signed",
 ]
 
 TERMINAL_TIME_EPS = 1e-5
-
-
-@dataclass(frozen=True)
-class FlowHeadSpec:
-    """Name, prior family and Dirichlet concentration of one flow head."""
-
-    name: str
-    prior: str = "gaussian"
-    dirichlet_alpha: float = 1.5
-
-    def __post_init__(self):
-        if self.prior not in ("gaussian", "dirichlet"):
-            raise ValueError(f"unknown prior family {self.prior!r}")
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
-
-
-def signed_from_unit(x: np.ndarray) -> np.ndarray:
-    """[0, 1] fractions -> [-1, 1] flow coordinates."""
-    return 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-
-
-def unit_from_signed(x: np.ndarray) -> np.ndarray:
-    """[-1, 1] flow coordinates -> [0, 1] fractions."""
-    return (np.asarray(x, dtype=np.float64) + 1.0) / 2.0
+SPLIT_DIRICHLET_ALPHA = 1.5
 
 
 def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
@@ -96,29 +68,27 @@ def endpoint_velocity(x_t: np.ndarray, x1_hat: np.ndarray, t: float) -> np.ndarr
 
 
 def sample_prior(
-    spec: FlowHeadSpec,
     shape: tuple[int, ...],
     rng: np.random.Generator,
     pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw x0 noise for one head.
 
-    Gaussian heads get i.i.d. standard normals.  Dirichlet heads (budget
-    splits) draw one symmetric Dirichlet per sibling pair of ``pairs``, in
-    pair order and mapped by 2x - 1; every child that no pair names is an
-    only child and gets the constant 1.  All pairs come from one
+    Without ``pairs``: i.i.d. standard normals of ``shape``.  With them, the
+    budget-split prior over a flat per-child vector: one symmetric Dirichlet
+    of concentration ``SPLIT_DIRICHLET_ALPHA`` per sibling pair, in pair
+    order and mapped by 2x - 1; every child that no pair names is an only
+    child and gets the constant 1.  All pairs come from one
     ``rng.dirichlet`` call, which uses the generator as one call per pair
     would.
     """
-    if spec.prior == "gaussian":
+    if pairs is None:
         return rng.standard_normal(shape)
     if len(shape) != 1:
-        raise ValueError("dirichlet prior is defined over a flat per-child vector")
-    if pairs is None:
-        raise ValueError("dirichlet prior needs sibling pairs")
+        raise ValueError("the split prior is defined over a flat per-child vector")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     out = np.ones(shape[0], dtype=np.float64)
-    draws = rng.dirichlet([spec.dirichlet_alpha] * 2, size=pairs.shape[0])
+    draws = rng.dirichlet([SPLIT_DIRICHLET_ALPHA] * 2, size=pairs.shape[0])
     out[pairs] = 2.0 * draws - 1.0
     return out
 
@@ -182,7 +152,7 @@ def project_split_groups(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("can only project finite split values")
     out = np.ones_like(values)
-    out[pairs] = signed_from_unit(_project_pairs(unit_from_signed(values[pairs])))
+    out[pairs] = 2.0 * _project_pairs((values[pairs] + 1.0) / 2.0) - 1.0
     return out
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "Hypergraph",
     "BipartiteGraph",
     "CliqueExpansion",
-    "SpectralBasis",
     "star_expand",
     "clique_of_bipartite",
     "collapse_bipartite",
@@ -276,22 +275,6 @@ class CliqueExpansion:
         return np.diag(W.sum(axis=1)) - W
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Smallest non-zero eigenpairs of a graph Laplacian, zero-padded to k."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __init__(self, eigenvalues, eigenvectors):
-        vals = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
-        vecs = np.asarray(eigenvectors, dtype=np.float64)
-        if vecs.ndim != 2 or vecs.shape[1] != vals.shape[0]:
-            raise ValueError("eigenvector matrix must be (n, k)")
-        object.__setattr__(self, "eigenvalues", _freeze(vals))
-        object.__setattr__(self, "eigenvectors", _freeze(vecs))
-
-
 def star_expand(h: Hypergraph) -> BipartiteGraph:
     """Build the bipartite incidence graph: nodes left, hyperedges right.
 
@@ -393,11 +376,12 @@ def _dense_nonzero_eigs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return vals[:k], vecs[:, :k]
 
 
-def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> SpectralBasis:
+def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs with eigenvalue above the zero threshold (1e-8).
 
-    Uses a dense solver below 512 rows and shifted Lanczos above.  If fewer
-    than k qualifying eigenpairs exist, the result is zero-padded to width k.
+    Returns (eigenvalues (k,), eigenvectors (n, k)) in ascending order.  Uses
+    a dense solver below 512 rows and shifted Lanczos above.  If fewer than k
+    qualifying eigenpairs exist, the result is zero-padded to width k.
 
     Raises:
         ValueError: on non-symmetric input or negative k.
@@ -411,7 +395,7 @@ def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> SpectralBasis:
     if n and np.max(np.abs(mat - mat.T)) > 1e-10:
         raise ValueError("matrix must be symmetric")
     if k == 0 or n == 0:
-        return SpectralBasis(np.zeros(0), np.zeros((n, 0)))
+        return np.zeros(0), np.zeros((n, 0))
 
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = _dense_nonzero_eigs(mat, k)
@@ -439,7 +423,7 @@ def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> SpectralBasis:
     if have < k:
         vals = np.concatenate([vals, np.zeros(k - have)])
         vecs = np.concatenate([vecs, np.zeros((n, k - have))], axis=1)
-    return SpectralBasis(vals, vecs)
+    return vals, vecs
 
 
 def _features_to_json(arr: np.ndarray | None):

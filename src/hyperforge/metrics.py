@@ -177,9 +177,6 @@ def _valid_tree(h: Hypergraph) -> bool:
     """
     if h.num_hyperedges == 0:
         return h.num_nodes <= 1
-    for e in h.hyperedges:
-        if len(set(e)) != len(e):
-            return False
     return is_connected(h) and h.num_incidences == h.num_nodes + h.num_hyperedges - 1
 
 

@@ -35,14 +35,7 @@ from .expansion import (
     sibling_pairs,
     split_budgets,
 )
-from .flow import (
-    FlowHeadSpec,
-    integrate,
-    interpolate,
-    ot_couple,
-    project_split_groups,
-    sample_prior,
-)
+from .flow import integrate, interpolate, ot_couple, project_split_groups, sample_prior
 from .hypergraph import (
     BipartiteGraph,
     Hypergraph,
@@ -81,16 +74,6 @@ __all__ = [
 RIGHT_THRESHOLD_LOW = 1.66
 RIGHT_THRESHOLD_HIGH = 2.33
 EDGE_KEEP_THRESHOLD = 0.5
-
-# The denoiser's heads, in the order prior noise is drawn for them.
-HEAD_SPECS = {
-    "left_expansion": FlowHeadSpec("left_expansion"),
-    "left_split": FlowHeadSpec("left_split", prior="dirichlet"),
-    "left_features": FlowHeadSpec("left_features"),
-    "right_expansion": FlowHeadSpec("right_expansion"),
-    "right_features": FlowHeadSpec("right_features"),
-    "edge_keep": FlowHeadSpec("edge_keep"),
-}
 
 # TrainConfig fields that name files.  Checkpoints leave them out, so that
 # their bytes do not depend on where a run wrote; sampling reads none of them.
@@ -136,6 +119,11 @@ class TrainConfig:
             raise ValueError("val_every and checkpoint_every must be >= 0 (0 turns them off)")
         if self.val_every and self.val_batches < 1:
             raise ValueError("val_batches must be >= 1 when val_every > 0")
+        if self.perturb_radius < 0:
+            raise ValueError("perturb_radius must be >= 0")
+        if not 0.0 <= self.perturb_prob <= 1.0:
+            raise ValueError("perturb_prob must lie in [0, 1]")
+        self.coarsening_params()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
@@ -325,30 +313,19 @@ def _make_input(
     )
 
 
-def _head_shapes(expanded: BipartiteGraph) -> dict[str, tuple[int, ...]]:
-    n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
-    return {
-        "left_expansion": (n, 1),
-        "left_split": (n, 1),
-        "left_features": expanded.left_features.shape,
-        "right_expansion": (m, 1),
-        "right_features": expanded.right_features.shape,
-        "edge_keep": (e, 1),
-    }
-
-
 def _sample_noise(
     expanded: BipartiteGraph, left_pairs: np.ndarray, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    shapes = _head_shapes(expanded)
-    noise: dict[str, np.ndarray] = {}
-    for name, spec in HEAD_SPECS.items():
-        shape = shapes[name]
-        if spec.prior == "dirichlet":
-            noise[name] = sample_prior(spec, (shape[0],), rng, pairs=left_pairs).reshape(-1, 1)
-        else:
-            noise[name] = sample_prior(spec, shape, rng)
-    return noise
+    """Prior noise of every denoiser head, drawn in the order listed."""
+    n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
+    return {
+        "left_expansion": sample_prior((n, 1), rng),
+        "left_split": sample_prior((n,), rng, pairs=left_pairs).reshape(-1, 1),
+        "left_features": sample_prior(expanded.left_features.shape, rng),
+        "right_expansion": sample_prior((m, 1), rng),
+        "right_features": sample_prior(expanded.right_features.shape, rng),
+        "edge_keep": sample_prior((e, 1), rng),
+    }
 
 
 # Node heads of the left and the right side, in joint-row order.
@@ -539,9 +516,9 @@ def train(cfg: TrainConfig) -> dict:
         for step in range(1, cfg.max_steps + 1):
             t0 = time.perf_counter()
             graph_id = int(rng.integers(len(train_graphs)))
-            item = cache.take(graph_id, rng)
+            seq, level_index = cache.take(graph_id, rng)
             example = build_training_example(
-                item.sequence, item.level_index, rng,
+                seq, level_index, rng,
                 perturbation=cfg.perturbation,
                 perturb_radius=cfg.perturb_radius,
                 perturb_prob=cfg.perturb_prob,
@@ -557,7 +534,7 @@ def train(cfg: TrainConfig) -> dict:
                 dump.write_text(json.dumps({
                     "step": step,
                     "graph_id": graph_id,
-                    "level_index": item.level_index,
+                    "level_index": level_index,
                     "t": inp.t,
                     "rho_hat": inp.rho_hat,
                     "loss": loss_val,
@@ -885,7 +862,13 @@ def evaluate(gen_path: str | Path, ref_path: str | Path, kind: str) -> MetricRep
     Degree and hyperedge-size distributions are pooled across each set
     before the Wasserstein comparison; node counts are compared against
     cyclically paired reference sizes.
+
+    Raises:
+        ValueError: for a ``kind`` other than sbm, ego, tree, mesh or
+            mesh-dir, before any graph is read, and for an empty set.
     """
+    if kind not in ("sbm", "ego", "tree", "mesh", "mesh-dir"):
+        raise ValueError(f"unknown dataset kind {kind!r}")
     gen = _read_graph_source(gen_path)
     ref = _read_graph_source(ref_path)
     if not gen or not ref:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -456,5 +458,23 @@ def test_checkpoint_is_atomic(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.hfck"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+    with pytest.raises(ValueError):
+        ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", ["short_length_field", "header_past_end", "bytes_after_arrays"])
+def test_checkpoint_rejects_malformed_framing(tmp_path, case):
+    """A checkpoint without arrays, so that only the framing can be wrong."""
+    path = tmp_path / "empty.hfck"
+    ad.save_checkpoint(path, ad.ParameterStore(), {})
+    raw = path.read_bytes()
+    magic = ad.CHECKPOINT_MAGIC
+    header = raw[len(magic) + 8 :]
+    raw = {
+        "short_length_field": magic + b"abc",
+        "header_past_end": magic + struct.pack("<Q", len(header) + 5) + header,
+        "bytes_after_arrays": raw + b"\x00",
+    }[case]
+    path.write_bytes(raw)
     with pytest.raises(ValueError):
         ad.load_checkpoint(path)

@@ -121,6 +121,19 @@ def test_eval_command(data_dir, tmp_path, capsys):
     assert printed["validity_fraction"] == 1.0
 
 
+def test_eval_rejects_unknown_kind(data_dir, tmp_path, capsys):
+    from hyperforge.pipeline import evaluate
+
+    rc = main(["eval", "--gen", str(data_dir / "test.jsonl"), "--ref", str(data_dir), "--kind", "treee"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "treee" in json.loads(captured.err)["message"]
+    # the kind is checked before either path is read
+    with pytest.raises(ValueError, match="unknown dataset kind 'treee'"):
+        evaluate(tmp_path / "missing.jsonl", tmp_path / "missing", "treee")
+
+
 def test_export_command(data_dir, tmp_path, capsys):
     rc = main(
         [

@@ -287,7 +287,10 @@ def test_every_level_carries_the_input_feature_widths(case, seed):
         expanded = expand(level.bipartite, level.expansion)
         _assert_widths(expanded, widths)
         _assert_widths(refine(expanded, level.refinement), widths)
-        inherit = RefinementDecision(level.refinement.edge_keep, level.refinement.budget_split)
+        inherit = RefinementDecision(
+            level.refinement.edge_keep, level.refinement.budget_split,
+            expanded.left_features, expanded.right_features,
+        )
         _assert_widths(refine(expanded, inherit), widths)
 
 
@@ -385,23 +388,23 @@ def test_cache_returns_levels_and_resamples():
     rng = np.random.default_rng(13)
     graphs = [gen_tree(rng, num_nodes=12) for _ in range(2)]
     cache = CoarseningCache(graphs, CoarseningParams())
-    item = cache.take(0, rng)
-    assert item.sequence.num_levels >= 1
-    assert 0 <= item.level_index < item.sequence.num_levels
+    seq, level_index = cache.take(0, rng)
+    assert seq.num_levels >= 1
+    assert 0 <= level_index < seq.num_levels
 
     # exhaust one sequence: L+1 consecutive takes hit all distinct levels
-    first = cache.take(1, rng)
-    total = first.sequence.num_levels
-    seen = {first.level_index}
+    first, level_index = cache.take(1, rng)
+    total = first.num_levels
+    seen = {level_index}
     for _ in range(total - 1):
-        item = cache.take(1, rng)
-        assert item.sequence is first.sequence
-        seen.add(item.level_index)
+        seq, level_index = cache.take(1, rng)
+        assert seq is first
+        seen.add(level_index)
     assert seen == set(range(total))
 
     # next take resamples a fresh sequence
-    fresh = cache.take(1, rng)
-    assert fresh.sequence is not first.sequence
+    fresh, _ = cache.take(1, rng)
+    assert fresh is not first
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from hyperforge.denoiser import (
     spectral_rows,
 )
 from hyperforge.hypergraph import Hypergraph, star_expand
-from hyperforge.pipeline import HEAD_SPECS
+
+HEADS = ("left_expansion", "left_split", "left_features", "right_expansion", "right_features", "edge_keep")
 
 
 SMALL = DenoiserConfig(hidden_dim=24, num_layers=2, mlp_hidden=32, spectral_k=4)
@@ -126,12 +127,25 @@ def test_encode_spectral_matches_per_column_loop():
             assert np.max(np.abs(ours - ref)) < 1e-12
 
 
+def _flow_state_shapes(expanded):
+    """The shape of every head's flow state on ``expanded``."""
+    n, m, e = expanded.num_left, expanded.num_right, expanded.num_edges
+    return {
+        "left_expansion": (n, 1),
+        "left_split": (n, 1),
+        "left_features": expanded.left_features.shape,
+        "right_expansion": (m, 1),
+        "right_features": expanded.right_features.shape,
+        "edge_keep": (e, 1),
+    }
+
+
 def _children_level(den, b, expanded):
     """encode_level of ``expanded``, an expansion of ``b``, conditioned the
     way the sampler conditions it."""
-    from hyperforge.pipeline import _head_shapes, _make_input
+    from hyperforge.pipeline import _make_input
 
-    state = {k: np.zeros(shape) for k, shape in _head_shapes(expanded).items()}
+    state = {k: np.zeros(shape) for k, shape in _flow_state_shapes(expanded).items()}
     with ad.no_grad():
         return den.encode_level(_make_input(b, expanded, state, 0.5, 0.2, float(b.num_left), SMALL.spectral_k))
 
@@ -199,7 +213,7 @@ def _perturbed_featured_input(seed=0):
     both sides, built the way the sampler builds it."""
     from hyperforge.expansion import ExpansionVectors, expand, perturb_expand
     from hyperforge.hypergraph import BipartiteGraph
-    from hyperforge.pipeline import _head_shapes, _make_input
+    from hyperforge.pipeline import _make_input
 
     rng = np.random.default_rng(seed)
     g = _graph(n=8, seed=4)
@@ -215,7 +229,7 @@ def _perturbed_featured_input(seed=0):
     expanded = perturb_expand(b, v, 1, 1.0, rng)
     # perturbation added edges, which the level's incidences must scatter too
     assert expanded.num_edges > expand(b, v).num_edges
-    state = {k: rng.normal(size=shape) for k, shape in _head_shapes(expanded).items()}
+    state = {k: rng.normal(size=shape) for k, shape in _flow_state_shapes(expanded).items()}
     return _make_input(b, expanded, state, 0.0, 0.2, 20.0, FEATURED.spectral_k)
 
 
@@ -238,7 +252,7 @@ def test_predict_with_level_encoding_is_bit_identical():
             )
             plain = den.predict(replace(inp, **state))
             cached = den.predict(replace(inp, **state, level=level))
-            for k in HEAD_SPECS:
+            for k in HEADS:
                 assert np.array_equal(plain[k], cached[k]), (inp.num_edges, t, k)
 
 
@@ -259,7 +273,7 @@ def test_untrained_heads_predict_identity():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     b = _graph()
     preds = den.predict(_input_for(b, SMALL))
-    assert set(preds) == set(HEAD_SPECS)
+    assert set(preds) == set(HEADS)
     assert np.allclose(preds["left_expansion"], -1.0)
     assert np.allclose(preds["right_expansion"], -1.0)
     assert np.allclose(preds["edge_keep"], 1.0)
@@ -293,7 +307,7 @@ def test_forward_deterministic():
     inp = _input_for(b, SMALL)
     p1 = den.predict(inp)
     p2 = den.predict(inp)
-    for k in HEAD_SPECS:
+    for k in HEADS:
         assert np.array_equal(p1[k], p2[k])
 
 
@@ -367,7 +381,7 @@ def test_save_and_from_checkpoint(tmp_path):
     assert den.extra_config == {}
     assert back.extra_config == {"dataset_kind": "tree"}
     again = back.predict(inp)
-    for k in HEAD_SPECS:
+    for k in HEADS:
         assert np.array_equal(base[k], again[k])
 
 
@@ -392,7 +406,7 @@ def test_checkpoint_recording_encoding_widths_loads(tmp_path):
     back = Denoiser.from_checkpoint(path)
     assert back.config == SMALL
     base, again = den.predict(inp), back.predict(inp)
-    for k in HEAD_SPECS:
+    for k in HEADS:
         assert np.array_equal(base[k], again[k])
 
 

@@ -382,25 +382,6 @@ def test_refine_keep_mask_and_features():
     assert out.cluster_of_left is None and out.cluster_of_right is None
 
 
-def test_refine_inherits_features_when_none():
-    b = BipartiteGraph(
-        1,
-        1,
-        np.array([[0, 0]]),
-        np.array([2], dtype=np.int64),
-        left_features=np.array([[7.0]]),
-    )
-    expanded = expand(b, ExpansionVectors([2], [1]))
-    decision = RefinementDecision(
-        edge_keep=np.ones(2, dtype=np.int8),
-        budget_split=np.array([0.5, 0.5]),
-        left_features=None,
-        right_features=None,
-    )
-    out = refine(expanded, decision)
-    assert out.left_features[:, 0].tolist() == [7.0, 7.0]
-
-
 def test_refine_singleton_budget_unchanged():
     h = Hypergraph(3, [[0, 1], [1, 2]])
     b = star_expand(h)
@@ -408,8 +389,8 @@ def test_refine_singleton_budget_unchanged():
     decision = RefinementDecision(
         edge_keep=np.ones(expanded.num_edges, dtype=np.int8),
         budget_split=np.ones(3),
-        left_features=None,
-        right_features=None,
+        left_features=expanded.left_features,
+        right_features=expanded.right_features,
     )
     out = refine(expanded, decision)
     assert out.left_budgets.tolist() == [1, 1, 1]

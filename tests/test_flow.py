@@ -1,19 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperforge.flow as flow
 from hyperforge.flow import (
-    FlowHeadSpec,
     endpoint_velocity,
     integrate,
     interpolate,
     ot_couple,
     project_split_groups,
     sample_prior,
-    signed_from_unit,
     simplex_project,
-    unit_from_signed,
 )
 from hyperforge.expansion import sibling_pairs
 
@@ -56,38 +56,29 @@ def test_endpoint_velocity_singular_near_one():
         endpoint_velocity(np.array([0.0]), np.array([1.0]), 1.0 - 1e-9)
 
 
-def test_signed_unit_maps():
-    u = np.array([0.0, 0.5, 1.0])
-    s = signed_from_unit(u)
-    assert s.tolist() == [-1.0, 0.0, 1.0]
-    assert np.allclose(unit_from_signed(s), u)
-
-
 def test_prior_dirichlet_singleton_is_one():
-    spec = FlowHeadSpec("left_split", "dirichlet", 1.5)
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    out = sample_prior(spec, (3,), rng, pairs=np.zeros((0, 2), dtype=np.int64))
+    out = sample_prior((3,), rng, pairs=np.zeros((0, 2), dtype=np.int64))
     assert out.tolist() == [1.0, 1.0, 1.0]
     # only children draw nothing
     assert rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="pairs"):
-        sample_prior(spec, (3,), rng)
+    with pytest.raises(ValueError, match="flat per-child vector"):
+        sample_prior((3, 1), rng, pairs=np.zeros((0, 2), dtype=np.int64))
 
 
 def test_prior_dirichlet_groups_sum_to_one_in_unit_space():
-    spec = FlowHeadSpec("left_split", "dirichlet", 1.5)
     pairs = sibling_pairs(np.array([0, 0, 1, 2, 2]))
     assert pairs.tolist() == [[0, 1], [3, 4]]
-    out = sample_prior(spec, (5,), np.random.default_rng(3), pairs=pairs)
-    unit = unit_from_signed(out)
+    out = sample_prior((5,), np.random.default_rng(3), pairs=pairs)
+    unit = (out + 1.0) / 2.0
     assert out[2] == 1.0
     for g in pairs:
         assert np.sum(unit[g]) == pytest.approx(1.0)
         assert np.all(unit[g] >= 0.0)
 
 
-def reference_sample_prior(spec, size, rng, groups):
+def reference_sample_prior(alpha, size, rng, groups):
     """The per-group Dirichlet loop that one batched draw replaced, kept as
     the oracle."""
     out = np.empty(size, dtype=np.float64)
@@ -95,7 +86,7 @@ def reference_sample_prior(spec, size, rng, groups):
         if len(g) == 1:
             out[g[0]] = 1.0
         else:
-            draw = rng.dirichlet([spec.dirichlet_alpha] * len(g))
+            draw = rng.dirichlet([alpha] * len(g))
             for slot, val in zip(g, draw):
                 out[slot] = 2.0 * val - 1.0
     return out
@@ -110,20 +101,19 @@ def reference_sample_prior(spec, size, rng, groups):
 def test_prior_dirichlet_pairs_match_sequential_draws(counts, alpha, seed):
     """One draw for all P pairs is bit-equal to P draws in pair order and
     leaves the generator in the same state."""
-    spec = FlowHeadSpec("left_split", "dirichlet", alpha)
     cluster_map = np.repeat(np.arange(len(counts)), counts)
     offsets = np.cumsum([0] + counts)
     groups = [list(range(a, b)) for a, b in zip(offsets[:-1], offsets[1:])]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = sample_prior(spec, (cluster_map.size,), rng, pairs=sibling_pairs(cluster_map))
-    expected = reference_sample_prior(spec, cluster_map.size, ref_rng, groups)
+    with mock.patch.object(flow, "SPLIT_DIRICHLET_ALPHA", alpha):
+        out = sample_prior((cluster_map.size,), rng, pairs=sibling_pairs(cluster_map))
+    expected = reference_sample_prior(alpha, cluster_map.size, ref_rng, groups)
     assert out.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_prior_gaussian_moments():
-    spec = FlowHeadSpec("noise", "gaussian")
-    draws = sample_prior(spec, (100_000,), np.random.default_rng(4))
+    draws = sample_prior((100_000,), np.random.default_rng(4))
     # standard errors: mean ~ 1/sqrt(n), var ~ sqrt(2/n)
     assert abs(draws.mean()) < 3.0 / np.sqrt(draws.size)
     assert abs(draws.var() - 1.0) < 3.0 * np.sqrt(2.0 / draws.size)
@@ -186,7 +176,7 @@ def test_project_split_groups_per_group():
     pairs = sibling_pairs(np.array([0, 0, 1, 2]))
     assert pairs.tolist() == [[0, 1]]
     out = project_split_groups(values, pairs)
-    unit = unit_from_signed(out)
+    unit = (out + 1.0) / 2.0
     assert np.sum(unit[[0, 1]]) == pytest.approx(1.0)
     # singletons pin to exactly one
     assert out[2] == 1.0 and out[3] == 1.0
@@ -216,7 +206,7 @@ def test_project_split_groups_matches_simplex_project(blocks):
         if len(g) == 1:
             assert out[g[0]] == 1.0
         else:
-            expected = signed_from_unit(simplex_project(unit_from_signed(values[g])))
+            expected = 2.0 * simplex_project((values[g] + 1.0) / 2.0) - 1.0
             assert out[g].tobytes() == expected.tobytes()
 
 

@@ -92,6 +92,27 @@ def test_train_config_bad_bool(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(perturb_prob=1.5), "perturb_prob"),
+        (dict(perturb_prob=-0.1), "perturb_prob"),
+        (dict(perturb_radius=-1), "perturb_radius"),
+        (dict(rho_min=0.0), "rho_min"),
+        (dict(rho_min=0.4, rho_max=0.3), "rho_max"),
+        (dict(gate_lambda=1.5), "gate_lambda"),
+        (dict(preserve_k=0), "preserve_k"),
+    ],
+)
+def test_train_config_rejects_bad_perturbation_and_coarsening(kwargs, match):
+    """Bad values fail at construction, not at the first training step after
+    the loss log was opened."""
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(**kwargs)
+    TrainConfig(perturb_radius=0, perturb_prob=0.0)
+    TrainConfig(perturb_prob=1.0)
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [dict(val_every=5, val_batches=0), dict(val_every=-1), dict(checkpoint_every=-1)],
 )
