@@ -547,8 +547,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
     """Read a checkpoint; returns the store and the manifest (with config).
 
     Raises:
-        ValueError: on bad magic, version, a truncated header or payload, or
-            bytes after the last array.
+        ValueError: on bad magic, version, a malformed manifest, a truncated
+            header or payload, or bytes after the last array.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -562,11 +562,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
         raise ValueError("checkpoint header truncated")
     manifest = json.loads(raw[off : off + hlen].decode("utf-8"))
     off += hlen
+    if not isinstance(manifest, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')}")
+    entries = manifest.get("arrays")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("checkpoint manifest needs a list of array entries")
     store = ParameterStore()
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
+    for entry in entries:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+        ):
+            raise ValueError(f"checkpoint array {entry.get('name')!r} has shape {shape!r}, not a list of sizes >= 0")
+        shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if off + nbytes > len(raw):

@@ -57,7 +57,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .hypergraph import write_graphs_jsonl
-    from .pipeline import SampleRequest, sample
+    from .pipeline import SampleRequest, _sample_workers, sample
 
     req = SampleRequest(
         checkpoint=args.ckpt, n_nodes=args.n_nodes, count=args.count, seed=args.seed
@@ -71,6 +71,7 @@ def _cmd_sample(args) -> int:
         "n_nodes": args.n_nodes,
         "count": args.count,
         "seed": args.seed,
+        "workers": _sample_workers(args.count),
         "samples": diags,
         "num_flagged_invalid": sum(1 for d in diags if not d["valid_structure"]),
     }
@@ -151,7 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sample", help="sample hypergraphs from a checkpoint")
+    p = sub.add_parser(
+        "sample",
+        help="sample hypergraphs from a checkpoint",
+        description="Sample hypergraphs from a checkpoint.  The graphs are spread over the usable CPUs, "
+        "one process per CPU; graph i depends only on --seed and i, so the output does not depend on how "
+        "many CPUs there are.",
+    )
     p.add_argument("--ckpt", required=True)
     p.add_argument("--n-nodes", type=int, required=True)
     p.add_argument("--count", type=int, default=1)

@@ -86,9 +86,10 @@ class RefinementDecision:
         ek = np.asarray(edge_keep, dtype=np.int8).reshape(-1)
         if ek.size and not np.all((ek == 0) | (ek == 1)):
             raise ValueError("edge_keep entries must be 0 or 1")
+        # freeze views (reshape already returns one), never the caller's own arrays
         bs = np.asarray(budget_split, dtype=np.float64).reshape(-1)
-        lf = np.asarray(left_features, dtype=np.float64)
-        rf = np.asarray(right_features, dtype=np.float64)
+        lf = np.asarray(left_features, dtype=np.float64).view()
+        rf = np.asarray(right_features, dtype=np.float64).view()
         for arr in (ek, bs, lf, rf):
             arr.flags.writeable = False
         object.__setattr__(self, "edge_keep", ek)

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 __all__ = [
     "Hypergraph",
@@ -98,6 +96,10 @@ class Hypergraph:
         ef = _as_float_features(hyperedge_features, len(canon), "hyperedge features")
         object.__setattr__(self, "node_features", _freeze(nf) if nf.size else None)
         object.__setattr__(self, "hyperedge_features", _freeze(ef) if ef.size else None)
+
+    def __reduce__(self):
+        # unpickled through __init__, so a graph sent from another process is frozen too
+        return Hypergraph, (self.num_nodes, self.hyperedges, self.node_features, self.hyperedge_features)
 
     @property
     def num_hyperedges(self) -> int:
@@ -344,7 +346,9 @@ def is_connected(h: Hypergraph) -> bool:
     adj = scipy.sparse.coo_matrix(
         (np.ones(b.num_edges), (b.edges[:, 0], b.num_left + b.edges[:, 1])), shape=(size, size)
     )
-    return scipy.sparse.csgraph.connected_components(adj, directed=False)[0] == 1
+    from scipy.sparse.csgraph import connected_components  # imported here: only connectivity checks need it
+
+    return connected_components(adj, directed=False)[0] == 1
 
 
 def normalized_laplacian(b: BipartiteGraph) -> np.ndarray:
@@ -400,12 +404,14 @@ def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = _dense_nonzero_eigs(mat, k)
     else:
+        from scipy.sparse.linalg import eigsh  # imported here: no shipped dataset reaches the cutoff
+
         vals = vecs = None
         request = min(n - 1, k + 8)
         sparse_mat = scipy.sparse.csr_matrix(mat)
         while True:
             try:
-                w, v = scipy.sparse.linalg.eigsh(
+                w, v = eigsh(
                     sparse_mat, k=request, sigma=-1e-6, which="LM"
                 )
             except Exception:

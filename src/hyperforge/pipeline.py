@@ -16,7 +16,9 @@ the level.
 from __future__ import annotations
 
 import json
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, fields, asdict, replace
 from pathlib import Path
 
@@ -820,22 +822,132 @@ def sample_one(
     return h, diag
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sample_workers(count: int) -> int:
+    """Processes :func:`sample` spreads ``count`` graphs over: one per
+    usable CPU, at most one per graph, and only this one without ``fork``."""
+    return min(count, _usable_cpus()) if hasattr(os, "fork") else 1
+
+
 def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
-    """Generate ``count`` hypergraphs of ``n_nodes`` nodes from a checkpoint."""
+    """Generate ``count`` hypergraphs of ``n_nodes`` nodes from a checkpoint.
+
+    Graph ``i`` is drawn by :func:`sample_one` from ``default_rng([seed, i])``
+    alone, so the graphs are spread over the usable CPUs and the output does
+    not depend on how many there are.  With ``W = min(count, usable CPUs)``
+    processes, graph ``i`` is drawn by process ``i % W``: this process draws
+    its own share while ``W - 1`` forked children, which inherit the loaded
+    denoiser, draw the rest.  A failure is raised as a one-by-one loop would
+    raise it: the error of the lowest failing index, with its type and
+    message.  No child outlives the call.
+
+    Raises:
+        RuntimeError: when a child dies before it returns a graph that
+            comes before every failing one; the message names the lost
+            indices.
+    """
     denoiser = Denoiser.from_checkpoint(req.checkpoint)
     extras = denoiser.extra_config.get("train", {})
     # only what the checkpoint records; sample_one's defaults cover the rest
     casts = {"steps": int, "rho_min": float, "rho_max": float}
     recorded = {k: cast(extras[k]) for k, cast in casts.items() if k in extras}
-    graphs: list[Hypergraph] = []
-    diags: list[dict] = []
-    for i in range(req.count):
-        rng = np.random.default_rng([req.seed, i])
-        h, diag = sample_one(denoiser, req.n_nodes, rng, **recorded)
-        diag["index"] = i
-        graphs.append(h)
-        diags.append(diag)
-    return graphs, diags
+    workers = _sample_workers(req.count)
+    if workers == 1:
+        drawn = [_sample_index(denoiser, req, recorded, i) for i in range(req.count)]
+    else:
+        drawn = _sample_forked(denoiser, req, recorded, workers)
+    return [h for h, _ in drawn], [diag for _, diag in drawn]
+
+
+def _sample_index(denoiser: Denoiser, req: SampleRequest, recorded: dict, i: int) -> tuple[Hypergraph, dict]:
+    h, diag = sample_one(denoiser, req.n_nodes, np.random.default_rng([req.seed, i]), **recorded)
+    diag["index"] = i
+    return h, diag
+
+
+def _sample_child(conn, denoiser: Denoiser, req: SampleRequest, recorded: dict, indices: range) -> None:
+    """Body of a forked worker: send ``(i, graph, diag)`` for each index in
+    order, or ``(i, error)`` for the first one that fails and stop there."""
+    with conn:
+        for i in indices:
+            try:
+                conn.send((i, *_sample_index(denoiser, req, recorded, i)))
+            except Exception as exc:
+                conn.send((i, exc))
+                return
+
+
+def _sample_forked(
+    denoiser: Denoiser, req: SampleRequest, recorded: dict, workers: int
+) -> list[tuple[Hypergraph, dict]]:
+    """The graphs of :func:`sample` in index order, index ``i`` drawn by
+    this process when ``i % workers == 0`` and by a forked child otherwise."""
+    import multiprocessing  # imported here: only a sample() of several graphs forks
+    from multiprocessing.connection import wait
+
+    # fork, not spawn: a child starts with the loaded denoiser instead of importing and loading it again
+    ctx = multiprocessing.get_context("fork")
+    drawn: dict[int, tuple[Hypergraph, dict]] = {}
+    errors: dict[int, Exception] = {}
+    lost: list[int] = []
+    owed: dict = {}  # receiving end -> indices its child has not sent yet, ascending
+    children = []
+    try:
+        for w in range(1, workers):
+            share = range(w, req.count, workers)
+            recv, send = ctx.Pipe(duplex=False)
+            owed[recv] = deque(share)
+            with send:  # closed here once the child holds it, so its death reads as EOF
+                child = ctx.Process(target=_sample_child, args=(send, denoiser, req, recorded, share))
+                child.start()
+            children.append(child)
+        for i in range(0, req.count, workers):
+            try:
+                drawn[i] = _sample_index(denoiser, req, recorded, i)
+            except Exception as exc:
+                errors[i] = exc
+                break
+        while True:
+            # a child whose next index lies past the first error owes nothing that is still needed
+            first_error = min(errors, default=req.count)
+            pending = [conn for conn, todo in owed.items() if todo and todo[0] < first_error]
+            if not pending:
+                break
+            for conn in wait(pending):
+                todo = owed[conn]
+                try:
+                    i, *out = conn.recv()
+                except EOFError:
+                    lost += todo
+                    todo.clear()
+                    continue
+                todo.popleft()
+                if len(out) == 1:
+                    errors[i] = out[0]
+                    todo.clear()
+                else:
+                    drawn[i] = tuple(out)
+        if min(lost, default=req.count) < min(errors, default=req.count):
+            raise RuntimeError(f"a sampling worker died before returning graphs {sorted(lost)}")
+        if errors:
+            raise errors[min(errors)]
+    except BaseException:
+        for child in children:
+            child.kill()
+        raise
+    finally:
+        for conn in owed:
+            conn.close()
+        for child in children:
+            child.join()
+    return [drawn[i] for i in range(req.count)]
 
 
 def _read_graph_source(path: str | Path) -> list[Hypergraph]:

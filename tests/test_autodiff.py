@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -477,4 +478,22 @@ def test_checkpoint_rejects_malformed_framing(tmp_path, case):
     }[case]
     path.write_bytes(raw)
     with pytest.raises(ValueError):
+        ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        [],
+        {"format_version": ad.CHECKPOINT_VERSION, "arrays": {}},
+        {"format_version": ad.CHECKPOINT_VERSION, "arrays": [{"name": "w", "shape": [-1], "dtype": "<f8"}]},
+        {"format_version": ad.CHECKPOINT_VERSION, "arrays": [{"name": "w", "shape": [2.5], "dtype": "<f8"}]},
+    ],
+    ids=["list_header", "arrays_not_a_list", "negative_shape", "float_shape"],
+)
+def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest):
+    header = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "bad.hfck"
+    path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    with pytest.raises(ValueError, match="manifest|shape"):
         ad.load_checkpoint(path)

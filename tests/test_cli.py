@@ -100,6 +100,23 @@ def test_train_and_sample(checkpoint, tmp_path, capsys):
     assert all("valid_structure" in d for d in report["samples"])
 
 
+def test_sample_output_does_not_depend_on_cpu_count(checkpoint, tmp_path, capsys, monkeypatch):
+    import hyperforge.pipeline as pipeline
+
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        args = ["sample", "--ckpt", str(checkpoint), "--n-nodes", "8", "--count", "3", "--seed", "4"]
+        assert main(args + ["--out", str(out)]) == 0
+        report = json.loads((out / "sample_report.json").read_text())
+        assert report["workers"] == cpus
+        del report["workers"]
+        outputs.append(((out / "samples.jsonl").read_bytes(), report))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
 def test_eval_command(data_dir, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     rc = main(

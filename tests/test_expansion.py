@@ -395,3 +395,16 @@ def test_refine_singleton_budget_unchanged():
     out = refine(expanded, decision)
     assert out.left_budgets.tolist() == [1, 1, 1]
     assert out.same_topology(b)
+
+
+def test_refinement_decision_leaves_caller_arrays_writeable():
+    args = dict(
+        edge_keep=np.ones(2, dtype=np.int8),
+        budget_split=np.ones(2),
+        left_features=np.zeros((2, 1)),
+        right_features=np.zeros((2, 1)),
+    )
+    decision = RefinementDecision(**args)
+    assert all(arr.flags.writeable for arr in args.values())
+    assert not any(arr.flags.writeable for arr in (decision.edge_keep, decision.budget_split,
+                                                  decision.left_features, decision.right_features))

@@ -64,14 +64,17 @@ def test_every_exported_name_is_used():
 
 
 def test_import_leaves_evaluation_modules_unloaded():
-    """scipy.stats and scipy.spatial serve only the evaluation metrics, and
-    networkx only the tree generator, so importing the package or its CLI
-    must not load them."""
+    """scipy.stats and scipy.spatial serve only the evaluation metrics,
+    networkx only the tree generator, scipy.sparse.csgraph only connectivity
+    checks, scipy.sparse.linalg only eigensolves above the dense cutoff, and
+    multiprocessing only sample() of more than one graph, so importing the
+    package or its CLI must not load them."""
+    lazy = ("scipy.stats", "scipy.spatial", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg", "multiprocessing")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hyperforge, hyperforge.cli\n"
-         "print(*sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.spatial', 'networkx'))))"],
+         f"print(*sorted(m for m in sys.modules if m.startswith({lazy!r})))"],
         capture_output=True,
         text=True,
         env=env,

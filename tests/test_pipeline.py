@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -718,6 +721,87 @@ def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, mon
     with _deadline(10.0), pytest.raises(ValueError, match=re.escape("need 0 < rho_min <= rho_max < 1")):
         sample(SampleRequest(checkpoint=str(ckpt), n_nodes=16, seed=0))
     assert forwards == []
+
+
+@pytest.fixture
+def small_ckpt(tmp_path):
+    path = tmp_path / "small.hfck"
+    Denoiser(SMALL, rng=np.random.default_rng(0)).save(path, extra_config={"train": {"steps": 4}})
+    return path
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sample_equals_one_by_one_loop_for_any_worker_count(tmp_path, monkeypatch, cpus):
+    """Graphs, features and diagnostics are those of a plain sample_one loop,
+    bit for bit, however many processes draw them."""
+    den = Denoiser(replace(SMALL, node_feature_dim=2, edge_feature_dim=1), rng=np.random.default_rng(3))
+    ckpt = tmp_path / "featured.hfck"
+    den.save(ckpt, extra_config={"train": {"steps": 4}})
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with _deadline(60.0):
+        graphs, diags = sample(SampleRequest(checkpoint=str(ckpt), n_nodes=7, count=5, seed=11))
+    assert multiprocessing.active_children() == []
+    assert len(graphs) == len(diags) == 5
+    den = Denoiser.from_checkpoint(ckpt)
+    for i, (h, diag) in enumerate(zip(graphs, diags)):
+        ref, ref_diag = sample_one(den, 7, np.random.default_rng([11, i]), steps=4)
+        assert diag == dict(ref_diag, index=i)
+        assert (h.num_nodes, h.hyperedges) == (ref.num_nodes, ref.hyperedges)
+        for got, want in ((h.node_features, ref.node_features), (h.hyperedge_features, ref.hyperedge_features)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def _fake_sample_one(seed, count, fail=(), die=()):
+    """A stand-in for sample_one that finds its graph index from its rng,
+    raises for the indices in ``fail`` and kills its (child) process for
+    those in ``die``; each diag records the process that drew the graph."""
+    draws = [np.random.default_rng([seed, i]).random() for i in range(count)]
+    parent = os.getpid()
+
+    def fake(denoiser, n_nodes, rng, **kwargs):
+        i = draws.index(rng.random())
+        if i in fail:
+            raise ValueError(f"graph {i} failed")
+        if i in die:
+            assert os.getpid() != parent, "only a child may be killed"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return Hypergraph(n_nodes, [range(n_nodes)]), {"pid": os.getpid()}
+
+    return fake
+
+
+def test_sample_draws_graph_i_in_process_i_mod_workers(small_ckpt, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=5))
+    with _deadline(30.0):
+        _, diags = sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=5, seed=5))
+    pids = [d["pid"] for d in diags]
+    assert [d["index"] for d in diags] == list(range(5))
+    assert pids[0] == pids[3] == os.getpid()
+    assert pids[1] == pids[4] and len({pids[0], pids[1], pids[2]}) == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("fail, first", [({1}, 1), ({2}, 2), ({1, 2}, 1), ({0, 1}, 0)])
+def test_sample_raises_the_lowest_failing_index(small_ckpt, monkeypatch, cpus, fail, first):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=3, fail=fail))
+    with _deadline(30.0), pytest.raises(ValueError, match=f"^graph {first} failed$"):
+        sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=3, seed=5))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fail, error, match", [((), RuntimeError, r"graphs \[1\]"), ({0}, ValueError, "graph 0")])
+def test_sample_reports_a_killed_worker_without_hanging(small_ckpt, monkeypatch, fail, error, match):
+    """A child that dies before it replies loses index 1; that is the error
+    unless a lower index failed first."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=3, fail=fail, die={1}))
+    with _deadline(30.0), pytest.raises(error, match=match):
+        sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=3, seed=5))
+    assert multiprocessing.active_children() == []
 
 
 def test_sample_request_validation():
