@@ -156,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sample",
         help="sample hypergraphs from a checkpoint",
         description="Sample hypergraphs from a checkpoint.  The graphs are spread over the usable CPUs, "
-        "one process per CPU; graph i depends only on --seed and i, so the output does not depend on how "
-        "many CPUs there are.",
+        "W processes in all: this one draws graphs 0, W, 2W, ... and W - 1 forked ones take the rest as "
+        "they free up.  Graph i depends only on --seed and i, so the output does not depend on "
+        "how many CPUs there are.",
     )
     p.add_argument("--ckpt", required=True)
     p.add_argument("--n-nodes", type=int, required=True)

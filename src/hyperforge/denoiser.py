@@ -68,8 +68,8 @@ class DenoiserConfig:
     edge_feature_dim: int = 0
 
     def __post_init__(self):
-        if self.hidden_dim < 1 or self.num_layers < 1:
-            raise ValueError("hidden_dim and num_layers must be positive")
+        if self.hidden_dim < 1 or self.num_layers < 1 or self.mlp_hidden < 1:
+            raise ValueError("hidden_dim, num_layers and mlp_hidden must be positive")
         if self.spectral_k < 1:
             raise ValueError("spectral_k must be positive")
         if self.node_feature_dim < 0 or self.edge_feature_dim < 0:
@@ -204,7 +204,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 class _Linear:
     def __init__(
         self,
-        store: ParameterStore,
+        param,
         name: str,
         fan_in: int,
         fan_out: int,
@@ -216,38 +216,29 @@ class _Linear:
             init = lambda: np.zeros((fan_in, fan_out))
         else:
             init = lambda: _glorot(rng, fan_in, fan_out)
-        self.w = _param(store, f"{name}.w", (fan_in, fan_out), init)
-        self.b = _param(store, f"{name}.b", (fan_out,), lambda: np.full(fan_out, bias_fill))
+        self.w = param(f"{name}.w", (fan_in, fan_out), init)
+        self.b = param(f"{name}.b", (fan_out,), lambda: np.full(fan_out, bias_fill))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
 
 
 class _MLP:
-    def __init__(self, store, name, fan_in, hidden, fan_out, rng):
-        self.lin1 = _Linear(store, f"{name}.lin1", fan_in, hidden, rng)
-        self.lin2 = _Linear(store, f"{name}.lin2", hidden, fan_out, rng)
+    def __init__(self, param, name, fan_in, hidden, fan_out, rng):
+        self.lin1 = _Linear(param, f"{name}.lin1", fan_in, hidden, rng)
+        self.lin2 = _Linear(param, f"{name}.lin2", hidden, fan_out, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(ad.silu(self.lin1(x)))
 
 
 class _LayerNorm:
-    def __init__(self, store, name, dim):
-        self.g = _param(store, f"{name}.g", (dim,), lambda: np.ones(dim))
-        self.b = _param(store, f"{name}.b", (dim,), lambda: np.zeros(dim))
+    def __init__(self, param, name, dim):
+        self.g = param(f"{name}.g", (dim,), lambda: np.ones(dim))
+        self.b = param(f"{name}.b", (dim,), lambda: np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.g, self.b)
-
-
-def _param(store: ParameterStore, name: str, shape: tuple, init_fn) -> Tensor:
-    if name in store:
-        t = store[name]
-        if t.data.shape != shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape {t.data.shape}, expected {shape}")
-        return t
-    return store.create(name, init_fn())
 
 
 class Denoiser:
@@ -259,6 +250,8 @@ class Denoiser:
         rng: np.random.Generator | None = None,
         store: ParameterStore | None = None,
     ):
+        """A model with fresh parameters, or with those of ``store``, which
+        must hold exactly the model's parameters at their shapes."""
         self.config = config
         self.store = store if store is not None else ParameterStore()
         # what a checkpoint recorded next to the network config; empty for a
@@ -266,33 +259,43 @@ class Denoiser:
         self.extra_config: dict = {}
         rng = rng if rng is not None else np.random.default_rng(0)
         c = config
-        s = self.store
+        unused = dict(self.store.items())
+        missing = []
 
-        self.phi = _MLP(s, "signnet.phi", 2, PHI_DIM, PHI_DIM, rng)
-        self.rho = _MLP(s, "signnet.rho", c.spectral_k * PHI_DIM, PE_DIM, PE_DIM, rng)
+        def param(name: str, shape: tuple, init_fn) -> Tensor:
+            t = unused.pop(name, None)
+            if t is None:
+                missing.append(name)
+                return self.store.create(name, init_fn())
+            if t.data.shape != shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {t.data.shape}, expected {shape}")
+            return t
 
-        self.budget_proj = _Linear(s, "cond.budget", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
-        self.nnodes_proj = _Linear(s, "cond.nnodes", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
+        self.phi = _MLP(param, "signnet.phi", 2, PHI_DIM, PHI_DIM, rng)
+        self.rho = _MLP(param, "signnet.rho", c.spectral_k * PHI_DIM, PE_DIM, PE_DIM, rng)
 
-        self.left_state_embed = _Linear(s, "embed.left_state", 2, ATTR_EMBED_DIM, rng)
-        self.right_state_embed = _Linear(s, "embed.right_state", 1, ATTR_EMBED_DIM, rng)
-        self.edge_state_embed = _Linear(s, "embed.edge_state", 1, ATTR_EMBED_DIM, rng)
-        self.left_feat_embed = _Linear(s, "embed.left_feat", c.node_feature_dim, FEAT_EMBED_DIM, rng)
-        self.right_feat_embed = _Linear(s, "embed.right_feat", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
-        self.left_film_gain = _Linear(s, "film.left.gain", c.node_feature_dim, FEAT_EMBED_DIM, rng)
-        self.left_film_bias = _Linear(s, "film.left.bias", c.node_feature_dim, FEAT_EMBED_DIM, rng)
-        self.right_film_gain = _Linear(s, "film.right.gain", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
-        self.right_film_bias = _Linear(s, "film.right.bias", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
+        self.budget_proj = _Linear(param, "cond.budget", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
+        self.nnodes_proj = _Linear(param, "cond.nnodes", BUDGET_ENCODING_DIM, ATTR_EMBED_DIM, rng)
+
+        self.left_state_embed = _Linear(param, "embed.left_state", 2, ATTR_EMBED_DIM, rng)
+        self.right_state_embed = _Linear(param, "embed.right_state", 1, ATTR_EMBED_DIM, rng)
+        self.edge_state_embed = _Linear(param, "embed.edge_state", 1, ATTR_EMBED_DIM, rng)
+        self.left_feat_embed = _Linear(param, "embed.left_feat", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_feat_embed = _Linear(param, "embed.right_feat", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
+        self.left_film_gain = _Linear(param, "film.left.gain", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.left_film_bias = _Linear(param, "film.left.bias", c.node_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_film_gain = _Linear(param, "film.right.gain", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
+        self.right_film_bias = _Linear(param, "film.right.bias", c.edge_feature_dim, FEAT_EMBED_DIM, rng)
 
         left_in = PE_DIM + 2 * ATTR_EMBED_DIM + ATTR_EMBED_DIM + FEAT_EMBED_DIM + TIME_ENC_DIM + 1
         right_in = PE_DIM + ATTR_EMBED_DIM + ATTR_EMBED_DIM + FEAT_EMBED_DIM + TIME_ENC_DIM + 1
         edge_in = 2 * PE_DIM + ATTR_EMBED_DIM + TIME_ENC_DIM + 1
-        self.left_in = _Linear(s, "in.left", left_in, c.hidden_dim, rng)
-        self.right_in = _Linear(s, "in.right", right_in, c.hidden_dim, rng)
-        self.edge_in = _Linear(s, "in.edge", edge_in, c.hidden_dim, rng)
-        self.left_in_ln = _LayerNorm(s, "in.left_ln", c.hidden_dim)
-        self.right_in_ln = _LayerNorm(s, "in.right_ln", c.hidden_dim)
-        self.edge_in_ln = _LayerNorm(s, "in.edge_ln", c.hidden_dim)
+        self.left_in = _Linear(param, "in.left", left_in, c.hidden_dim, rng)
+        self.right_in = _Linear(param, "in.right", right_in, c.hidden_dim, rng)
+        self.edge_in = _Linear(param, "in.edge", edge_in, c.hidden_dim, rng)
+        self.left_in_ln = _LayerNorm(param, "in.left_ln", c.hidden_dim)
+        self.right_in_ln = _LayerNorm(param, "in.right_ln", c.hidden_dim)
+        self.edge_in_ln = _LayerNorm(param, "in.edge_ln", c.hidden_dim)
 
         h = c.hidden_dim
         self.layers = []
@@ -300,26 +303,31 @@ class Denoiser:
             p = f"layer{i}"
             self.layers.append(
                 {
-                    "mlp_a": _MLP(s, f"{p}.mlp_a", 3 * h, c.mlp_hidden, h, rng),
-                    "mlp_b": _MLP(s, f"{p}.mlp_b", 3 * h, c.mlp_hidden, h, rng),
-                    "lin_o": _Linear(s, f"{p}.lin_o", h, h, rng),
-                    "ln_e": _LayerNorm(s, f"{p}.ln_e", h),
-                    "mlp_left": _MLP(s, f"{p}.mlp_left", 2 * h, c.mlp_hidden, h, rng),
-                    "ln_left": _LayerNorm(s, f"{p}.ln_left", h),
-                    "mlp_right": _MLP(s, f"{p}.mlp_right", 2 * h, c.mlp_hidden, h, rng),
-                    "ln_right": _LayerNorm(s, f"{p}.ln_right", h),
+                    "mlp_a": _MLP(param, f"{p}.mlp_a", 3 * h, c.mlp_hidden, h, rng),
+                    "mlp_b": _MLP(param, f"{p}.mlp_b", 3 * h, c.mlp_hidden, h, rng),
+                    "lin_o": _Linear(param, f"{p}.lin_o", h, h, rng),
+                    "ln_e": _LayerNorm(param, f"{p}.ln_e", h),
+                    "mlp_left": _MLP(param, f"{p}.mlp_left", 2 * h, c.mlp_hidden, h, rng),
+                    "ln_left": _LayerNorm(param, f"{p}.ln_left", h),
+                    "mlp_right": _MLP(param, f"{p}.mlp_right", 2 * h, c.mlp_hidden, h, rng),
+                    "ln_right": _LayerNorm(param, f"{p}.ln_right", h),
                 }
             )
 
         # Heads start at exactly "change nothing": zero weights with fixed
         # biases, so an untrained model clones no node, keeps every edge,
         # and never inflates the graph while sampling.
-        self.head_left_exp = _Linear(s, "head.left_exp", h, 1, rng, bias_fill=-1.0, zero_weights=True)
-        self.head_left_split = _Linear(s, "head.left_split", h, 1, rng, zero_weights=True)
-        self.head_left_feat = _Linear(s, "head.left_feat", h, c.node_feature_dim, rng, zero_weights=True)
-        self.head_right_exp = _Linear(s, "head.right_exp", h, 1, rng, bias_fill=-1.0, zero_weights=True)
-        self.head_right_feat = _Linear(s, "head.right_feat", h, c.edge_feature_dim, rng, zero_weights=True)
-        self.head_edge_keep = _Linear(s, "head.edge_keep", h, 1, rng, bias_fill=1.0, zero_weights=True)
+        self.head_left_exp = _Linear(param, "head.left_exp", h, 1, rng, bias_fill=-1.0, zero_weights=True)
+        self.head_left_split = _Linear(param, "head.left_split", h, 1, rng, zero_weights=True)
+        self.head_left_feat = _Linear(param, "head.left_feat", h, c.node_feature_dim, rng, zero_weights=True)
+        self.head_right_exp = _Linear(param, "head.right_exp", h, 1, rng, bias_fill=-1.0, zero_weights=True)
+        self.head_right_feat = _Linear(param, "head.right_feat", h, c.edge_feature_dim, rng, zero_weights=True)
+        self.head_edge_keep = _Linear(param, "head.edge_keep", h, 1, rng, bias_fill=1.0, zero_weights=True)
+        if store is not None and (missing or unused):
+            raise ValueError(
+                "checkpoint parameters differ from the model's: first missing "
+                f"{next(iter(missing), None)!r}, first unknown {next(iter(unused), None)!r}"
+            )
 
     def encode_spectral(self, rows: np.ndarray, eigenvalues: np.ndarray) -> Tensor:
         """Sign-invariant positional encoding of eigenvector rows.

@@ -467,15 +467,26 @@ def write_graphs_jsonl(path: str | Path, graphs: Iterable[Hypergraph]) -> None:
 
 
 def read_graphs_jsonl(path: str | Path) -> list[Hypergraph]:
+    """The graphs of a file of one JSON record per line; blank lines are skipped.
+
+    Raises:
+        ValueError: naming ``path:line`` for a line that is not a JSON
+            object, lacks ``n`` or ``edges``, or describes no valid graph.
+    """
     graphs = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no + 1}: invalid JSON ({exc})") from exc
-            graphs.append(record_to_hypergraph(rec))
+                raise ValueError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object, got {line[:40]!r}")
+            try:
+                graphs.append(record_to_hypergraph(rec))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return graphs

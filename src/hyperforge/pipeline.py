@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, fields, asdict, replace
 from pathlib import Path
 
@@ -126,6 +125,7 @@ class TrainConfig:
         if not 0.0 <= self.perturb_prob <= 1.0:
             raise ValueError("perturb_prob must lie in [0, 1]")
         self.coarsening_params()
+        self.denoiser_config()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
@@ -154,6 +154,16 @@ class TrainConfig:
             rho_max=self.rho_max,
             gate_lambda=self.gate_lambda,
             preserve_k=self.preserve_k,
+        )
+
+    def denoiser_config(self, node_feature_dim: int = 0, edge_feature_dim: int = 0) -> DenoiserConfig:
+        return DenoiserConfig(
+            hidden_dim=self.hidden_dim,
+            num_layers=self.num_layers,
+            mlp_hidden=self.mlp_hidden,
+            spectral_k=self.spectral_k,
+            node_feature_dim=node_feature_dim,
+            edge_feature_dim=edge_feature_dim,
         )
 
 
@@ -485,15 +495,7 @@ def train(cfg: TrainConfig) -> dict:
         raise ValueError("empty val split: set val_every=0 to train without validation")
     fm, fl = _feature_widths(train_graphs + val_graphs)
 
-    dconfig = DenoiserConfig(
-        hidden_dim=cfg.hidden_dim,
-        num_layers=cfg.num_layers,
-        mlp_hidden=cfg.mlp_hidden,
-        spectral_k=cfg.spectral_k,
-        node_feature_dim=fm,
-        edge_feature_dim=fl,
-    )
-    denoiser = Denoiser(dconfig, rng=np.random.default_rng([cfg.seed, 1]))
+    denoiser = Denoiser(cfg.denoiser_config(fm, fl), rng=np.random.default_rng([cfg.seed, 1]))
     rng = np.random.default_rng([cfg.seed, 0])
     cache = CoarseningCache(train_graphs, cfg.coarsening_params())
 
@@ -842,11 +844,12 @@ def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
     Graph ``i`` is drawn by :func:`sample_one` from ``default_rng([seed, i])``
     alone, so the graphs are spread over the usable CPUs and the output does
     not depend on how many there are.  With ``W = min(count, usable CPUs)``
-    processes, graph ``i`` is drawn by process ``i % W``: this process draws
-    its own share while ``W - 1`` forked children, which inherit the loaded
-    denoiser, draw the rest.  A failure is raised as a one-by-one loop would
-    raise it: the error of the lowest failing index, with its type and
-    message.  No child outlives the call.
+    processes, this process draws every graph ``i`` with ``i % W == 0``
+    while a pool of ``W - 1`` forked children, which inherit the loaded
+    denoiser, take the others as they free up.  A failure is raised as a
+    one-by-one loop would raise it: the error of the lowest failing index,
+    with its type and message.  After a failure the children finish only
+    the graphs already handed to them, and no child outlives the call.
 
     Raises:
         RuntimeError: when a child dies before it returns a graph that
@@ -872,81 +875,48 @@ def _sample_index(denoiser: Denoiser, req: SampleRequest, recorded: dict, i: int
     return h, diag
 
 
-def _sample_child(conn, denoiser: Denoiser, req: SampleRequest, recorded: dict, indices: range) -> None:
-    """Body of a forked worker: send ``(i, graph, diag)`` for each index in
-    order, or ``(i, error)`` for the first one that fails and stop there."""
-    with conn:
-        for i in indices:
-            try:
-                conn.send((i, *_sample_index(denoiser, req, recorded, i)))
-            except Exception as exc:
-                conn.send((i, exc))
-                return
+_CHILD_ARGS: list = []  # (denoiser, req, recorded) in a worker forked by _sample_forked
+
+
+def _sample_in_child(i: int) -> tuple[Hypergraph, dict]:
+    return _sample_index(*_CHILD_ARGS, i)
 
 
 def _sample_forked(
     denoiser: Denoiser, req: SampleRequest, recorded: dict, workers: int
 ) -> list[tuple[Hypergraph, dict]]:
     """The graphs of :func:`sample` in index order, index ``i`` drawn by
-    this process when ``i % workers == 0`` and by a forked child otherwise."""
+    this process when ``i % workers == 0`` and by one of ``workers - 1``
+    forked children otherwise."""
     import multiprocessing  # imported here: only a sample() of several graphs forks
-    from multiprocessing.connection import wait
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # fork, not spawn: a child starts with the loaded denoiser instead of importing and loading it again
-    ctx = multiprocessing.get_context("fork")
-    drawn: dict[int, tuple[Hypergraph, dict]] = {}
-    errors: dict[int, Exception] = {}
-    lost: list[int] = []
-    owed: dict = {}  # receiving end -> indices its child has not sent yet, ascending
-    children = []
+    pool = ProcessPoolExecutor(
+        workers - 1, multiprocessing.get_context("fork"),
+        initializer=_CHILD_ARGS.extend, initargs=((denoiser, req, recorded),),
+    )
     try:
-        for w in range(1, workers):
-            share = range(w, req.count, workers)
-            recv, send = ctx.Pipe(duplex=False)
-            owed[recv] = deque(share)
-            with send:  # closed here once the child holds it, so its death reads as EOF
-                child = ctx.Process(target=_sample_child, args=(send, denoiser, req, recorded, share))
-                child.start()
-            children.append(child)
+        futures = {i: pool.submit(_sample_in_child, i) for i in range(req.count) if i % workers}
+        drawn, error, first_error = {}, None, req.count
         for i in range(0, req.count, workers):
             try:
                 drawn[i] = _sample_index(denoiser, req, recorded, i)
             except Exception as exc:
-                errors[i] = exc
+                error, first_error = exc, i
                 break
-        while True:
-            # a child whose next index lies past the first error owes nothing that is still needed
-            first_error = min(errors, default=req.count)
-            pending = [conn for conn, todo in owed.items() if todo and todo[0] < first_error]
-            if not pending:
+        for i, future in futures.items():  # ascending; a child's own error is raised here
+            if i > first_error:
                 break
-            for conn in wait(pending):
-                todo = owed[conn]
-                try:
-                    i, *out = conn.recv()
-                except EOFError:
-                    lost += todo
-                    todo.clear()
-                    continue
-                todo.popleft()
-                if len(out) == 1:
-                    errors[i] = out[0]
-                    todo.clear()
-                else:
-                    drawn[i] = tuple(out)
-        if min(lost, default=req.count) < min(errors, default=req.count):
-            raise RuntimeError(f"a sampling worker died before returning graphs {sorted(lost)}")
-        if errors:
-            raise errors[min(errors)]
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
+            try:
+                drawn[i] = future.result()
+            except BrokenProcessPool:
+                lost = [j for j, f in futures.items() if isinstance(f.exception(), BrokenProcessPool)]
+                raise RuntimeError(f"a sampling worker died before returning graphs {lost}") from None
+        if error is not None:
+            raise error
     finally:
-        for conn in owed:
-            conn.close()
-        for child in children:
-            child.join()
+        pool.shutdown(cancel_futures=True)  # waits only for the graphs a child has already taken
     return [drawn[i] for i in range(req.count)]
 
 

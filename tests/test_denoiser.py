@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -365,8 +367,9 @@ def test_config_round_trip_and_validation():
     # unknown keys are ignored (checkpoint manifests carry extras)
     extra = dict(cfg.to_dict(), train={"lr": 1.0})
     assert DenoiserConfig.from_dict(extra) == cfg
-    with pytest.raises(ValueError):
-        DenoiserConfig(hidden_dim=0)
+    for bad in (dict(hidden_dim=0), dict(num_layers=0), dict(mlp_hidden=0), dict(spectral_k=0)):
+        with pytest.raises(ValueError):
+            DenoiserConfig(**bad)
 
 
 def test_save_and_from_checkpoint(tmp_path):
@@ -420,6 +423,30 @@ def test_checkpoint_with_other_widths_names_the_parameter(tmp_path):
     path = tmp_path / "narrow.hfck"
     ad.save_checkpoint(path, store, {**SMALL.to_dict(), **_RECORDED_WIDTHS, "phi_dim": 8})
     with pytest.raises(ValueError, match=r"'signnet.phi.lin1.w' has shape \(2, 8\), expected \(2, 16\)"):
+        Denoiser.from_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "drop, add, missing, unknown",
+    [
+        ("head.edge_keep.b", None, "'head.edge_keep.b'", "None"),
+        (None, "head.extra.w", "None", "'head.extra.w'"),
+        ("in.left.w", "in.lft.w", "'in.left.w'", "'in.lft.w'"),
+    ],
+)
+def test_checkpoint_must_hold_exactly_the_model_parameters(tmp_path, drop, add, missing, unknown):
+    """A parameter the checkpoint lacks does not load at its init value, and
+    one the model does not have is not kept to be saved again."""
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    store = ad.ParameterStore()
+    for name, t in den.store.items():
+        if name != drop:
+            store.create(name, t.data)
+    if add is not None:
+        store.create(add, np.zeros((2, 3)))
+    path = tmp_path / "partial.hfck"
+    ad.save_checkpoint(path, store, SMALL.to_dict())
+    with pytest.raises(ValueError, match=re.escape(f"first missing {missing}, first unknown {unknown}") + "$"):
         Denoiser.from_checkpoint(path)
 
 

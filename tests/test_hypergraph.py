@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,24 @@ def test_jsonl_round_trip_featured_without_hyperedges(tmp_path):
         assert h.num_nodes == 3 and h.hyperedges == ()
         assert np.array_equal(h.node_features, feats)
         assert h.hyperedge_features is None
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("5", "expected a JSON object, got '5'"),
+        ('{"n": 3}', "record must carry 'n' and 'edges'"),
+        ('{"edges": [[0]]}', "record must carry 'n' and 'edges'"),
+        ('{"n": 2, "edges": [[0, 2]]}', "hyperedge (0, 2) out of range for n=2"),
+        ('{"n": 2, "edges": 7}', "not iterable"),
+        ("{n: 2}", "invalid JSON"),
+    ],
+)
+def test_read_graphs_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, bad, message):
+    path = tmp_path / "graphs.jsonl"
+    path.write_text('{"n": 1, "edges": []}\n\n' + bad + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: ')}.*{re.escape(message)}"):
+        read_graphs_jsonl(path)
 
 
 def test_record_round_trip_preserves_features():

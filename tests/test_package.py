@@ -67,9 +67,13 @@ def test_import_leaves_evaluation_modules_unloaded():
     """scipy.stats and scipy.spatial serve only the evaluation metrics,
     networkx only the tree generator, scipy.sparse.csgraph only connectivity
     checks, scipy.sparse.linalg only eigensolves above the dense cutoff, and
-    multiprocessing only sample() of more than one graph, so importing the
-    package or its CLI must not load them."""
-    lazy = ("scipy.stats", "scipy.spatial", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg", "multiprocessing")
+    multiprocessing and the process-pool executor only sample() of more
+    than one graph, so importing the package or its CLI must not load them.
+    (scipy loads concurrent.futures itself, but not its process pool.)"""
+    lazy = (
+        "scipy.stats", "scipy.spatial", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+        "multiprocessing", "concurrent.futures.process",
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",

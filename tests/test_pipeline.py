@@ -4,7 +4,9 @@ import os
 import re
 import shutil
 import signal
-from contextlib import contextmanager
+import threading
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +106,10 @@ def test_train_config_bad_bool(tmp_path):
         (dict(rho_min=0.4, rho_max=0.3), "rho_max"),
         (dict(gate_lambda=1.5), "gate_lambda"),
         (dict(preserve_k=0), "preserve_k"),
+        (dict(hidden_dim=0), "hidden_dim"),
+        (dict(num_layers=0), "num_layers"),
+        (dict(mlp_hidden=-3), "mlp_hidden"),
+        (dict(spectral_k=0), "spectral_k"),
     ],
 )
 def test_train_config_rejects_bad_perturbation_and_coarsening(kwargs, match):
@@ -752,10 +758,11 @@ def test_sample_equals_one_by_one_loop_for_any_worker_count(tmp_path, monkeypatc
             assert not got.flags.writeable
 
 
-def _fake_sample_one(seed, count, fail=(), die=()):
+def _fake_sample_one(seed, count, fail=(), die=(), nap=0.0):
     """A stand-in for sample_one that finds its graph index from its rng,
-    raises for the indices in ``fail`` and kills its (child) process for
-    those in ``die``; each diag records the process that drew the graph."""
+    raises for the indices in ``fail``, kills its (child) process for those
+    in ``die`` and sleeps ``nap`` seconds per graph in a child; each diag
+    records the process that drew the graph."""
     draws = [np.random.default_rng([seed, i]).random() for i in range(count)]
     parent = os.getpid()
 
@@ -766,6 +773,8 @@ def _fake_sample_one(seed, count, fail=(), die=()):
         if i in die:
             assert os.getpid() != parent, "only a child may be killed"
             os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() != parent:
+            time.sleep(nap)
         return Hypergraph(n_nodes, [range(n_nodes)]), {"pid": os.getpid()}
 
     return fake
@@ -779,8 +788,31 @@ def test_sample_draws_graph_i_in_process_i_mod_workers(small_ckpt, monkeypatch):
     pids = [d["pid"] for d in diags]
     assert [d["index"] for d in diags] == list(range(5))
     assert pids[0] == pids[3] == os.getpid()
-    assert pids[1] == pids[4] and len({pids[0], pids[1], pids[2]}) == 3
+    children = {pids[1], pids[2], pids[4]}
+    assert os.getpid() not in children and len(children) <= 2
     assert multiprocessing.active_children() == []
+
+
+def test_sample_stops_children_early_after_a_failure(small_ckpt, monkeypatch):
+    """Graph 0 fails in this process at once; the child, at 0.3 s per graph,
+    finishes only what it has already taken of its six graphs (1.8 s)."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=12, fail={0}, nap=0.3))
+    start = time.monotonic()
+    with _deadline(30.0), pytest.raises(ValueError, match="^graph 0 failed$"):
+        sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=12, seed=5))
+    assert time.monotonic() - start < 1.2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fail", [(), {3}, {4}])
+def test_sample_leaves_no_process_or_thread_behind(small_ckpt, monkeypatch, fail):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=6, fail=fail))
+    before = threading.active_count(), multiprocessing.active_children()
+    with _deadline(30.0), (pytest.raises(ValueError) if fail else nullcontext()):
+        sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=6, seed=5))
+    assert (threading.active_count(), multiprocessing.active_children()) == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
