@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sample",
         help="sample hypergraphs from a checkpoint",
-        description="Sample hypergraphs from a checkpoint.  The graphs are spread over the usable CPUs, "
+        description="Sample hypergraphs from a checkpoint.  Every setting comes from the checkpoint's "
+        "training record: the Euler steps per level, the reduction-fraction range, the perturbation and "
+        "the connectivity repair.  The graphs are spread over the usable CPUs, "
         "W processes in all: this one draws graphs 0, W, 2W, ... and W - 1 forked ones take the rest as "
         "they free up.  Graph i depends only on --seed and i, so the output does not depend on "
         "how many CPUs there are.",

@@ -205,19 +205,14 @@ def _weighted_means(
     """Per-group mean of ``features`` rows weighted by ``weights``.
 
     Row ``i`` joins group ``assign[i]``, whose weights sum to ``totals``.  Each
-    group adds its weighted rows to zero in ascending row order, one member
-    rank at a time, then divides by its total.
+    group adds its weighted rows to zero in ascending row order (``np.add.at``
+    is unbuffered and goes through the rows in order), then divides by its
+    total.
     """
     out = np.zeros((totals.size, features.shape[1]))
     if not features.shape[1]:
         return out
-    weighted = features * weights[:, None]
-    order = np.argsort(assign, kind="stable")
-    grouped = assign[order]
-    rank = np.arange(order.size) - np.searchsorted(grouped, grouped)
-    for r in range(rank.max(initial=-1) + 1):
-        at = rank == r
-        out[grouped[at]] += weighted[order[at]]
+    np.add.at(out, assign, features * weights[:, None])
     return out / totals[:, None]
 
 

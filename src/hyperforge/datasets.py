@@ -68,6 +68,8 @@ class DatasetSpec:
             raise ValueError("split counts must be nonnegative")
         if self.kind == "mesh-dir" and not self.mesh_dir:
             raise ValueError("mesh-dir datasets need mesh_dir")
+        if self.kind == "tree" and self.num_nodes < 2:
+            raise ValueError("tree datasets need num_nodes >= 2: a smaller tree has no hyperedge")
 
 
 def gen_sbm(rng: np.random.Generator) -> Hypergraph:

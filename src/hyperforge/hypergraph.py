@@ -55,6 +55,13 @@ def _as_float_features(arr, rows: int, what: str) -> np.ndarray:
     return out
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a float, a string or a bool is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A featured hypergraph: nodes 0..n-1 plus a list of hyperedges.
@@ -77,12 +84,12 @@ class Hypergraph:
         node_features=None,
         hyperedge_features=None,
     ):
-        num_nodes = int(num_nodes)
+        num_nodes = _as_int(num_nodes, "node count")
         if num_nodes < 1:
             raise ValueError("hypergraph needs at least one node")
         canon = []
         for he in hyperedges:
-            members = tuple(sorted(int(v) for v in he))
+            members = tuple(sorted(_as_int(v, "hyperedge member") for v in he))
             if len(members) == 0:
                 raise ValueError("empty hyperedge")
             if len(set(members)) != len(members):

@@ -88,18 +88,18 @@ class TrainConfig:
     """Everything one training run needs; parsable from key=value lines."""
 
     data_dir: str = ""
-    hidden_dim: int = 64
-    num_layers: int = 4
-    mlp_hidden: int = 128
-    spectral_k: int = 8
+    hidden_dim: int = DenoiserConfig.hidden_dim
+    num_layers: int = DenoiserConfig.num_layers
+    mlp_hidden: int = DenoiserConfig.mlp_hidden
+    spectral_k: int = DenoiserConfig.spectral_k
     steps: int = 25
     lr: float = 1e-3
     max_steps: int = 2000
     seed: int = 0
-    rho_min: float = 0.1
-    rho_max: float = 0.3
-    gate_lambda: float = 0.3
-    preserve_k: int = 8
+    rho_min: float = CoarseningParams.rho_min
+    rho_max: float = CoarseningParams.rho_max
+    gate_lambda: float = CoarseningParams.gate_lambda
+    preserve_k: int = CoarseningParams.preserve_k
     perturb_radius: int = 2
     perturb_prob: float = 0.5
     perturbation: bool = True
@@ -112,8 +112,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (self.lr > 0 and np.isfinite(self.lr)):
+            raise ValueError("lr must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.val_every < 0 or self.checkpoint_every < 0:
@@ -211,9 +211,9 @@ def build_training_example(
     seq: CoarseningSequence,
     level_index: int,
     rng: np.random.Generator,
-    perturbation: bool = True,
-    perturb_radius: int = 2,
-    perturb_prob: float = 0.5,
+    perturbation: bool = TrainConfig.perturbation,
+    perturb_radius: int = TrainConfig.perturb_radius,
+    perturb_prob: float = TrainConfig.perturb_prob,
 ) -> TrainingExample:
     """Rebuild the expanded graph at one level and derive endpoint targets.
 
@@ -454,10 +454,7 @@ def _validation_batch(
         seq = sample_coarsening_sequence(g, params, vrng)
         level = int(vrng.integers(seq.num_levels))
         example = build_training_example(
-            seq, level, vrng,
-            perturbation=cfg.perturbation,
-            perturb_radius=cfg.perturb_radius,
-            perturb_prob=cfg.perturb_prob,
+            seq, level, vrng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
         )
         batch.append(prepare_step(example, vrng, cfg.spectral_k))
     return batch
@@ -477,8 +474,8 @@ def train(cfg: TrainConfig) -> dict:
     loss), and a CSV loss log.  Aborts with a state dump on non-finite loss.
     Each checkpoint records, next to the config, whether every training
     graph is connected; sampling then keeps every refined level connected.
-    The train and val graphs must share their node and hyperedge feature
-    widths, which set the denoiser's; a mix is rejected before any step.
+    Train and val graphs without a hyperedge, or with a mix of feature
+    widths (which set the denoiser's), are rejected before any step.
     ``phase_s`` in the summary holds the seconds spent over all steps in
     ``data`` (take, example, prepare), ``forward``, ``backward`` and
     ``optimizer``; validation and checkpoint writes are outside all four.
@@ -493,6 +490,10 @@ def train(cfg: TrainConfig) -> dict:
         raise ValueError("empty training split")
     if cfg.val_every and not val_graphs:
         raise ValueError("empty val split: set val_every=0 to train without validation")
+    for split, graphs in (("train", train_graphs), ("val", val_graphs)):
+        bare = next((i for i, h in enumerate(graphs) if not h.num_hyperedges), None)
+        if bare is not None:
+            raise ValueError(f"{split} record {bare} has no hyperedges, and coarsening needs one")
     fm, fl = _feature_widths(train_graphs + val_graphs)
 
     denoiser = Denoiser(cfg.denoiser_config(fm, fl), rng=np.random.default_rng([cfg.seed, 1]))
@@ -522,10 +523,7 @@ def train(cfg: TrainConfig) -> dict:
             graph_id = int(rng.integers(len(train_graphs)))
             seq, level_index = cache.take(graph_id, rng)
             example = build_training_example(
-                seq, level_index, rng,
-                perturbation=cfg.perturbation,
-                perturb_radius=cfg.perturb_radius,
-                perturb_prob=cfg.perturb_prob,
+                seq, level_index, rng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
             )
             inp, targets = prepare_step(example, rng, cfg.spectral_k)
             t1 = time.perf_counter()
@@ -717,34 +715,30 @@ def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
     return reduced, keep
 
 
-def sample_one(
-    denoiser: Denoiser,
-    n_nodes: int,
-    rng: np.random.Generator,
-    steps: int = 25,
-    rho_min: float = 0.1,
-    rho_max: float = 0.3,
-) -> tuple[Hypergraph, dict]:
+def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tuple[Hypergraph, dict]:
     """Generate one hypergraph with exactly ``n_nodes`` nodes.
 
-    Each level is expanded the way the model saw it in training: with the
-    perturbation settings its checkpoint records in ``denoiser.extra_config``,
-    since a model trained on perturbed expansions learns to drop the share of
-    input edges that perturbation adds.  When the checkpoint records that
-    every training graph is connected, each refinement keeps the level
-    connected, see :func:`_connected_support`.  A model built in memory
-    records neither and expands plainly, without the repair.
+    Every setting comes from the checkpoint's record in ``extra_config``:
+    the Euler ``steps`` per level, the ρ range, the perturbation that a model
+    trained on perturbed expansions learned to undo and, when every training
+    graph was connected, the repair that keeps each level connected
+    (:func:`_connected_support`).  An unrecorded value takes
+    :class:`TrainConfig`'s default, but an unrecorded ``perturbation`` or
+    ``train_graphs_connected`` is off: a model built in memory records
+    neither, so its levels expand plainly and go unrepaired.
 
     Raises:
-        ValueError: unless 0 < rho_min <= rho_max < 1, before any work.
+        ValueError: unless the recorded 0 < rho_min <= rho_max < 1, before any work.
     """
-    if not 0.0 < rho_min <= rho_max < 1.0:
-        raise ValueError("need 0 < rho_min <= rho_max < 1")
-    train_cfg = denoiser.extra_config.get("train", {})
-    perturbation = bool(train_cfg.get("perturbation", False))
-    perturb_radius = int(train_cfg.get("perturb_radius", TrainConfig.perturb_radius))
-    perturb_prob = float(train_cfg.get("perturb_prob", TrainConfig.perturb_prob))
+    record = denoiser.extra_config.get("train", {})
+    steps = int(record.get("steps", TrainConfig.steps))
+    rho_min = float(record.get("rho_min", TrainConfig.rho_min))
+    rho_max = float(record.get("rho_max", TrainConfig.rho_max))
+    perturbation = bool(record.get("perturbation", False))
+    perturb_radius = int(record.get("perturb_radius", TrainConfig.perturb_radius))
+    perturb_prob = float(record.get("perturb_prob", TrainConfig.perturb_prob))
     keep_connected = bool(denoiser.extra_config.get("train_graphs_connected", False))
+    CoarseningParams(rho_min=rho_min, rho_max=rho_max)  # the one check of the ρ range
     c = denoiser.config
     N = int(n_nodes)
     b = BipartiteGraph(
@@ -857,34 +851,28 @@ def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
             indices.
     """
     denoiser = Denoiser.from_checkpoint(req.checkpoint)
-    extras = denoiser.extra_config.get("train", {})
-    # only what the checkpoint records; sample_one's defaults cover the rest
-    casts = {"steps": int, "rho_min": float, "rho_max": float}
-    recorded = {k: cast(extras[k]) for k, cast in casts.items() if k in extras}
     workers = _sample_workers(req.count)
     if workers == 1:
-        drawn = [_sample_index(denoiser, req, recorded, i) for i in range(req.count)]
+        drawn = [_sample_index(denoiser, req, i) for i in range(req.count)]
     else:
-        drawn = _sample_forked(denoiser, req, recorded, workers)
+        drawn = _sample_forked(denoiser, req, workers)
     return [h for h, _ in drawn], [diag for _, diag in drawn]
 
 
-def _sample_index(denoiser: Denoiser, req: SampleRequest, recorded: dict, i: int) -> tuple[Hypergraph, dict]:
-    h, diag = sample_one(denoiser, req.n_nodes, np.random.default_rng([req.seed, i]), **recorded)
+def _sample_index(denoiser: Denoiser, req: SampleRequest, i: int) -> tuple[Hypergraph, dict]:
+    h, diag = sample_one(denoiser, req.n_nodes, np.random.default_rng([req.seed, i]))
     diag["index"] = i
     return h, diag
 
 
-_CHILD_ARGS: list = []  # (denoiser, req, recorded) in a worker forked by _sample_forked
+_CHILD_ARGS: list = []  # (denoiser, req) in a worker forked by _sample_forked
 
 
 def _sample_in_child(i: int) -> tuple[Hypergraph, dict]:
     return _sample_index(*_CHILD_ARGS, i)
 
 
-def _sample_forked(
-    denoiser: Denoiser, req: SampleRequest, recorded: dict, workers: int
-) -> list[tuple[Hypergraph, dict]]:
+def _sample_forked(denoiser: Denoiser, req: SampleRequest, workers: int) -> list[tuple[Hypergraph, dict]]:
     """The graphs of :func:`sample` in index order, index ``i`` drawn by
     this process when ``i % workers == 0`` and by one of ``workers - 1``
     forked children otherwise."""
@@ -894,14 +882,14 @@ def _sample_forked(
     # fork, not spawn: a child starts with the loaded denoiser instead of importing and loading it again
     pool = ProcessPoolExecutor(
         workers - 1, multiprocessing.get_context("fork"),
-        initializer=_CHILD_ARGS.extend, initargs=((denoiser, req, recorded),),
+        initializer=_CHILD_ARGS.extend, initargs=((denoiser, req),),
     )
     try:
         futures = {i: pool.submit(_sample_in_child, i) for i in range(req.count) if i % workers}
         drawn, error, first_error = {}, None, req.count
         for i in range(0, req.count, workers):
             try:
-                drawn[i] = _sample_index(denoiser, req, recorded, i)
+                drawn[i] = _sample_index(denoiser, req, i)
             except Exception as exc:
                 error, first_error = exc, i
                 break

@@ -210,6 +210,14 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="mesh-dir")  # needs mesh_dir
 
 
+@pytest.mark.parametrize("num_nodes", [1, 0, -3])
+def test_dataset_spec_rejects_trees_without_hyperedges(num_nodes):
+    """One node makes graphs with no hyperedge to coarsen; none fails in networkx."""
+    with pytest.raises(ValueError, match=re.escape("num_nodes >= 2")):
+        DatasetSpec(kind="tree", num_nodes=num_nodes)
+    assert DatasetSpec(kind="tree", num_nodes=2).num_nodes == 2
+
+
 def test_generate_dataset_tree(tmp_path):
     spec = DatasetSpec(kind="tree", train_count=6, val_count=2, test_count=2, seed=9, num_nodes=12)
     manifest = generate_dataset(spec, tmp_path / "data")

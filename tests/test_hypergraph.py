@@ -239,6 +239,12 @@ def test_jsonl_round_trip_featured_without_hyperedges(tmp_path):
         ('{"n": 2, "edges": [[0, 2]]}', "hyperedge (0, 2) out of range for n=2"),
         ('{"n": 2, "edges": 7}', "not iterable"),
         ("{n: 2}", "invalid JSON"),
+        ('{"n": 2.7, "edges": [[0, 1]]}', "node count 2.7 is not an integer"),
+        ('{"n": "3", "edges": [[0, 1]]}', "node count '3' is not an integer"),
+        ('{"n": true, "edges": [[0]]}', "node count True is not an integer"),
+        ('{"n": 3, "edges": [[0.9, 1.5]]}', "hyperedge member 0.9 is not an integer"),
+        ('{"n": 3, "edges": [[1.9, 0]]}', "hyperedge member 1.9 is not an integer"),
+        ('{"n": 3, "edges": [[0, true]]}', "hyperedge member True is not an integer"),
     ],
 )
 def test_read_graphs_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, bad, message):
@@ -246,6 +252,12 @@ def test_read_graphs_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, bad
     path.write_text('{"n": 1, "edges": []}\n\n' + bad + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: ')}.*{re.escape(message)}"):
         read_graphs_jsonl(path)
+
+
+def test_hypergraph_takes_numpy_integers_as_ints():
+    h = Hypergraph(np.int64(3), [np.array([2, 0], dtype=np.int32)])
+    assert (h.num_nodes, h.hyperedges) == (3, ((0, 2),))
+    assert type(h.num_nodes) is int and all(type(v) is int for v in h.hyperedges[0])
 
 
 def test_record_round_trip_preserves_features():

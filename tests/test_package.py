@@ -122,12 +122,13 @@ def test_traced_sampling_and_training_step():
 
     cfg = DenoiserConfig(hidden_dim=8, num_layers=1, mlp_hidden=8, spectral_k=2)
     den = Denoiser(cfg, rng=np.random.default_rng(0))
+    den.extra_config = {"train": {"steps": 2}}
     rng = np.random.default_rng(1)
     seq = sample_coarsening_sequence(gen_tree(rng, num_nodes=8), CoarseningParams(), rng)
     t = _import_tracer().Tracer()
     t.install()
     try:
-        _, diag = pipeline.sample_one(den, 6, np.random.default_rng(2), steps=2)
+        _, diag = pipeline.sample_one(den, 6, np.random.default_rng(2))
         example = pipeline.build_training_example(seq, 0, rng)
         inp, targets = pipeline.prepare_step(example, rng, cfg.spectral_k)
         den.store.zero_grad()

@@ -121,6 +121,16 @@ def test_train_config_rejects_bad_perturbation_and_coarsening(kwargs, match):
     TrainConfig(perturb_prob=1.0)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(tmp_path, lr):
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        TrainConfig(lr=lr)
+    cfg_path = tmp_path / "lr.cfg"
+    cfg_path.write_text(f"lr = {lr}\n")
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        TrainConfig.from_file(cfg_path)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [dict(val_every=5, val_batches=0), dict(val_every=-1), dict(checkpoint_every=-1)],
@@ -636,8 +646,9 @@ def test_connected_support_properties(case):
 
 def test_sample_one_exact_size_and_budgets():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    den.extra_config = {"train": {"steps": 8}}
     for n in (1, 2, 7, 16):
-        h, diag = sample_one(den, n, np.random.default_rng(n), steps=8)
+        h, diag = sample_one(den, n, np.random.default_rng(n))
         assert h.num_nodes == n
         assert all(s == n for s in diag["budget_sums"])
         assert diag["iterations"] <= int(4 * np.log2(max(n, 2)) + 16)
@@ -645,7 +656,8 @@ def test_sample_one_exact_size_and_budgets():
 
 def test_sample_one_untrained_keeps_single_hyperedge():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
-    h, diag = sample_one(den, 9, np.random.default_rng(1), steps=8)
+    den.extra_config = {"train": {"steps": 8}}
+    h, diag = sample_one(den, 9, np.random.default_rng(1))
     assert h.num_hyperedges == 1
     assert sorted(h.hyperedges[0]) == list(range(9))
     assert diag["valid_structure"] is True
@@ -654,10 +666,37 @@ def test_sample_one_untrained_keeps_single_hyperedge():
 
 def test_sample_one_deterministic():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
-    h1, _ = sample_one(den, 11, np.random.default_rng(5), steps=8)
-    h2, _ = sample_one(den, 11, np.random.default_rng(5), steps=8)
+    den.extra_config = {"train": {"steps": 8}}
+    h1, _ = sample_one(den, 11, np.random.default_rng(5))
+    h2, _ = sample_one(den, 11, np.random.default_rng(5))
     assert h1.num_nodes == h2.num_nodes
     assert [tuple(e) for e in h1.hyperedges] == [tuple(e) for e in h2.hyperedges]
+
+
+def test_sample_one_reads_the_settings_that_sample_reads(tmp_path, monkeypatch):
+    """A direct sample_one on a loaded checkpoint draws graph i of sample(),
+    both with the recorded Euler steps and reduction fraction."""
+    ckpt = tmp_path / "m.hfck"
+    recorded = {"steps": 3, "rho_min": 0.2, "rho_max": 0.2, "perturbation": True}
+    Denoiser(SMALL, rng=np.random.default_rng(0)).save(ckpt, extra_config={"train": recorded})
+    forwards = []
+    real_forward = Denoiser.forward
+
+    def counted_forward(self, inp):
+        forwards.append(1)
+        return real_forward(self, inp)
+
+    monkeypatch.setattr(Denoiser, "forward", counted_forward)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)  # every forward in this process
+    graphs, diags = sample(SampleRequest(checkpoint=str(ckpt), n_nodes=40, count=3, seed=4))
+    assert len(forwards) == 3 * sum(d["iterations"] for d in diags)
+    den = Denoiser.from_checkpoint(ckpt)
+    for i, (h, diag) in enumerate(zip(graphs, diags)):
+        forwards.clear()
+        ref, ref_diag = sample_one(den, 40, np.random.default_rng([4, i]))
+        assert len(forwards) == 3 * ref_diag["iterations"]
+        assert diag == dict(ref_diag, index=i)
+        assert (h.num_nodes, h.hyperedges) == (ref.num_nodes, ref.hyperedges)
 
 
 def _spy(monkeypatch, name):
@@ -750,7 +789,7 @@ def test_sample_equals_one_by_one_loop_for_any_worker_count(tmp_path, monkeypatc
     assert len(graphs) == len(diags) == 5
     den = Denoiser.from_checkpoint(ckpt)
     for i, (h, diag) in enumerate(zip(graphs, diags)):
-        ref, ref_diag = sample_one(den, 7, np.random.default_rng([11, i]), steps=4)
+        ref, ref_diag = sample_one(den, 7, np.random.default_rng([11, i]))
         assert diag == dict(ref_diag, index=i)
         assert (h.num_nodes, h.hyperedges) == (ref.num_nodes, ref.hyperedges)
         for got, want in ((h.node_features, ref.node_features), (h.hyperedge_features, ref.hyperedge_features)):
@@ -968,6 +1007,26 @@ def test_train_rejects_mixed_feature_widths_before_any_step(
     monkeypatch.setattr(pipeline, "prepare_step", counted_prepare_step)
     ckpt = tmp_path / "ckpt"
     with pytest.raises(ValueError, match=re.escape(f"feature widths {mixed}")):
+        train(_toy_cfg(data, ckpt, val_every=2, max_steps=4))
+    assert steps == []
+    assert not (ckpt / "loss.csv").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_a_graph_without_hyperedges_before_any_step(tmp_path, monkeypatch, split):
+    """Coarsening cannot start from a graph with no hyperedge; it is named up
+    front instead of failing at whichever step first draws it."""
+    rng = np.random.default_rng(0)
+    graphs = {name: [gen_tree(rng, num_nodes=8) for _ in range(6)] for name in ("train", "val", "test")}
+    graphs[split][3] = Hypergraph(4, [])
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, split_graphs in graphs.items():
+        write_graphs_jsonl(data / f"{name}.jsonl", split_graphs)
+    (data / "manifest.json").write_text(json.dumps({"kind": "tree"}))
+    steps = _spy(monkeypatch, "prepare_step")
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match=re.escape(f"{split} record 3 has no hyperedges")):
         train(_toy_cfg(data, ckpt, val_every=2, max_steps=4))
     assert steps == []
     assert not (ckpt / "loss.csv").exists()
