@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 
 class _UsageError(Exception):
     pass
@@ -30,17 +28,12 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    from dataclasses import fields
+
     from .datasets import DatasetSpec, generate_dataset
 
-    spec = DatasetSpec(
-        kind=args.kind,
-        train_count=args.train,
-        val_count=args.val,
-        test_count=args.test,
-        seed=args.seed,
-        num_nodes=args.num_nodes,
-        mesh_dir=args.mesh_dir,
-    )
+    given = vars(args)
+    spec = DatasetSpec(**{f.name: given[f.name] for f in fields(DatasetSpec) if f.name in given})
     manifest = generate_dataset(spec, args.out)
     print(json.dumps({"out": str(args.out), "kind": manifest["kind"], "splits": manifest["splits"]}))
     return 0
@@ -106,6 +99,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_coarsen_demo(args) -> int:
+    import numpy as np
+
     from .coarsening import CoarseningParams, sample_coarsening_sequence
     from .expansion import reconstruct_finer
     from .hypergraph import read_graphs_jsonl
@@ -137,15 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperforge", description="Hierarchical hypergraph generation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
+    # an option left out is absent from the namespace, so DatasetSpec supplies its default
+    p = sub.add_parser(
+        "gen-data", help="generate a synthetic dataset directory", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--kind", required=True, choices=["sbm", "ego", "tree", "mesh-dir"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train", type=int, default=128)
-    p.add_argument("--val", type=int, default=32)
-    p.add_argument("--test", type=int, default=40)
-    p.add_argument("--num-nodes", type=int, default=32, help="tree size parameter")
-    p.add_argument("--mesh-dir", default=None, help="source directory for mesh-dir datasets")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--train", dest="train_count", type=int)
+    p.add_argument("--val", dest="val_count", type=int)
+    p.add_argument("--test", dest="test_count", type=int)
+    p.add_argument("--num-nodes", type=int, help="tree size parameter")
+    p.add_argument("--mesh-dir", help="source directory for mesh-dir datasets")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model from a key=value config file")

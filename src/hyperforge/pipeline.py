@@ -40,6 +40,7 @@ from .flow import integrate, interpolate, ot_couple, project_split_groups, sampl
 from .hypergraph import (
     BipartiteGraph,
     Hypergraph,
+    _as_int,
     collapse_bipartite,
     is_connected,
     read_graphs_jsonl,
@@ -110,6 +111,9 @@ class TrainConfig:
     log_path: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":
+                setattr(self, f.name, _as_int(getattr(self, f.name), f.name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (self.lr > 0 and np.isfinite(self.lr)):
@@ -190,9 +194,10 @@ class SampleRequest:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        _as_int(self.seed, "seed")
+        if _as_int(self.n_nodes, "n_nodes") < 1:
             raise ValueError("n_nodes must be >= 1")
-        if self.count < 1:
+        if _as_int(self.count, "count") < 1:
             raise ValueError("count must be >= 1")
 
 
@@ -740,7 +745,7 @@ def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tu
     keep_connected = bool(denoiser.extra_config.get("train_graphs_connected", False))
     CoarseningParams(rho_min=rho_min, rho_max=rho_max)  # the one check of the ρ range
     c = denoiser.config
-    N = int(n_nodes)
+    N = _as_int(n_nodes, "n_nodes")
     b = BipartiteGraph(
         num_left=1,
         num_right=1,

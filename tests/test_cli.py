@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hyperforge.cli import main
+from hyperforge.datasets import DatasetSpec
 from hyperforge.hypergraph import read_graphs_jsonl
 
 
@@ -73,6 +75,14 @@ def test_gen_data_prints_summary(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["splits"] == {"train": 2, "val": 1, "test": 1}
+
+
+def test_gen_data_defaults_come_from_dataset_spec(tmp_path, capsys):
+    """Options left out take DatasetSpec's defaults, declared only there."""
+    out = tmp_path / "d"
+    assert main(["gen-data", "--kind", "tree", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spec"] == asdict(DatasetSpec(kind="tree"))
 
 
 def test_train_and_sample(checkpoint, tmp_path, capsys):

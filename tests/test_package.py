@@ -1,6 +1,6 @@
-"""Guards on the package surface: every exported name resolves and is used,
-and every name the benchmark's tracer wraps still exists where it is looked
-up."""
+"""Guards on the package surface: every module's exported name resolves and
+is used, importing the CLI loads no numerical module, and every name the
+benchmark's tracer wraps still exists where it is looked up."""
 
 import ast
 import importlib
@@ -24,10 +24,6 @@ BENCHMARKS = ROOT / "benchmarks"
 def test_module_all_resolves(name):
     module = importlib.import_module(f"hyperforge.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
-
-
-def test_package_all_resolves():
-    assert [n for n in hyperforge.__all__ if not hasattr(hyperforge, n)] == []
 
 
 def _referenced_names() -> set[str]:
@@ -63,28 +59,47 @@ def test_every_exported_name_is_used():
     assert unused == []
 
 
-def test_import_leaves_evaluation_modules_unloaded():
-    """scipy.stats and scipy.spatial serve only the evaluation metrics,
-    networkx only the tree generator, scipy.sparse.csgraph only connectivity
-    checks, scipy.sparse.linalg only eigensolves above the dense cutoff, and
-    multiprocessing and the process-pool executor only sample() of more
-    than one graph, so importing the package or its CLI must not load them.
-    (scipy loads concurrent.futures itself, but not its process pool.)"""
-    lazy = (
-        "scipy.stats", "scipy.spatial", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-        "multiprocessing", "concurrent.futures.process",
-    )
+def _modules_loaded_by(imports: str) -> list[str]:
+    """Every module in ``sys.modules`` of a fresh interpreter after it runs
+    ``imports``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hyperforge, hyperforge.cli\n"
-         f"print(*sorted(m for m in sys.modules if m.startswith({lazy!r})))"],
+        [sys.executable, "-c", f"import sys\n{imports}\nprint(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def _under(loaded: list[str], prefixes: tuple[str, ...]) -> list[str]:
+    return [m for m in loaded if m in prefixes or m.startswith(tuple(p + "." for p in prefixes))]
+
+
+def test_import_leaves_evaluation_modules_unloaded():
+    """Importing the package or its CLI loads no other hyperforge module and
+    none of numpy, scipy, networkx, multiprocessing or the process-pool
+    executor: each command imports what it runs, so ``hyperforge --help``
+    starts without them.  Importing every module of the package still
+    leaves unloaded what only some functions need: scipy.stats and
+    scipy.spatial serve only the evaluation metrics, networkx only the tree
+    generator, scipy.sparse.csgraph only connectivity checks,
+    scipy.sparse.linalg only eigensolves above the dense cutoff, and
+    multiprocessing and the process-pool executor only sample() of more than
+    one graph.  (scipy loads concurrent.futures itself, but not its process
+    pool.)"""
+    loaded = _modules_loaded_by("import hyperforge, hyperforge.cli")
+    assert _under(loaded, ("numpy", "scipy", "networkx", "multiprocessing", "concurrent.futures.process")) == []
+    assert [m for m in loaded if m.startswith("hyperforge.")] == ["hyperforge.cli"]
+
+    loaded = _modules_loaded_by("\n".join(f"import hyperforge.{name}" for name in MODULES))
+    assert [f"hyperforge.{name}" for name in MODULES if f"hyperforge.{name}" not in loaded] == []
+    lazy = (
+        "scipy.stats", "scipy.spatial", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+        "multiprocessing", "concurrent.futures.process",
+    )
+    assert _under(loaded, lazy) == []
 
 
 def _import_tracer():

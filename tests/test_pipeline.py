@@ -121,6 +121,18 @@ def test_train_config_rejects_bad_perturbation_and_coarsening(kwargs, match):
     TrainConfig(perturb_prob=1.0)
 
 
+@pytest.mark.parametrize(
+    "name", ["max_steps", "steps", "seed", "val_every", "val_batches", "checkpoint_every", "hidden_dim", "preserve_k"]
+)
+def test_train_config_rejects_an_int_field_that_is_not_an_integer(name):
+    """A float count used to be kept, and max_steps = 2.5 failed only in
+    train(), after the loss log was opened."""
+    with pytest.raises(ValueError, match=f"{name} 2.5 is not an integer"):
+        TrainConfig(**{name: 2.5})
+    cfg = TrainConfig(**{name: np.int64(getattr(TrainConfig, name))})
+    assert type(getattr(cfg, name)) is int
+
+
 @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
 def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(tmp_path, lr):
     with pytest.raises(ValueError, match="lr must be positive and finite"):
@@ -654,6 +666,15 @@ def test_sample_one_exact_size_and_budgets():
         assert diag["iterations"] <= int(4 * np.log2(max(n, 2)) + 16)
 
 
+def test_sample_one_rejects_a_size_that_is_not_an_integer():
+    """A float size used to be truncated: 2.5 gave a 2-node graph."""
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_nodes 2.5 is not an integer"):
+        sample_one(den, 2.5, np.random.default_rng(0))
+    h, _ = sample_one(den, np.int64(3), np.random.default_rng(0))
+    assert h.num_nodes == 3
+
+
 def test_sample_one_untrained_keeps_single_hyperedge():
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     den.extra_config = {"train": {"steps": 8}}
@@ -880,6 +901,22 @@ def test_sample_request_validation():
         SampleRequest(checkpoint="x", n_nodes=0)
     with pytest.raises(ValueError):
         SampleRequest(checkpoint="x", n_nodes=3, count=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(n_nodes=2.5), "n_nodes 2.5"),
+        (dict(n_nodes=3, count=1.5), "count 1.5"),
+        (dict(n_nodes=3, seed=0.5), "seed 0.5"),
+        (dict(n_nodes=True), "n_nodes True"),
+        (dict(n_nodes="3"), "n_nodes '3'"),
+    ],
+)
+def test_sample_request_rejects_counts_that_are_not_integers(kwargs, match):
+    with pytest.raises(ValueError, match=f"{match} is not an integer"):
+        SampleRequest(checkpoint="x", **kwargs)
+    SampleRequest(checkpoint="x", n_nodes=np.int64(3), count=np.int32(2), seed=np.uint32(7))
 
 
 # --------------------------------------------------------------- training ----
