@@ -20,7 +20,7 @@ partitions, and one top-down pass orders every level and records its targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -244,13 +244,13 @@ def merge_left(
             raise ValueError(f"part {g} is not connected in the clique expansion")
 
     budgets = np.bincount(assign, weights=b.left_budgets, minlength=num_groups).astype(np.int64)
-    graph = BipartiteGraph(
-        num_left=num_groups,
-        num_right=b.num_right,
-        edges=np.stack([keys // width, keys % width], axis=1),
-        left_budgets=budgets,
-        left_features=_weighted_means(b.left_features, b.left_budgets, assign, budgets),
-        right_features=b.right_features,
+    graph = BipartiteGraph._derived(
+        num_groups,
+        b.num_right,
+        np.stack([keys // width, keys % width], axis=1),
+        budgets,
+        _weighted_means(b.left_features, b.left_budgets, assign, budgets),
+        b.right_features,
     )
     return graph, assign
 
@@ -295,13 +295,13 @@ def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.nd
     # The merged edges are the chunk leaders' edges.
     kept = b.edges[leader[b.edges[:, 1]] == b.edges[:, 1]]
     new_rb = np.bincount(assign, weights=rb, minlength=num_groups).astype(np.int64)
-    graph = BipartiteGraph(
-        num_left=b.num_left,
-        num_right=num_groups,
-        edges=np.stack([kept[:, 0], assign[kept[:, 1]]], axis=1),
-        left_budgets=b.left_budgets,
-        left_features=b.left_features,
-        right_features=_weighted_means(b.right_features, rb, assign, new_rb),
+    graph = BipartiteGraph._derived(
+        b.num_left,
+        num_groups,
+        np.stack([kept[:, 0], assign[kept[:, 1]]], axis=1),
+        b.left_budgets,
+        b.left_features,
+        _weighted_means(b.right_features, rb, assign, new_rb),
     )
     return graph, assign, new_rb
 
@@ -352,13 +352,13 @@ def _permute_bipartite(
     linv[lperm] = np.arange(b.num_left)
     rinv = np.empty(b.num_right, dtype=np.int64)
     rinv[rperm] = np.arange(b.num_right)
-    return BipartiteGraph(
-        num_left=b.num_left,
-        num_right=b.num_right,
-        edges=np.stack([linv[b.edges[:, 0]], rinv[b.edges[:, 1]]], axis=1),
-        left_budgets=b.left_budgets[lperm],
-        left_features=b.left_features[lperm],
-        right_features=b.right_features[rperm],
+    return BipartiteGraph._derived(
+        b.num_left,
+        b.num_right,
+        np.stack([linv[b.edges[:, 0]], rinv[b.edges[:, 1]]], axis=1),
+        b.left_budgets[lperm],
+        b.left_features[lperm],
+        b.right_features[rperm],
     )
 
 
@@ -409,10 +409,13 @@ def sample_coarsening_sequence(
 
     coarse = raw.pop()
     if assigns:
-        coarse = replace(
-            coarse,
-            left_features=np.zeros_like(coarse.left_features),
-            right_features=np.zeros_like(coarse.right_features),
+        coarse = BipartiteGraph._derived(
+            coarse.num_left,
+            coarse.num_right,
+            coarse.edges,
+            coarse.left_budgets,
+            np.zeros_like(coarse.left_features),
+            np.zeros_like(coarse.right_features),
         )
 
     # Top-down pass: fix each level's node order to the expansion order of its
@@ -424,16 +427,13 @@ def sample_coarsening_sequence(
         lperm, left_sizes = _children_in_order(left_assign, lperm)
         rperm, right_sizes = _children_in_order(right_assign, rperm)
         fine = _permute_bipartite(raw_fine, lperm, rperm)
-        ev = ExpansionVectors(left_sizes, right_sizes)
+        ev = ExpansionVectors._derived(left_sizes, right_sizes)
         expanded = expand(coarse, ev)
         keep = kept_edges(expanded, fine)
         if int(keep.sum()) != fine.num_edges:
             raise AssertionError("finer edges escaped the expansion closure")
-        rd = RefinementDecision(
-            edge_keep=keep,
-            budget_split=fine.left_budgets / expanded.left_budgets,
-            left_features=fine.left_features,
-            right_features=fine.right_features,
+        rd = RefinementDecision._derived(
+            keep, fine.left_budgets / expanded.left_budgets, fine.left_features, fine.right_features
         )
         levels.append(CoarseningLevel(bipartite=coarse, expansion=ev, refinement=rd))
         coarse = fine

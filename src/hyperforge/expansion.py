@@ -23,11 +23,11 @@ sibling pairs and the only children cover the left side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import BipartiteGraph
+from .hypergraph import BipartiteGraph, _as_int_array, _check_features, _derive, _store
 
 __all__ = [
     "MAX_RIGHT_EXPANSION",
@@ -54,17 +54,17 @@ class ExpansionVectors:
     left: np.ndarray
     right: np.ndarray
 
+    # from int64 child counts of a coarsening step, in range by construction
+    _derived = classmethod(_derive)
+
     def __init__(self, left, right):
-        larr = np.asarray(left, dtype=np.int64).reshape(-1)
-        rarr = np.asarray(right, dtype=np.int64).reshape(-1)
+        larr = _as_int_array(left, "left expansion counts").reshape(-1)
+        rarr = _as_int_array(right, "right expansion counts").reshape(-1)
         if larr.size and (larr.min() < 1 or larr.max() > 2):
             raise ValueError("left expansion counts must be 1 or 2")
         if rarr.size and (rarr.min() < 1 or rarr.max() > MAX_RIGHT_EXPANSION):
             raise ValueError(f"right expansion counts must be in 1..{MAX_RIGHT_EXPANSION}")
-        larr.flags.writeable = False
-        rarr.flags.writeable = False
-        object.__setattr__(self, "left", larr)
-        object.__setattr__(self, "right", rarr)
+        _store(self, larr, rarr)
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,21 @@ class RefinementDecision:
     left_features: np.ndarray
     right_features: np.ndarray
 
+    # from an int8 0/1 mask, float64 fractions and float64 feature matrices
+    # of a coarsening step
+    _derived = classmethod(_derive)
+
     def __init__(self, edge_keep, budget_split, left_features, right_features):
-        ek = np.asarray(edge_keep, dtype=np.int8).reshape(-1)
+        ek = _as_int_array(edge_keep, "edge_keep entries").reshape(-1)
         if ek.size and not np.all((ek == 0) | (ek == 1)):
             raise ValueError("edge_keep entries must be 0 or 1")
-        # freeze views (reshape already returns one), never the caller's own arrays
-        bs = np.asarray(budget_split, dtype=np.float64).reshape(-1)
-        lf = np.asarray(left_features, dtype=np.float64).view()
-        rf = np.asarray(right_features, dtype=np.float64).view()
-        for arr in (ek, bs, lf, rf):
-            arr.flags.writeable = False
-        object.__setattr__(self, "edge_keep", ek)
-        object.__setattr__(self, "budget_split", bs)
-        object.__setattr__(self, "left_features", lf)
-        object.__setattr__(self, "right_features", rf)
+        _store(
+            self,
+            ek.astype(np.int8),
+            np.array(budget_split, dtype=np.float64).reshape(-1),
+            np.array(left_features, dtype=np.float64),
+            np.array(right_features, dtype=np.float64),
+        )
 
 
 def _child_pairs(v: ExpansionVectors, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -111,6 +112,27 @@ def _child_pairs(v: ExpansionVectors, ps: np.ndarray, qs: np.ndarray) -> np.ndar
     return np.stack([left, right], axis=1)
 
 
+def _child_edges(b: BipartiteGraph, v: ExpansionVectors) -> np.ndarray:
+    """Every child pair of every edge of ``b``: the edges of its expansion."""
+    if v.left.shape[0] != b.num_left or v.right.shape[0] != b.num_right:
+        raise ValueError("expansion vector length mismatch")
+    return _child_pairs(v, b.edges[:, 0], b.edges[:, 1])
+
+
+def _expanded(b: BipartiteGraph, v: ExpansionVectors, edges: np.ndarray) -> BipartiteGraph:
+    """The expansion of ``b`` by ``v`` with the child edges ``edges``."""
+    return BipartiteGraph._derived(
+        int(v.left.sum()),
+        int(v.right.sum()),
+        edges,
+        np.repeat(b.left_budgets, v.left),
+        np.repeat(b.left_features, v.left, axis=0),
+        np.repeat(b.right_features, v.right, axis=0),
+        np.repeat(np.arange(b.num_left, dtype=np.int64), v.left),
+        np.repeat(np.arange(b.num_right, dtype=np.int64), v.right),
+    )
+
+
 def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
     """Clone-and-rewire expansion.
 
@@ -120,18 +142,7 @@ def expand(b: BipartiteGraph, v: ExpansionVectors) -> BipartiteGraph:
     both feature matrices keep their width (0 included); right budgets are
     not modeled past this point.
     """
-    if v.left.shape[0] != b.num_left or v.right.shape[0] != b.num_right:
-        raise ValueError("expansion vector length mismatch")
-    return BipartiteGraph(
-        num_left=int(v.left.sum()),
-        num_right=int(v.right.sum()),
-        edges=_child_pairs(v, b.edges[:, 0], b.edges[:, 1]),
-        left_budgets=np.repeat(b.left_budgets, v.left),
-        left_features=np.repeat(b.left_features, v.left, axis=0),
-        right_features=np.repeat(b.right_features, v.right, axis=0),
-        cluster_of_left=np.repeat(np.arange(b.num_left, dtype=np.int64), v.left),
-        cluster_of_right=np.repeat(np.arange(b.num_right, dtype=np.int64), v.right),
-    )
+    return _expanded(b, v, _child_edges(b, v))
 
 
 def perturb_expand(
@@ -153,11 +164,11 @@ def perturb_expand(
         raise ValueError("radius must be >= 0")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
-    base = expand(b, v)
+    edges = _child_edges(b, v)
     # distance 1 pairs are exactly the parent edges, whose child pairs all
     # exist already, so radius 0 has nothing to add
     if radius == 0 or edge_prob == 0.0:
-        return base
+        return _expanded(b, v, edges)
     # reach[p, q]: right parent q lies within distance 2 * radius + 1 of left parent p
     incidence = np.zeros((b.num_left, b.num_right))
     incidence[b.edges[:, 0], b.edges[:, 1]] = 1.0
@@ -168,9 +179,7 @@ def perturb_expand(
     reach[b.edges[:, 0], b.edges[:, 1]] = 0.0
     candidates = _child_pairs(v, *np.nonzero(reach))
     extra = candidates[rng.random(candidates.shape[0]) < edge_prob]
-    if extra.shape[0] == 0:
-        return base
-    return replace(base, edges=np.concatenate([base.edges, extra]))
+    return _expanded(b, v, np.concatenate([edges, extra]))
 
 
 def sibling_pairs(cluster_map: np.ndarray) -> np.ndarray:
@@ -237,6 +246,12 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
     per the stored fractions with :func:`split_budgets`, and swaps in the
     refined feature matrices.  The result carries no sibling maps; it is a
     plain level again.
+
+    Raises:
+        ValueError: when the decision does not fit ``expanded``: a mask or
+            fraction count off its edge or left count, a feature matrix
+            with another row count, non-finite features, or fractions
+            :func:`split_budgets` rejects.
     """
     if expanded.cluster_of_left is None or expanded.cluster_of_right is None:
         raise ValueError("refine requires an expanded graph with sibling maps")
@@ -244,17 +259,17 @@ def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteG
         raise ValueError("edge_keep length mismatch")
     if decision.budget_split.shape[0] != expanded.num_left:
         raise ValueError("budget_split length mismatch")
-
-    kept = expanded.edges[decision.edge_keep.astype(bool)]
     budgets = split_budgets(expanded.left_budgets, decision.budget_split, expanded.cluster_of_left)
+    _check_features(decision.left_features, expanded.num_left, "left features")
+    _check_features(decision.right_features, expanded.num_right, "right features")
 
-    return BipartiteGraph(
-        num_left=expanded.num_left,
-        num_right=expanded.num_right,
-        edges=kept,
-        left_budgets=budgets,
-        left_features=decision.left_features,
-        right_features=decision.right_features,
+    return BipartiteGraph._derived(
+        expanded.num_left,
+        expanded.num_right,
+        expanded.edges[decision.edge_keep.astype(bool)],
+        budgets,
+        decision.left_features,
+        decision.right_features,
     )
 
 

@@ -5,10 +5,23 @@ A hypergraph is carried in two interchangeable forms: the node/hyperedge view
 bipartite incidence graph whose left side holds nodes and whose right side
 holds hyperedges.  All containers are immutable after construction; arrays are
 stored read-only so accidental in-place edits fail loudly.
+
+Data is checked once, where it enters the package.  A public constructor
+checks everything its caller supplies, rejects non-integer counts instead of
+truncating them, and stores copies, so the caller's arrays stay its own.
+Graphs, clique expansions, expansion vectors and refinement decisions that the
+package derives from containers it already checked are built by the private
+``_derived`` constructors instead: they only put edges into canonical order
+and mark the fresh arrays read-only in place.  The invariants those
+derivations must keep (edges in range and unique, budgets >= 1, counts in
+range, feature rows aligned) are guarded by property tests in
+``tests/test_coarsening.py`` that pass every derived output through the public
+constructor, not by run-time re-checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,23 +48,38 @@ ZERO_EIGENVALUE_THRESHOLD = 1e-8
 DENSE_EIG_CUTOFF = 512
 
 
-def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
-    if arr is None:
-        return None
-    out = np.ascontiguousarray(arr)
-    out.flags.writeable = False
-    return out
+def _store(obj, *values) -> None:
+    """Set every field of the frozen container ``obj``, in declaration order,
+    marking each array read-only in place (no copy).  Every constructor,
+    checking or derived, stores through here, so each array must belong to
+    the container: a copy, a fresh derivation or an array already frozen."""
+    for name, value in zip(obj.__dataclass_fields__, values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+def _derive(cls, *values):
+    """A ``cls`` holding ``values`` as its fields, unchecked; see the module
+    docstring for who may build one this way."""
+    obj = object.__new__(cls)
+    _store(obj, *values)
+    return obj
+
+
+def _check_features(arr: np.ndarray, rows: int, what: str) -> None:
+    if arr.ndim != 2 or arr.shape[0] != rows:
+        raise ValueError(f"{what} must have shape ({rows}, dim), got {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contain non-finite entries")
 
 
 def _as_float_features(arr, rows: int, what: str) -> np.ndarray:
-    """A ``(rows, dim)`` float matrix; None is the ``(rows, 0)`` matrix."""
+    """A copy as a ``(rows, dim)`` float matrix; None is the ``(rows, 0)`` matrix."""
     if arr is None:
         return np.zeros((rows, 0))
-    out = np.asarray(arr, dtype=np.float64)
-    if out.ndim != 2 or out.shape[0] != rows:
-        raise ValueError(f"{what} must have shape ({rows}, dim), got {out.shape}")
-    if out.size and not np.all(np.isfinite(out)):
-        raise ValueError(f"{what} contain non-finite entries")
+    out = np.array(arr, dtype=np.float64)
+    _check_features(out, rows, what)
     return out
 
 
@@ -60,6 +88,16 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _as_int_array(values, what: str) -> np.ndarray:
+    """A copy of ``values`` as an int64 array; an array of floats, bools or
+    any other non-integer dtype is rejected, not truncated (an empty one is
+    accepted)."""
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -97,12 +135,9 @@ class Hypergraph:
             if members[0] < 0 or members[-1] >= num_nodes:
                 raise ValueError(f"hyperedge {members} out of range for n={num_nodes}")
             canon.append(members)
-        object.__setattr__(self, "num_nodes", num_nodes)
-        object.__setattr__(self, "hyperedges", tuple(canon))
         nf = _as_float_features(node_features, num_nodes, "node features")
         ef = _as_float_features(hyperedge_features, len(canon), "hyperedge features")
-        object.__setattr__(self, "node_features", _freeze(nf) if nf.size else None)
-        object.__setattr__(self, "hyperedge_features", _freeze(ef) if ef.size else None)
+        _store(self, num_nodes, tuple(canon), nf if nf.size else None, ef if ef.size else None)
 
     def __reduce__(self):
         # unpickled through __init__, so a graph sent from another process is frozen too
@@ -117,8 +152,19 @@ class Hypergraph:
         return sum(len(he) for he in self.hyperedges)
 
 
+def _lex_order(edges: np.ndarray, num_right: int) -> tuple[np.ndarray, np.ndarray]:
+    """``edges`` in ascending (left, right) order, with their keys; the
+    stable sort runs only when they are not ascending already."""
+    # One key per incidence orders pairs lexicographically.
+    key = edges[:, 0] * num_right + edges[:, 1]
+    if np.all(key[1:] > key[:-1]):
+        return edges, key
+    order = np.argsort(key, kind="stable")
+    return edges[order], key[order]
+
+
 def _canonical_edges(edges, num_left: int, num_right: int) -> np.ndarray:
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _as_int_array(edges, "edge endpoints")
     if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -128,14 +174,10 @@ def _canonical_edges(edges, num_left: int, num_right: int) -> np.ndarray:
         raise ValueError("left endpoint out of range")
     if lo[1] < 0 or hi[1] >= num_right:
         raise ValueError("right endpoint out of range")
-    # One key per incidence orders pairs lexicographically.
-    key = arr[:, 0] * num_right + arr[:, 1]
-    if np.all(key[1:] > key[:-1]):
-        return arr.copy()
-    order = np.argsort(key, kind="stable")
-    if np.any(key[order[1:]] == key[order[:-1]]):
+    arr, key = _lex_order(arr, num_right)
+    if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate incidence edge")
-    return arr[order]
+    return arr
 
 
 @dataclass(frozen=True)
@@ -170,8 +212,8 @@ class BipartiteGraph:
         cluster_of_left=None,
         cluster_of_right=None,
     ):
-        num_left = int(num_left)
-        num_right = int(num_right)
+        num_left = _as_int(num_left, "left count")
+        num_right = _as_int(num_right, "right count")
         if num_left < 1:
             raise ValueError("bipartite graph needs at least one left node")
         if num_right < 0:
@@ -182,7 +224,7 @@ class BipartiteGraph:
         if left_budgets is None:
             budgets = np.ones(num_left, dtype=np.int64)
         else:
-            budgets = np.asarray(left_budgets, dtype=np.int64)
+            budgets = _as_int_array(left_budgets, "left budgets")
             if budgets.shape != (num_left,):
                 raise ValueError("left_budgets length mismatch")
             if np.any(budgets < 1):
@@ -191,20 +233,32 @@ class BipartiteGraph:
         rf = _as_float_features(right_features, num_right, "right features")
         cl = self._check_cluster_map(cluster_of_left, num_left, "cluster_of_left")
         cr = self._check_cluster_map(cluster_of_right, num_right, "cluster_of_right")
-        object.__setattr__(self, "num_left", num_left)
-        object.__setattr__(self, "num_right", num_right)
-        object.__setattr__(self, "edges", _freeze(arr))
-        object.__setattr__(self, "left_budgets", _freeze(budgets))
-        object.__setattr__(self, "left_features", _freeze(lf))
-        object.__setattr__(self, "right_features", _freeze(rf))
-        object.__setattr__(self, "cluster_of_left", _freeze(cl))
-        object.__setattr__(self, "cluster_of_right", _freeze(cr))
+        _store(self, num_left, num_right, arr, budgets, lf, rf, cl, cr)
+
+    @classmethod
+    def _derived(
+        cls, num_left, num_right, edges, left_budgets, left_features, right_features,
+        cluster_of_left=None, cluster_of_right=None,
+    ) -> "BipartiteGraph":
+        """A graph from ``(E, 2)`` int64 edges, int64 budgets, float feature
+        matrices and int64 cluster maps that the package derived from
+        checked graphs.
+
+        Only puts the edges into canonical order, with the stable key sort
+        of the public constructor, so the fields equal what that
+        constructor would store; nothing is checked or copied.
+        """
+        edges = _lex_order(edges, max(num_right, 1))[0]
+        return _derive(
+            cls, num_left, num_right, edges, left_budgets, left_features, right_features,
+            cluster_of_left, cluster_of_right,
+        )
 
     @staticmethod
     def _check_cluster_map(cmap, size: int, what: str) -> np.ndarray | None:
         if cmap is None:
             return None
-        arr = np.asarray(cmap, dtype=np.int64)
+        arr = _as_int_array(cmap, what)
         if arr.shape != (size,):
             raise ValueError(f"{what} length mismatch")
         if size:
@@ -252,10 +306,14 @@ class CliqueExpansion:
     edges: np.ndarray = field(repr=False)  # (P, 2) with u < v, lex sorted
     weights: np.ndarray = field(repr=False)  # (P,) positive ints
 
+    # from (P, 2) int64 edges already in ascending (u, v) order with u < v
+    # and their positive int64 weights
+    _derived = classmethod(_derive)
+
     def __init__(self, num_nodes: int, edges, weights):
-        num_nodes = int(num_nodes)
-        earr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        warr = np.asarray(weights, dtype=np.int64).reshape(-1)
+        num_nodes = _as_int(num_nodes, "node count")
+        earr = _as_int_array(edges, "clique edges").reshape(-1, 2)
+        warr = _as_int_array(weights, "clique weights").reshape(-1)
         if earr.shape[0] != warr.shape[0]:
             raise ValueError("edge/weight length mismatch")
         if earr.size:
@@ -267,9 +325,7 @@ class CliqueExpansion:
             earr, warr = earr[order], warr[order]
         if np.any(warr < 1):
             raise ValueError("clique weights must be positive")
-        object.__setattr__(self, "num_nodes", num_nodes)
-        object.__setattr__(self, "edges", _freeze(earr))
-        object.__setattr__(self, "weights", _freeze(warr))
+        _store(self, num_nodes, earr, warr)
 
     @property
     def num_edges(self) -> int:
@@ -290,16 +346,15 @@ def star_expand(h: Hypergraph) -> BipartiteGraph:
     Every left node starts with budget 1; features are carried over verbatim,
     a missing matrix as one of width 0.
     """
-    edges = [
-        (v, e_idx) for e_idx, he in enumerate(h.hyperedges) for v in he
-    ]
-    return BipartiteGraph(
-        num_left=h.num_nodes,
-        num_right=h.num_hyperedges,
-        edges=edges,
-        left_budgets=np.ones(h.num_nodes, dtype=np.int64),
-        left_features=h.node_features,
-        right_features=h.hyperedge_features,
+    sizes = np.fromiter(map(len, h.hyperedges), dtype=np.int64, count=h.num_hyperedges)
+    members = np.fromiter(itertools.chain.from_iterable(h.hyperedges), dtype=np.int64, count=int(sizes.sum()))
+    return BipartiteGraph._derived(
+        h.num_nodes,
+        h.num_hyperedges,
+        np.stack([members, np.repeat(np.arange(h.num_hyperedges, dtype=np.int64), sizes)], axis=1),
+        np.ones(h.num_nodes, dtype=np.int64),
+        np.zeros((h.num_nodes, 0)) if h.node_features is None else h.node_features,
+        np.zeros((h.num_hyperedges, 0)) if h.hyperedge_features is None else h.hyperedge_features,
     )
 
 
@@ -319,7 +374,7 @@ def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     n = b.num_left
     keys, weights = np.unique(members[first] * n + members[second], return_counts=True)
-    return CliqueExpansion(n, np.stack([keys // n, keys % n], axis=1), weights)
+    return CliqueExpansion._derived(n, np.stack([keys // n, keys % n], axis=1), weights)
 
 
 def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:

@@ -708,7 +708,8 @@ def _connected_support(expanded: BipartiteGraph, scores: np.ndarray, keep: np.nd
 
 
 def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
-    """Remove zero-degree right nodes, reindexing edges; returns kept indices."""
+    """Remove zero-degree right nodes of a refined level (one without
+    sibling maps), reindexing edges; returns kept indices."""
     deg = b.right_degrees()
     keep = np.flatnonzero(deg > 0)
     if keep.size == b.num_right:
@@ -716,7 +717,9 @@ def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
     right_map = -np.ones(b.num_right, dtype=np.int64)
     right_map[keep] = np.arange(keep.size)
     edges = np.stack([b.edges[:, 0], right_map[b.edges[:, 1]]], axis=1)
-    reduced = replace(b, num_right=int(keep.size), edges=edges, right_features=b.right_features[keep])
+    reduced = BipartiteGraph._derived(
+        b.num_left, int(keep.size), edges, b.left_budgets, b.left_features, b.right_features[keep]
+    )
     return reduced, keep
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_expansion import _perturb_cases
 
 from hyperforge import coarsening
 from hyperforge.coarsening import (
@@ -14,7 +17,7 @@ from hyperforge.coarsening import (
     sample_coarsening_sequence,
 )
 from hyperforge.datasets import gen_sbm, gen_tree
-from hyperforge.expansion import RefinementDecision, expand, reconstruct_finer, refine
+from hyperforge.expansion import RefinementDecision, expand, perturb_expand, reconstruct_finer, refine
 from hyperforge.hypergraph import (
     BipartiteGraph,
     Hypergraph,
@@ -22,6 +25,7 @@ from hyperforge.hypergraph import (
     collapse_bipartite,
     star_expand,
 )
+from hyperforge.pipeline import _drop_empty_right
 
 
 def _line_hypergraph(n=6):
@@ -581,3 +585,59 @@ def test_merge_left_assign_matches_loop_oracle(case):
     assert assign.tolist() == [k for x in range(b.num_left) for k, g in enumerate(groups) if x in g]
     budgets = np.bincount(assign, weights=b.left_budgets)
     assert budgets.tolist() == merged.left_budgets.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Derived containers: coarsening and expansion build their outputs with the
+# unchecked ``_derived`` constructors, so these tests are what guards the
+# invariants the public constructors check.
+
+
+def _assert_passes_public_constructor(obj):
+    """``obj`` goes through its public constructor unchanged: no error, and
+    every field equal in value, dtype and shape."""
+    values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    again = type(obj)(*values)
+    for f, value in zip(dataclasses.fields(obj), values):
+        other = getattr(again, f.name)
+        if isinstance(value, np.ndarray):
+            assert (other.dtype, other.shape) == (value.dtype, value.shape), f.name
+            assert np.array_equal(other, value), f.name
+        else:
+            assert other == value, f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_featured_hypergraphs(), seed=st.integers(0, 2**32 - 1))
+def test_sequence_levels_pass_the_public_constructors(case, seed):
+    h, _ = case
+    _assert_passes_public_constructor(star_expand(h))
+    seq = sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+    for level in seq.levels:
+        _assert_passes_public_constructor(level.bipartite)
+        _assert_passes_public_constructor(clique_of_bipartite(level.bipartite))
+    for level in seq.levels[1:]:
+        _assert_passes_public_constructor(level.expansion)
+        _assert_passes_public_constructor(level.refinement)
+        expanded = expand(level.bipartite, level.expansion)
+        _assert_passes_public_constructor(expanded)
+        _assert_passes_public_constructor(refine(expanded, level.refinement))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_levels_with_parts(), data=st.data())
+def test_merges_pass_the_public_constructors(case, data):
+    b, parts = case
+    _assert_passes_public_constructor(merge_left(b, parts, allow_disconnected=True)[0])
+    rb = data.draw(st.lists(st.integers(1, 5), min_size=b.num_right, max_size=b.num_right))
+    _assert_passes_public_constructor(dedup_right(b, np.array(rb, dtype=np.int64))[0])
+    _assert_passes_public_constructor(clique_of_bipartite(b))
+    _assert_passes_public_constructor(_drop_empty_right(b)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_perturb_cases(), prob=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 99))
+def test_expansions_pass_the_public_constructor(case, prob, seed):
+    b, v, radius = case
+    _assert_passes_public_constructor(expand(b, v))
+    _assert_passes_public_constructor(perturb_expand(b, v, radius, prob, np.random.default_rng(seed)))

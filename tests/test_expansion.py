@@ -73,6 +73,58 @@ def test_expansion_vector_validation():
         ExpansionVectors([0], [1])
 
 
+def test_expansion_vectors_reject_non_integers():
+    """Float counts are rejected, not truncated to [1, 2] and [3]."""
+    with pytest.raises(ValueError, match="left expansion counts must be integers"):
+        ExpansionVectors([1.9, 2.5], [3])
+    with pytest.raises(ValueError, match="right expansion counts must be integers"):
+        ExpansionVectors([1, 2], [3.7])
+
+
+@pytest.mark.parametrize("edge_keep", [[0.7, 1.2], [True, False], [257, 0]])
+def test_refinement_decision_rejects_non_binary_edge_keep(edge_keep):
+    """Floats are not truncated to 0/1, and 257 does not wrap to 1 in int8."""
+    with pytest.raises(ValueError, match="edge_keep entries must be"):
+        RefinementDecision(edge_keep, np.ones(2), np.zeros((2, 0)), np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("expander", [expand, lambda b, v: perturb_expand(b, v, 1, 0.5, np.random.default_rng(0))])
+@pytest.mark.parametrize("left, right", [([1, 1], [1, 1, 1, 1]), ([1, 1, 1], [1, 1, 1]), ([1] * 4, [1] * 4)])
+def test_expand_rejects_vectors_of_the_wrong_length(expander, left, right):
+    with pytest.raises(ValueError, match="expansion vector length mismatch"):
+        expander(_chain_graph(), ExpansionVectors(left, right))
+
+
+def _decision_for(expanded, **changes):
+    fields = dict(
+        edge_keep=np.ones(expanded.num_edges, dtype=np.int8),
+        budget_split=np.ones(expanded.num_left),
+        left_features=np.zeros((expanded.num_left, 1)),
+        right_features=np.zeros((expanded.num_right, 1)),
+    )
+    return RefinementDecision(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"left_features": np.zeros((2, 1))}, r"left features must have shape \(3, dim\)"),
+        ({"right_features": np.zeros((4, 1))}, r"right features must have shape \(2, dim\)"),
+        ({"left_features": np.zeros(3)}, r"left features must have shape \(3, dim\)"),
+        ({"right_features": np.array([[0.0], [np.nan]])}, "right features contain non-finite entries"),
+        ({"left_features": np.array([[0.0], [np.inf], [1.0]])}, "left features contain non-finite entries"),
+        ({"edge_keep": np.ones(3, dtype=np.int8)}, "edge_keep length mismatch"),
+        ({"budget_split": np.ones(2)}, "budget_split length mismatch"),
+    ],
+)
+def test_refine_rejects_a_decision_that_does_not_fit(changes, message):
+    """Checks on the caller's decision: refine builds its graph unchecked, so
+    these must come from refine itself."""
+    expanded = expand(star_expand(Hypergraph(3, [[0, 1], [1, 2]])), ExpansionVectors([1, 1, 1], [1, 1]))
+    with pytest.raises(ValueError, match=message):
+        refine(expanded, _decision_for(expanded, **changes))
+
+
 def test_perturb_zero_prob_is_plain_expand():
     b = _chain_graph()
     v = ExpansionVectors([2, 1, 1], [1, 2, 1, 1])

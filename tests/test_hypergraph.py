@@ -260,6 +260,38 @@ def test_hypergraph_takes_numpy_integers_as_ints():
     assert type(h.num_nodes) is int and all(type(v) is int for v in h.hyperedges[0])
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((2.7, 1, [[0, 0], [1, 0]]), {}, "left count 2.7 is not an integer"),
+        ((2, 1.0, [[0, 0], [1, 0]]), {}, "right count 1.0 is not an integer"),
+        ((2, 1, [[0.9, 0.2], [1.5, 0]]), {}, "edge endpoints must be integers"),
+        ((2, 1, [[0, 0], [1, 0]]), {"left_budgets": [1.5, 2.7]}, "left budgets must be integers"),
+        ((2, 1, [[0, 0], [1, 0]]), {"left_budgets": [True, True]}, "left budgets must be integers"),
+        ((2, 1, [[0, 0], [1, 0]]), {"cluster_of_left": [0.0, 1.0]}, "cluster_of_left must be integers"),
+    ],
+)
+def test_bipartite_graph_rejects_non_integers(args, kwargs, message):
+    """A float count, endpoint or budget is rejected, not truncated."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BipartiteGraph(*args, **kwargs)
+
+
+def test_public_constructors_copy_caller_arrays():
+    """The caller's arrays stay writeable and its own: a later write to them
+    does not reach the stored, read-only copy."""
+    edges, budgets, feats = np.array([[0, 0], [2, 0]]), np.array([1, 2, 3]), np.zeros((3, 1))
+    g = BipartiteGraph(3, 1, edges, budgets, feats)
+    h = Hypergraph(3, [[0, 2]], node_features=feats)
+    for arr in (edges, budgets, feats):
+        assert arr.flags.writeable
+        arr += 1
+    assert g.edges.tolist() == [[0, 0], [2, 0]] and g.left_budgets.tolist() == [1, 2, 3]
+    assert not g.left_features.any() and not h.node_features.any()
+    for stored in (g.edges, g.left_budgets, g.left_features, h.node_features):
+        assert not stored.flags.writeable
+
+
 def test_record_round_trip_preserves_features():
     h = Hypergraph(
         3,
