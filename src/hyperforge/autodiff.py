@@ -192,9 +192,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, True, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` as one tape node."""
-    out_data = x.data @ w.data
+def linear(x: Tensor, w: Tensor, b: Tensor, blocks: np.ndarray | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` as one tape node.
+
+    ``blocks``, when given, holds the row offsets ``0 = o_0 <= ... <= o_B``
+    of B stacked inputs, and each block ``x[o_j:o_{j+1}]`` gets its own
+    matmul into its rows of the output.  OpenBLAS picks its kernel by the
+    row count, so one matmul over the stack can differ in the last bits from
+    the matmuls of the blocks alone; per block, every row comes out exactly
+    as it does when its input runs by itself.
+    """
+    if blocks is None or len(blocks) <= 2:
+        out_data = x.data @ w.data
+    else:
+        out_data = np.empty((x.shape[0], w.shape[1]))
+        for lo, hi in zip(blocks[:-1], blocks[1:]):
+            np.matmul(x.data[lo:hi], w.data, out=out_data[lo:hi])
     out_data += b.data
     if not _needs(x, w, b):
         return Tensor(out_data)

@@ -31,6 +31,7 @@ from .hypergraph import (
     BipartiteGraph,
     CliqueExpansion,
     Hypergraph,
+    _as_int_array,
     clique_of_bipartite,
     star_expand,
 )
@@ -144,12 +145,13 @@ def _left_assign(parts: Sequence[Sequence[int]], num_left: int) -> np.ndarray:
     """Group index of every left node: ``parts`` completed with singletons,
     groups ordered by least member.
 
-    Raises on the first invalid part, with the first of its faults in the
-    order of ``_PART_ERRORS``; a part meets an earlier part when it shares a
-    node with it.
+    Raises on parts that are not all integers, and otherwise on the first
+    invalid part, with the first of its faults in the order of
+    ``_PART_ERRORS``; a part meets an earlier part when it shares a node
+    with it.
     """
     sizes = np.array([len(p) for p in parts], dtype=np.int64)
-    flat = np.array([int(x) for p in parts for x in p], dtype=np.int64)
+    flat = _as_int_array([x for p in parts for x in p], "parts")
     part = np.repeat(np.arange(sizes.size), sizes)
     # Occurrences sorted by node, then part: a repeated node repeats within
     # its part or meets the earlier part listing it.
@@ -229,9 +231,10 @@ def merge_left(
     for disconnected inputs).
 
     Raises:
-        ValueError: on the first part that is empty, out of range, lists a
-            node twice, meets an earlier part or (checked after all parts
-            are valid) is not connected.
+        ValueError: for parts that are not all integers, and on the first
+            part that is empty, out of range, lists a node twice, meets an
+            earlier part or (checked after all parts are valid) is not
+            connected.
     """
     assign = _left_assign(parts, b.num_left)
     num_groups = int(assign.max()) + 1
@@ -268,8 +271,12 @@ def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.nd
 
     Returns the merged graph, the merged right node of every input right
     node, and the summed right budgets.
+
+    Raises:
+        ValueError: for right budgets that are not integers, or not one per
+            right node.
     """
-    rb = np.asarray(right_budgets, dtype=np.int64).reshape(-1)
+    rb = _as_int_array(right_budgets, "right budgets").reshape(-1)
     if rb.shape[0] != b.num_right:
         raise ValueError("right budget length mismatch")
 

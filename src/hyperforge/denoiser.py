@@ -20,7 +20,7 @@ modulation, and the gated edge-message stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -47,6 +47,16 @@ FEAT_EMBED_DIM = 32  # feature states under FiLM
 BUDGET_ENCODING_DIM = 32  # sinusoidal encoding of budgets and node count
 BUDGET_BASE_FREQ = 1e-4
 TIME_ENC_DIM = 8  # Fourier encoding of the flow time
+
+# The rows every head has one entry per: 0 left nodes, 1 right nodes, 2 edges.
+_HEAD_STREAM = {
+    "left_expansion": 0,
+    "left_split": 0,
+    "left_features": 0,
+    "right_expansion": 1,
+    "right_features": 1,
+    "edge_keep": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,14 @@ class DenoiserInput:
     children ahead of time; ``eigenvalues`` has ``spectral_k`` entries.
     ``level``, when set, is the :meth:`Denoiser.encode_level` of these
     level-constant fields and spares the forward pass from recomputing it.
+
+    :meth:`union` stacks the inputs of B levels at one flow time into one
+    disjoint union.  Its ``blocks`` are the left, right and edge row
+    offsets of the levels, each ``B + 1`` long from 0, and ``eigenvalues``,
+    ``rho_hat`` and ``total_left`` hold one row (entry) per level.  The
+    forward runs every matmul once per block, so each level's rows of the
+    output are bit for bit those of its own forward; :meth:`split` cuts
+    them apart.  A single level has ``blocks`` None.
     """
 
     edges: np.ndarray
@@ -138,9 +156,10 @@ class DenoiserInput:
     left_feature_state: np.ndarray
     right_feature_state: np.ndarray
     t: float
-    rho_hat: float
-    total_left: float
+    rho_hat: float | np.ndarray
+    total_left: float | np.ndarray
     level: LevelEncoding | None = None
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_left(self) -> int:
@@ -153,6 +172,58 @@ class DenoiserInput:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    @classmethod
+    def union(cls, inputs: Sequence["DenoiserInput"]) -> "DenoiserInput":
+        """The disjoint union of single-level ``inputs`` at one flow time,
+        edges renumbered by the rows before them, with ``level`` unset; a
+        single input is returned as it is.
+
+        Raises:
+            ValueError: for no input, a union among the inputs, or flow
+                times that differ.
+        """
+        if len(inputs) == 1:
+            return inputs[0]
+        if not inputs or any(inp.blocks is not None for inp in inputs):
+            raise ValueError("a union takes one or more single-level inputs")
+        if len({inp.t for inp in inputs}) != 1:
+            raise ValueError("a union needs one flow time for every level")
+        counts = [(inp.num_left, inp.num_right, inp.num_edges) for inp in inputs]
+        blocks = tuple(np.cumsum([(0, 0, 0)] + counts, axis=0).T)
+
+        def stack(field: str) -> np.ndarray:
+            return np.concatenate([getattr(inp, field) for inp in inputs])
+
+        return cls(
+            edges=np.concatenate([inp.edges + [lo, ro] for inp, lo, ro in zip(inputs, blocks[0], blocks[1])]),
+            left_spectral=stack("left_spectral"),
+            right_spectral=stack("right_spectral"),
+            eigenvalues=np.stack([inp.eigenvalues for inp in inputs]),
+            left_budgets=stack("left_budgets"),
+            left_parent_features=stack("left_parent_features"),
+            right_parent_features=stack("right_parent_features"),
+            left_state=stack("left_state"),
+            right_state=stack("right_state"),
+            edge_state=stack("edge_state"),
+            left_feature_state=stack("left_feature_state"),
+            right_feature_state=stack("right_feature_state"),
+            t=inputs[0].t,
+            rho_hat=np.array([inp.rho_hat for inp in inputs], dtype=np.float64),
+            total_left=np.array([inp.total_left for inp in inputs], dtype=np.float64),
+            blocks=blocks,
+        )
+
+    def split(self, heads: Mapping[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+        """Per level, the rows of every head array of this input's forward
+        (or of a flow state with the same heads), as views."""
+        if self.blocks is None:
+            return [dict(heads)]
+        offsets = [self.blocks[_HEAD_STREAM[name]] for name in heads]
+        return [
+            {name: arr[o[j]:o[j + 1]] for (name, arr), o in zip(heads.items(), offsets)}
+            for j in range(len(self.blocks[0]) - 1)
+        ]
 
 
 def sinusoidal_encoding(values: np.ndarray, dim: int, base_freq: float) -> np.ndarray:
@@ -194,6 +265,15 @@ def spectral_rows(b: BipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray, np
     return vecs[: b.num_left], vecs[b.num_left :], vals
 
 
+def _level_rows(values: np.ndarray, blocks: np.ndarray | None, num_rows: int) -> np.ndarray:
+    """Row ``j`` of ``values`` repeated over the rows of level ``j`` of a
+    union with row offsets ``blocks``; without blocks, the one row of
+    ``values`` repeated ``num_rows`` times."""
+    if blocks is None:
+        return np.tile(values, (num_rows, 1))
+    return np.repeat(values, np.diff(blocks), axis=0)
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     if fan_in == 0:
         return np.zeros((0, fan_out))
@@ -219,8 +299,8 @@ class _Linear:
         self.w = param(f"{name}.w", (fan_in, fan_out), init)
         self.b = param(f"{name}.b", (fan_out,), lambda: np.full(fan_out, bias_fill))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.w, self.b)
+    def __call__(self, x: Tensor, blocks: np.ndarray | None = None) -> Tensor:
+        return ad.linear(x, self.w, self.b, blocks)
 
 
 class _MLP:
@@ -228,8 +308,8 @@ class _MLP:
         self.lin1 = _Linear(param, f"{name}.lin1", fan_in, hidden, rng)
         self.lin2 = _Linear(param, f"{name}.lin2", hidden, fan_out, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(ad.silu(self.lin1(x)))
+    def __call__(self, x: Tensor, blocks: np.ndarray | None = None) -> Tensor:
+        return self.lin2(ad.silu(self.lin1(x, blocks)), blocks)
 
 
 class _LayerNorm:
@@ -329,7 +409,9 @@ class Denoiser:
                 f"{next(iter(missing), None)!r}, first unknown {next(iter(unused), None)!r}"
             )
 
-    def encode_spectral(self, rows: np.ndarray, eigenvalues: np.ndarray) -> Tensor:
+    def encode_spectral(
+        self, rows: np.ndarray, eigenvalues: np.ndarray, blocks: np.ndarray | None = None
+    ) -> Tensor:
         """Sign-invariant positional encoding of eigenvector rows.
 
         Each eigenvector column is paired with its eigenvalue and passed
@@ -338,17 +420,20 @@ class Denoiser:
         unchanged.  All (row, column) pairs go through the shared map as one
         batch per sign, row-major, so row r's block for column i lands in
         columns ``i * PHI_DIM : (i + 1) * PHI_DIM`` of the input to the mixer.
+        With ``blocks`` (row offsets of a union, see :class:`DenoiserInput`)
+        the eigenvalues come one row per level.
         """
         k = self.config.spectral_k
         num_rows = rows.shape[0]
         pairs = np.empty((num_rows, k, 2))
         pairs[:, :, 0] = rows[:, :k]
-        pairs[:, :, 1] = eigenvalues[:k]
+        pairs[:, :, 1] = _level_rows(np.atleast_2d(eigenvalues)[:, :k], blocks, num_rows)
         pairs = pairs.reshape(num_rows * k, 2)
         flipped = pairs.copy()
         flipped[:, 0] = -flipped[:, 0]
-        both = ad.add(self.phi(Tensor(pairs)), self.phi(Tensor(flipped)))
-        return self.rho(ad.reshape(both, (num_rows, k * PHI_DIM)))
+        pair_blocks = None if blocks is None else blocks * k
+        both = ad.add(self.phi(Tensor(pairs), pair_blocks), self.phi(Tensor(flipped), pair_blocks))
+        return self.rho(ad.reshape(both, (num_rows, k * PHI_DIM)), blocks)
 
     def encode_level(self, inp: DenoiserInput) -> LevelEncoding:
         """Every forward term that reads only the level-constant fields of
@@ -357,12 +442,13 @@ class Denoiser:
         features, and the incidence of each edge endpoint column.  Builds
         tape nodes unless called under ``no_grad``."""
         n, m = inp.num_left, inp.num_right
+        lb, rb, _ = inp.blocks or (None, None, None)
         src, dst = inp.edges[:, 0], inp.edges[:, 1]
         left_incidence, right_incidence = ad.incidence(src, n), ad.incidence(dst, m)
-        pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues)
-        pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues)
+        pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues, lb)
+        pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues, rb)
         budget_enc = sinusoidal_encoding(inp.left_budgets, BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
-        n_enc = sinusoidal_encoding(np.array([inp.total_left]), BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
+        n_enc = sinusoidal_encoding(np.atleast_1d(inp.total_left), BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
         left_pf = Tensor(inp.left_parent_features)
         right_pf = Tensor(inp.right_parent_features)
         one = Tensor(1.0)
@@ -371,13 +457,13 @@ class Denoiser:
             pe_right=pe_right,
             pe_edge_left=ad.gather_rows(pe_left, src, left_incidence),
             pe_edge_right=ad.gather_rows(pe_right, dst, right_incidence),
-            budget=self.budget_proj(Tensor(budget_enc)),
-            nnodes_left=self.nnodes_proj(Tensor(np.tile(n_enc, (n, 1)))),
-            nnodes_right=self.nnodes_proj(Tensor(np.tile(n_enc, (m, 1)))),
-            left_film_gain=ad.add(one, self.left_film_gain(left_pf)),
-            left_film_bias=self.left_film_bias(left_pf),
-            right_film_gain=ad.add(one, self.right_film_gain(right_pf)),
-            right_film_bias=self.right_film_bias(right_pf),
+            budget=self.budget_proj(Tensor(budget_enc), lb),
+            nnodes_left=self.nnodes_proj(Tensor(_level_rows(n_enc, lb, n)), lb),
+            nnodes_right=self.nnodes_proj(Tensor(_level_rows(n_enc, rb, m)), rb),
+            left_film_gain=ad.add(one, self.left_film_gain(left_pf, lb)),
+            left_film_bias=self.left_film_bias(left_pf, lb),
+            right_film_gain=ad.add(one, self.right_film_gain(right_pf, rb)),
+            right_film_bias=self.right_film_bias(right_pf, rb),
             left_incidence=left_incidence,
             right_incidence=right_incidence,
         )
@@ -389,14 +475,16 @@ class Denoiser:
             level = self.encode_level(inp)
         elif level.rows != (n, m, e):
             raise ValueError(f"level encoding has {level.rows} (left, right, edge) rows, input has {(n, m, e)}")
+        lb, rb, eb = inp.blocks or (None, None, None)
         t_vec = fourier_time_encoding(inp.t, TIME_ENC_DIM)
+        rho_hat = np.reshape(inp.rho_hat, (-1, 1))
 
         lf_embed = ad.add(
-            ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state)), level.left_film_gain),
+            ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state), lb), level.left_film_gain),
             level.left_film_bias,
         )
         rf_embed = ad.add(
-            ad.mul(self.right_feat_embed(Tensor(inp.right_feature_state)), level.right_film_gain),
+            ad.mul(self.right_feat_embed(Tensor(inp.right_feature_state), rb), level.right_film_gain),
             level.right_film_bias,
         )
 
@@ -404,50 +492,50 @@ class Denoiser:
             level.pe_left,
             level.budget,
             level.nnodes_left,
-            self.left_state_embed(Tensor(inp.left_state)),
+            self.left_state_embed(Tensor(inp.left_state), lb),
             lf_embed,
             Tensor(np.tile(t_vec, (n, 1))),
-            Tensor(np.full((n, 1), inp.rho_hat)),
+            Tensor(_level_rows(rho_hat, lb, n)),
         ]
         right_parts = [
             level.pe_right,
             level.nnodes_right,
-            self.right_state_embed(Tensor(inp.right_state)),
+            self.right_state_embed(Tensor(inp.right_state), rb),
             rf_embed,
             Tensor(np.tile(t_vec, (m, 1))),
-            Tensor(np.full((m, 1), inp.rho_hat)),
+            Tensor(_level_rows(rho_hat, rb, m)),
         ]
         src = inp.edges[:, 0]
         dst = inp.edges[:, 1]
         edge_parts = [
             level.pe_edge_left,
             level.pe_edge_right,
-            self.edge_state_embed(Tensor(inp.edge_state)),
+            self.edge_state_embed(Tensor(inp.edge_state), eb),
             Tensor(np.tile(t_vec, (e, 1))),
-            Tensor(np.full((e, 1), inp.rho_hat)),
+            Tensor(_level_rows(rho_hat, eb, e)),
         ]
 
-        h_left = self.left_in_ln(ad.silu(self.left_in(ad.concat(left_parts, axis=1))))
-        h_right = self.right_in_ln(ad.silu(self.right_in(ad.concat(right_parts, axis=1))))
-        h_edge = self.edge_in_ln(ad.silu(self.edge_in(ad.concat(edge_parts, axis=1))))
+        h_left = self.left_in_ln(ad.silu(self.left_in(ad.concat(left_parts, axis=1), lb)))
+        h_right = self.right_in_ln(ad.silu(self.right_in(ad.concat(right_parts, axis=1), rb)))
+        h_edge = self.edge_in_ln(ad.silu(self.edge_in(ad.concat(edge_parts, axis=1), eb)))
 
         inc_l, inc_r = level.left_incidence, level.right_incidence
         for layer in self.layers:
             x_e = ad.concat([h_edge, ad.gather_rows(h_left, src, inc_l), ad.gather_rows(h_right, dst, inc_r)], axis=1)
-            gate = ad.mul(layer["mlp_a"](x_e), layer["mlp_b"](x_e))
-            h_edge = layer["ln_e"](ad.add(h_edge, layer["lin_o"](gate)))
+            gate = ad.mul(layer["mlp_a"](x_e, eb), layer["mlp_b"](x_e, eb))
+            h_edge = layer["ln_e"](ad.add(h_edge, layer["lin_o"](gate, eb)))
             agg_l = ad.segment_sum(h_edge, src, inc_l)
             agg_r = ad.segment_sum(h_edge, dst, inc_r)
-            h_left = layer["ln_left"](ad.add(h_left, layer["mlp_left"](ad.concat([h_left, agg_l], axis=1))))
-            h_right = layer["ln_right"](ad.add(h_right, layer["mlp_right"](ad.concat([h_right, agg_r], axis=1))))
+            h_left = layer["ln_left"](ad.add(h_left, layer["mlp_left"](ad.concat([h_left, agg_l], axis=1), lb)))
+            h_right = layer["ln_right"](ad.add(h_right, layer["mlp_right"](ad.concat([h_right, agg_r], axis=1), rb)))
 
         out = {
-            "left_expansion": self.head_left_exp(h_left),
-            "left_split": self.head_left_split(h_left),
-            "left_features": self.head_left_feat(h_left),
-            "right_expansion": self.head_right_exp(h_right),
-            "right_features": self.head_right_feat(h_right),
-            "edge_keep": self.head_edge_keep(h_edge),
+            "left_expansion": self.head_left_exp(h_left, lb),
+            "left_split": self.head_left_split(h_left, lb),
+            "left_features": self.head_left_feat(h_left, lb),
+            "right_expansion": self.head_right_exp(h_right, rb),
+            "right_features": self.head_right_feat(h_right, rb),
+            "edge_keep": self.head_edge_keep(h_edge, eb),
         }
         for key, tensor in out.items():
             if not np.all(np.isfinite(tensor.data)):

@@ -723,32 +723,57 @@ def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
     return reduced, keep
 
 
-def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tuple[Hypergraph, dict]:
-    """Generate one hypergraph with exactly ``n_nodes`` nodes.
+@dataclass(frozen=True)
+class _SamplerSettings:
+    """How a checkpoint's model samples, read from its ``extra_config`` as
+    :func:`sample_one` describes."""
 
-    Every setting comes from the checkpoint's record in ``extra_config``:
-    the Euler ``steps`` per level, the ρ range, the perturbation that a model
-    trained on perturbed expansions learned to undo and, when every training
-    graph was connected, the repair that keeps each level connected
-    (:func:`_connected_support`).  An unrecorded value takes
-    :class:`TrainConfig`'s default, but an unrecorded ``perturbation`` or
-    ``train_graphs_connected`` is off: a model built in memory records
-    neither, so its levels expand plainly and go unrepaired.
+    steps: int
+    rho_min: float
+    rho_max: float
+    perturbation: bool
+    perturb_radius: int
+    perturb_prob: float
+    keep_connected: bool
 
-    Raises:
-        ValueError: unless the recorded 0 < rho_min <= rho_max < 1, before any work.
+    @classmethod
+    def of(cls, denoiser: Denoiser) -> "_SamplerSettings":
+        """Raises ValueError unless the recorded 0 < rho_min <= rho_max < 1."""
+        record = denoiser.extra_config.get("train", {})
+        settings = cls(
+            steps=int(record.get("steps", TrainConfig.steps)),
+            rho_min=float(record.get("rho_min", TrainConfig.rho_min)),
+            rho_max=float(record.get("rho_max", TrainConfig.rho_max)),
+            perturbation=bool(record.get("perturbation", False)),
+            perturb_radius=int(record.get("perturb_radius", TrainConfig.perturb_radius)),
+            perturb_prob=float(record.get("perturb_prob", TrainConfig.perturb_prob)),
+            keep_connected=bool(denoiser.extra_config.get("train_graphs_connected", False)),
+        )
+        CoarseningParams(rho_min=settings.rho_min, rho_max=settings.rho_max)  # the one check of the ρ range
+        return settings
+
+
+@dataclass
+class _Level:
+    """One graph's level, ready to integrate: the prior noise of every head,
+    the denoiser input at t = 0 and the left sibling pairs."""
+
+    x0: dict[str, np.ndarray]
+    inp: DenoiserInput
+    pairs: np.ndarray
+
+
+def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np.random.Generator):
+    """One graph's sampler, as a generator that stops once per level.
+
+    Each level it expands the graph, draws ρ and the prior noise from
+    ``rng`` and yields the :class:`_Level`; the caller integrates it and
+    sends back the endpoints.  The level is then finished here: inpainting
+    (repaired to stay connected when the settings say so), refinement, the
+    budget check and the drop of empty right nodes.  Returns the graph with
+    exactly ``N`` nodes and its diagnostics.
     """
-    record = denoiser.extra_config.get("train", {})
-    steps = int(record.get("steps", TrainConfig.steps))
-    rho_min = float(record.get("rho_min", TrainConfig.rho_min))
-    rho_max = float(record.get("rho_max", TrainConfig.rho_max))
-    perturbation = bool(record.get("perturbation", False))
-    perturb_radius = int(record.get("perturb_radius", TrainConfig.perturb_radius))
-    perturb_prob = float(record.get("perturb_prob", TrainConfig.perturb_prob))
-    keep_connected = bool(denoiser.extra_config.get("train_graphs_connected", False))
-    CoarseningParams(rho_min=rho_min, rho_max=rho_max)  # the one check of the ρ range
     c = denoiser.config
-    N = _as_int(n_nodes, "n_nodes")
     b = BipartiteGraph(
         num_left=1,
         num_right=1,
@@ -769,13 +794,13 @@ def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tu
             raise RuntimeError(
                 f"sampling exceeded {cap} iterations at {b.num_left}/{N} nodes"
             )
-        if perturbation:
-            expanded = perturb_expand(b, v, perturb_radius, perturb_prob, rng)
+        if settings.perturbation:
+            expanded = perturb_expand(b, v, settings.perturb_radius, settings.perturb_prob, rng)
         else:
             expanded = expand(b, v)
         n = expanded.num_left
         if n < N:
-            rho = float(rng.uniform(rho_min, rho_max))
+            rho = float(rng.uniform(settings.rho_min, settings.rho_max))
             n_plus = min(least_expansion_count(n, rho), N - n)
             rho_hat = 1.0 - n / (n + n_plus)
         else:
@@ -784,20 +809,8 @@ def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tu
 
         pairs = sibling_pairs(expanded.cluster_of_left)
         x0 = _sample_noise(expanded, pairs, rng)
-        inp = _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k)
-        with ad.no_grad():
-            inp.level = denoiser.encode_level(inp)
-
-        def endpoint_fn(state, t):
-            return denoiser.predict(replace(inp, t=t, **_state_fields(state)))
-
-        def project(preds):
-            preds = dict(preds)
-            preds["left_split"] = project_split_groups(preds["left_split"], pairs).reshape(-1, 1)
-            return preds
-
-        final = integrate(endpoint_fn, x0, steps, project=project)
-        v, decision = apply_inpainting(final, expanded, n_plus, keep_connected)
+        final = yield _Level(x0, _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k), pairs)
+        v, decision = apply_inpainting(final, expanded, n_plus, settings.keep_connected)
         b = refine(expanded, decision)
         total_budget = int(b.left_budgets.sum())
         budget_sums.append(total_budget)
@@ -826,6 +839,135 @@ def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tu
     return h, diag
 
 
+def _integrate_union(denoiser: Denoiser, levels: list[_Level], steps: int) -> list[dict[str, np.ndarray]]:
+    """The integrated endpoints of every level, with one forward per Euler
+    step over the disjoint union of the levels."""
+    union = DenoiserInput.union([level.inp for level in levels])
+    with ad.no_grad():
+        union.level = denoiser.encode_level(union)
+    if union.blocks is None:
+        x0, pairs = levels[0].x0, levels[0].pairs
+    else:
+        x0 = {head: np.concatenate([level.x0[head] for level in levels]) for head in levels[0].x0}
+        pairs = np.concatenate([level.pairs + lo for level, lo in zip(levels, union.blocks[0])])
+
+    def endpoint_fn(state, t):
+        return denoiser.predict(replace(union, t=t, **_state_fields(state)))
+
+    def project(preds):
+        preds = dict(preds)
+        preds["left_split"] = project_split_groups(preds["left_split"], pairs).reshape(-1, 1)
+        return preds
+
+    return union.split(integrate(endpoint_fn, x0, steps, project=project))
+
+
+def _integrate_levels(denoiser: Denoiser, levels: list[_Level], steps: int) -> list:
+    """:func:`_integrate_union` of ``levels``, with the error in place of the
+    endpoints of a level whose integration fails.
+
+    A union fails as a whole, so its levels are then integrated one by one.
+    Each comes out exactly as its rows of the union did, so the others keep
+    their endpoints and the failing one gets the error it raises alone.
+    """
+    if not levels:
+        return []
+    try:
+        return _integrate_union(denoiser, levels, steps)
+    except Exception as exc:
+        if len(levels) == 1:
+            return [exc]
+    return [_integrate_levels(denoiser, [level], steps)[0] for level in levels]
+
+
+def _lockstep(
+    denoiser: Denoiser,
+    settings: _SamplerSettings,
+    n_nodes: int,
+    rngs: dict[int, np.random.Generator],
+    limit=None,
+) -> dict[int, tuple[Hypergraph, dict] | Exception]:
+    """Graph ``i`` of ``n_nodes`` nodes drawn from ``rngs[i]``, for every
+    ``i``, all graphs advanced together.
+
+    Each round, every running graph expands one level
+    (:func:`_draw_levels`), one forward per Euler step covers the disjoint
+    union of those levels, and each graph finishes its own level; a graph
+    leaves when it reaches ``n_nodes``.  Every graph draws from its own
+    generator in the order it would alone, and the union computes each
+    level's rows bit for bit as the level's own forward, so graph ``i`` is
+    what it would be if drawn by itself.
+
+    The outcome of graph ``i`` is its (graph, diagnostics) or the exception
+    it raised.  Once graph ``i`` fails, every graph after ``i`` is dropped
+    at its next level boundary: whoever raises the error of the lowest
+    failing index needs none of them.  ``limit``, a
+    ``multiprocessing.Value`` shared with the other processes of
+    :func:`sample`, carries the lowest failing index between them.
+    """
+    N = _as_int(n_nodes, "n_nodes")
+    draws = {i: _draw_levels(denoiser, settings, N, rng) for i, rng in rngs.items()}
+    outcomes: dict = {}
+    bound = max(rngs, default=0)  # the graphs after the lowest failure known here are dropped
+
+    def fail(i: int, exc: Exception) -> None:
+        nonlocal bound
+        outcomes[i] = exc
+        bound = min(bound, i)
+        _lower_limit(limit, i)
+
+    sends = dict.fromkeys(draws)  # what each running graph gets next: None to start, then its endpoints
+    while sends:
+        levels = {}
+        for i, endpoints in sends.items():
+            if limit is not None:
+                bound = min(bound, limit.value)
+            if i > bound:
+                continue
+            try:
+                levels[i] = draws[i].send(endpoints)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:
+                fail(i, exc)
+        sends = {}
+        for i, endpoints in zip(levels, _integrate_levels(denoiser, list(levels.values()), settings.steps)):
+            if isinstance(endpoints, Exception):
+                fail(i, endpoints)
+            else:
+                sends[i] = endpoints
+    return outcomes
+
+
+def _lower_limit(limit, i: int) -> None:
+    """Record failing index ``i`` in the shared ``limit``, if any."""
+    if limit is not None:
+        with limit.get_lock():
+            limit.value = min(limit.value, i)
+
+
+def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tuple[Hypergraph, dict]:
+    """Generate one hypergraph with exactly ``n_nodes`` nodes.
+
+    Every setting comes from the checkpoint's record in ``extra_config``:
+    the Euler ``steps`` per level, the ρ range, the perturbation that a model
+    trained on perturbed expansions learned to undo and, when every training
+    graph was connected, the repair that keeps each level connected
+    (:func:`_connected_support`).  An unrecorded value takes
+    :class:`TrainConfig`'s default, but an unrecorded ``perturbation`` or
+    ``train_graphs_connected`` is off: a model built in memory records
+    neither, so its levels expand plainly and go unrepaired.  This is the
+    lockstep driver of :func:`sample` on one graph.
+
+    Raises:
+        ValueError: unless the recorded 0 < rho_min <= rho_max < 1, before any work.
+    """
+    (outcome,) = _lockstep(denoiser, _SamplerSettings.of(denoiser), n_nodes, {0: rng}).values()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     try:
@@ -843,77 +985,103 @@ def _sample_workers(count: int) -> int:
 def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
     """Generate ``count`` hypergraphs of ``n_nodes`` nodes from a checkpoint.
 
-    Graph ``i`` is drawn by :func:`sample_one` from ``default_rng([seed, i])``
-    alone, so the graphs are spread over the usable CPUs and the output does
-    not depend on how many there are.  With ``W = min(count, usable CPUs)``
-    processes, this process draws every graph ``i`` with ``i % W == 0``
-    while a pool of ``W - 1`` forked children, which inherit the loaded
-    denoiser, take the others as they free up.  A failure is raised as a
-    one-by-one loop would raise it: the error of the lowest failing index,
-    with its type and message.  After a failure the children finish only
-    the graphs already handed to them, and no child outlives the call.
+    Graph ``i`` is drawn from ``default_rng([seed, i])`` alone, exactly as
+    :func:`sample_one` draws it, so the output does not depend on how many
+    processes draw the graphs.  With ``W = min(count, usable CPUs)``
+    processes, share ``k`` is every graph ``i`` with ``i % W == k``: this
+    process draws share 0, and each of ``W - 1`` forked children, which
+    inherit the loaded denoiser, draws one other share as one task.  A
+    process advances its share in lockstep (:func:`_lockstep`), with one
+    forward per Euler step over the levels of all its running graphs.
+
+    A failure is raised as a one-by-one loop would raise it: the error of
+    the lowest failing index, with its type and message.  Every process
+    learns the lowest failing index through a value it inherits at fork,
+    and drops its graphs after it at their next level boundary; no child
+    outlives the call.
 
     Raises:
         RuntimeError: when a child dies before it returns a graph that
-            comes before every failing one; the message names the lost
-            indices.
+            comes before every failing one; the message names the graphs
+            of its share.
     """
     denoiser = Denoiser.from_checkpoint(req.checkpoint)
+    settings = _SamplerSettings.of(denoiser)
     workers = _sample_workers(req.count)
     if workers == 1:
-        drawn = [_sample_index(denoiser, req, i) for i in range(req.count)]
+        outcomes = _draw_share(denoiser, settings, req, 0, 1)
     else:
-        drawn = _sample_forked(denoiser, req, workers)
-    return [h for h, _ in drawn], [diag for _, diag in drawn]
+        outcomes = _sample_forked(denoiser, settings, req, workers)
+    graphs, diags = [], []
+    for i in range(req.count):  # every graph before the first failure is there
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        h, diag = outcomes[i]
+        diag["index"] = i
+        graphs.append(h)
+        diags.append(diag)
+    return graphs, diags
 
 
-def _sample_index(denoiser: Denoiser, req: SampleRequest, i: int) -> tuple[Hypergraph, dict]:
-    h, diag = sample_one(denoiser, req.n_nodes, np.random.default_rng([req.seed, i]))
-    diag["index"] = i
-    return h, diag
+def _draw_share(
+    denoiser: Denoiser, settings: _SamplerSettings, req: SampleRequest, start: int, step: int, limit=None
+) -> dict[int, tuple[Hypergraph, dict] | Exception]:
+    """The :func:`_lockstep` outcomes of graphs ``start, start + step, ...``
+    of ``req``."""
+    indices = range(start, req.count, step)
+    if len(indices) > 1:
+        return _lockstep(
+            denoiser, settings, req.n_nodes, {i: np.random.default_rng([req.seed, i]) for i in indices}, limit
+        )
+    # A share of one graph goes through sample_one itself: the benchmark's
+    # tracer counts graphs by its calls, and benchmarks/selftest.py requires
+    # them when it samples a single graph.
+    try:
+        return {start: sample_one(denoiser, req.n_nodes, np.random.default_rng([req.seed, start]))}
+    except Exception as exc:
+        _lower_limit(limit, start)
+        return {start: exc}
 
 
-_CHILD_ARGS: list = []  # (denoiser, req) in a worker forked by _sample_forked
+_CHILD_ARGS: list = []  # (denoiser, settings, req, workers, limit) in a worker forked by _sample_forked
 
 
-def _sample_in_child(i: int) -> tuple[Hypergraph, dict]:
-    return _sample_index(*_CHILD_ARGS, i)
+def _draw_share_in_child(start: int) -> dict[int, tuple[Hypergraph, dict] | Exception]:
+    denoiser, settings, req, workers, limit = _CHILD_ARGS
+    return _draw_share(denoiser, settings, req, start, workers, limit)
 
 
-def _sample_forked(denoiser: Denoiser, req: SampleRequest, workers: int) -> list[tuple[Hypergraph, dict]]:
-    """The graphs of :func:`sample` in index order, index ``i`` drawn by
-    this process when ``i % workers == 0`` and by one of ``workers - 1``
-    forked children otherwise."""
+def _sample_forked(
+    denoiser: Denoiser, settings: _SamplerSettings, req: SampleRequest, workers: int
+) -> dict[int, tuple[Hypergraph, dict] | Exception]:
+    """The outcomes of :func:`sample`'s graphs up to the first failure:
+    share 0 drawn by this process, share ``k`` by one of ``workers - 1``
+    forked children."""
     import multiprocessing  # imported here: only a sample() of several graphs forks
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # fork, not spawn: a child starts with the loaded denoiser instead of importing and loading it again
+    context = multiprocessing.get_context("fork")
+    limit = context.Value("q", req.count)  # the lowest failing index, in memory every child shares
     pool = ProcessPoolExecutor(
-        workers - 1, multiprocessing.get_context("fork"),
-        initializer=_CHILD_ARGS.extend, initargs=((denoiser, req),),
+        workers - 1, context,
+        initializer=_CHILD_ARGS.extend, initargs=((denoiser, settings, req, workers, limit),),
     )
     try:
-        futures = {i: pool.submit(_sample_in_child, i) for i in range(req.count) if i % workers}
-        drawn, error, first_error = {}, None, req.count
-        for i in range(0, req.count, workers):
-            try:
-                drawn[i] = _sample_index(denoiser, req, i)
-            except Exception as exc:
-                error, first_error = exc, i
-                break
-        for i, future in futures.items():  # ascending; a child's own error is raised here
-            if i > first_error:
+        futures = {k: pool.submit(_draw_share_in_child, k) for k in range(1, workers)}
+        outcomes = _draw_share(denoiser, settings, req, 0, workers, limit)
+        for k, future in futures.items():  # share k starts at graph k; a child's own error is among its outcomes
+            if k > limit.value:
                 break
             try:
-                drawn[i] = future.result()
+                outcomes.update(future.result())
             except BrokenProcessPool:
-                lost = [j for j, f in futures.items() if isinstance(f.exception(), BrokenProcessPool)]
+                lost = [i for j, f in futures.items() if isinstance(f.exception(), BrokenProcessPool)
+                        for i in range(j, req.count, workers)]
                 raise RuntimeError(f"a sampling worker died before returning graphs {lost}") from None
-        if error is not None:
-            raise error
     finally:
-        pool.shutdown(cancel_futures=True)  # waits only for the graphs a child has already taken
-    return [drawn[i] for i in range(req.count)]
+        pool.shutdown(cancel_futures=True)  # waits for the children, which drop what follows a failure
+    return outcomes
 
 
 def _read_graph_source(path: str | Path) -> list[Hypergraph]:

@@ -94,6 +94,26 @@ def test_part_listing_a_node_twice_is_rejected():
         merge_left(b, [[1, 1]], allow_disconnected=True)
 
 
+@pytest.mark.parametrize("parts", [[[0.9, 1.5]], [[0, 1.0]], [[True, False]], [["0", "1"]], [np.array([0.0, 1.0])]])
+def test_merge_rejects_parts_that_are_not_integers(parts):
+    """Node numbers are never truncated: [[0.9, 1.5]] would merge 0 and 1."""
+    b = star_expand(_line_hypergraph())
+    with pytest.raises(ValueError, match="parts must be integers"):
+        merge_left(b, parts)
+    merged, assign = merge_left(b, [np.array([0, 1]), (np.int32(2),)])
+    assert assign[:3].tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("budgets", [[1.7, 2.9], [1.0, 1.0], [True, True], ["1", "1"]])
+def test_dedup_rejects_right_budgets_that_are_not_integers(budgets):
+    """Right budgets are never truncated: [1.7, 2.9] would sum as [1, 2]."""
+    b = BipartiteGraph(2, 2, np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), np.array([1, 1], dtype=np.int64))
+    with pytest.raises(ValueError, match="right budgets must be integers"):
+        dedup_right(b, budgets)
+    _, _, summed = dedup_right(b, [np.int32(1), 2])
+    assert summed.tolist() == [3]
+
+
 def test_dedup_identical_neighborhoods():
     b = BipartiteGraph(
         2,

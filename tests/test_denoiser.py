@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperforge.autodiff as ad
 from hyperforge.denoiser import (
@@ -465,3 +467,66 @@ def test_parameter_count_is_stable():
     n1 = den.store.num_entries()
     den.predict(_input_for(b, SMALL))
     assert den.store.num_entries() == n1
+
+
+def _nonzero_head_model(cfg: DenoiserConfig) -> Denoiser:
+    """A model whose heads read the whole network: head weights drawn from
+    Normal(0, 0.05) instead of the zeros that make every head output its bias."""
+    den = Denoiser(cfg, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for name, t in den.store.items():
+        if name.startswith("head.") and name.endswith(".w"):
+            den.store.replace_value(name, rng.normal(0.0, 0.05, size=t.data.shape))
+    return den
+
+
+_UNION_MODELS = {False: _nonzero_head_model(SMALL), True: _nonzero_head_model(FEATURED)}
+
+
+def _random_level(n: int, cfg: DenoiserConfig, t: float, rng: np.random.Generator) -> DenoiserInput:
+    """The input of a random level of ``n`` left rows, one-row levels included."""
+    edges = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist())
+             for _ in range(int(rng.integers(1, n + 1)))]
+    b = star_expand(Hypergraph(n, edges))
+    inp = _input_for(b, cfg, t=t, seed=int(rng.integers(2**32)))
+    inp.rho_hat = float(rng.uniform(0.0, 0.5))
+    inp.total_left = float(n + rng.integers(0, 20))
+    inp.left_parent_features = rng.normal(size=(b.num_left, cfg.node_feature_dim))
+    inp.right_parent_features = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
+    inp.left_feature_state = rng.normal(size=(b.num_left, cfg.node_feature_dim))
+    inp.right_feature_state = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
+    return inp
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    featured=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_union_predicts_each_level_bit_for_bit(sizes, featured, seed):
+    """One forward over the disjoint union of B levels gives every level,
+    head by head, exactly what the level's own forward gives."""
+    den = _UNION_MODELS[featured]
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform())
+    inputs = [_random_level(n, den.config, t, rng) for n in sizes]
+    union = DenoiserInput.union(inputs)
+    assert union.num_left == sum(inp.num_left for inp in inputs)
+    together = union.split(den.predict(union))
+    assert len(together) == len(inputs)
+    for inp, got in zip(inputs, together):
+        alone = den.predict(inp)
+        for k in HEADS:
+            assert got[k].shape == alone[k].shape and np.array_equal(got[k], alone[k]), (sizes, k)
+
+
+def test_union_rejects_nested_unions_and_mixed_times():
+    rng = np.random.default_rng(0)
+    a, b = (_random_level(3, SMALL, 0.5, rng) for _ in range(2))
+    with pytest.raises(ValueError, match="single-level"):
+        DenoiserInput.union([DenoiserInput.union([a, b]), a])
+    b.t = 0.25
+    with pytest.raises(ValueError, match="one flow time"):
+        DenoiserInput.union([a, b])
+    assert DenoiserInput.union([a]) is a

@@ -696,7 +696,8 @@ def test_sample_one_deterministic():
 
 def test_sample_one_reads_the_settings_that_sample_reads(tmp_path, monkeypatch):
     """A direct sample_one on a loaded checkpoint draws graph i of sample(),
-    both with the recorded Euler steps and reduction fraction."""
+    both with the recorded Euler steps and reduction fraction; sample()
+    advances its graphs in lockstep, one forward per step over all of them."""
     ckpt = tmp_path / "m.hfck"
     recorded = {"steps": 3, "rho_min": 0.2, "rho_max": 0.2, "perturbation": True}
     Denoiser(SMALL, rng=np.random.default_rng(0)).save(ckpt, extra_config={"train": recorded})
@@ -710,7 +711,7 @@ def test_sample_one_reads_the_settings_that_sample_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(Denoiser, "forward", counted_forward)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)  # every forward in this process
     graphs, diags = sample(SampleRequest(checkpoint=str(ckpt), n_nodes=40, count=3, seed=4))
-    assert len(forwards) == 3 * sum(d["iterations"] for d in diags)
+    assert len(forwards) == 3 * max(d["iterations"] for d in diags)
     den = Denoiser.from_checkpoint(ckpt)
     for i, (h, diag) in enumerate(zip(graphs, diags)):
         forwards.clear()
@@ -801,6 +802,23 @@ def test_sample_equals_one_by_one_loop_for_any_worker_count(tmp_path, monkeypatc
     """Graphs, features and diagnostics are those of a plain sample_one loop,
     bit for bit, however many processes draw them."""
     den = Denoiser(replace(SMALL, node_feature_dim=2, edge_feature_dim=1), rng=np.random.default_rng(3))
+    _assert_sample_equals_one_by_one_loop(den, tmp_path, monkeypatch, cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sample_equals_one_by_one_loop_with_nonzero_heads(tmp_path, monkeypatch, cpus):
+    """As above, on heads with nonzero weights: zero-weight heads output
+    their biases exactly, whatever order a stacked forward adds in, so only
+    these see every bit of a lockstep share's union."""
+    den = Denoiser(replace(SMALL, node_feature_dim=2, edge_feature_dim=1), rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for name, t in den.store.items():
+        if name.startswith("head.") and name.endswith(".w"):
+            den.store.replace_value(name, rng.normal(0.0, 0.05, size=t.data.shape))
+    _assert_sample_equals_one_by_one_loop(den, tmp_path, monkeypatch, cpus)
+
+
+def _assert_sample_equals_one_by_one_loop(den, tmp_path, monkeypatch, cpus):
     ckpt = tmp_path / "featured.hfck"
     den.save(ckpt, extra_config={"train": {"steps": 4}})
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
@@ -818,15 +836,16 @@ def test_sample_equals_one_by_one_loop_for_any_worker_count(tmp_path, monkeypatc
             assert not got.flags.writeable
 
 
-def _fake_sample_one(seed, count, fail=(), die=(), nap=0.0):
-    """A stand-in for sample_one that finds its graph index from its rng,
-    raises for the indices in ``fail``, kills its (child) process for those
-    in ``die`` and sleeps ``nap`` seconds per graph in a child; each diag
+def _fake_levels(seed, count, fail=(), die=(), nap=0.0):
+    """A stand-in for the per-graph level step ``_draw_levels`` that finds
+    its graph index from its rng, raises for the indices in ``fail``, kills
+    its (child) process for those in ``die`` and sleeps ``nap`` seconds per
+    graph in a child, and then finishes before its first level; each diag
     records the process that drew the graph."""
     draws = [np.random.default_rng([seed, i]).random() for i in range(count)]
     parent = os.getpid()
 
-    def fake(denoiser, n_nodes, rng, **kwargs):
+    def fake(denoiser, settings, n_nodes, rng):
         i = draws.index(rng.random())
         if i in fail:
             raise ValueError(f"graph {i} failed")
@@ -836,28 +855,31 @@ def _fake_sample_one(seed, count, fail=(), die=(), nap=0.0):
         if os.getpid() != parent:
             time.sleep(nap)
         return Hypergraph(n_nodes, [range(n_nodes)]), {"pid": os.getpid()}
+        yield  # a generator, as the step it stands in for
 
     return fake
 
 
 def test_sample_draws_graph_i_in_process_i_mod_workers(small_ckpt, monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=5))
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=5))
     with _deadline(30.0):
         _, diags = sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=5, seed=5))
     pids = [d["pid"] for d in diags]
     assert [d["index"] for d in diags] == list(range(5))
     assert pids[0] == pids[3] == os.getpid()
+    assert pids[1] == pids[4]  # share 1 is one task
     children = {pids[1], pids[2], pids[4]}
     assert os.getpid() not in children and len(children) <= 2
     assert multiprocessing.active_children() == []
 
 
 def test_sample_stops_children_early_after_a_failure(small_ckpt, monkeypatch):
-    """Graph 0 fails in this process at once; the child, at 0.3 s per graph,
-    finishes only what it has already taken of its six graphs (1.8 s)."""
+    """Graph 0 fails in this process at once; the child, at 0.3 s per graph
+    of its six (1.8 s), drops what it has not started when it learns of the
+    failure."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=12, fail={0}, nap=0.3))
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=12, fail={0}, nap=0.3))
     start = time.monotonic()
     with _deadline(30.0), pytest.raises(ValueError, match="^graph 0 failed$"):
         sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=12, seed=5))
@@ -868,7 +890,7 @@ def test_sample_stops_children_early_after_a_failure(small_ckpt, monkeypatch):
 @pytest.mark.parametrize("fail", [(), {3}, {4}])
 def test_sample_leaves_no_process_or_thread_behind(small_ckpt, monkeypatch, fail):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=6, fail=fail))
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=6, fail=fail))
     before = threading.active_count(), multiprocessing.active_children()
     with _deadline(30.0), (pytest.raises(ValueError) if fail else nullcontext()):
         sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=6, seed=5))
@@ -879,10 +901,22 @@ def test_sample_leaves_no_process_or_thread_behind(small_ckpt, monkeypatch, fail
 @pytest.mark.parametrize("fail, first", [({1}, 1), ({2}, 2), ({1, 2}, 1), ({0, 1}, 0)])
 def test_sample_raises_the_lowest_failing_index(small_ckpt, monkeypatch, cpus, fail, first):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=3, fail=fail))
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=3, fail=fail))
     with _deadline(30.0), pytest.raises(ValueError, match=f"^graph {first} failed$"):
         sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=3, seed=5))
     assert multiprocessing.active_children() == []
+
+
+def test_sample_raises_the_lowest_failure_with_more_workers_than_cores(small_ckpt, monkeypatch):
+    """Four processes on this machine's cores, failures in three shares at
+    once: the lowest failing index, which every process lowers in the value
+    they share, is the error raised."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=16, fail={6, 9, 11, 13}, nap=0.05))
+    for _ in range(3):
+        with _deadline(30.0), pytest.raises(ValueError, match="^graph 6 failed$"):
+            sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=16, seed=5))
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fail, error, match", [((), RuntimeError, r"graphs \[1\]"), ({0}, ValueError, "graph 0")])
@@ -890,10 +924,60 @@ def test_sample_reports_a_killed_worker_without_hanging(small_ckpt, monkeypatch,
     """A child that dies before it replies loses index 1; that is the error
     unless a lower index failed first."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "sample_one", _fake_sample_one(seed=5, count=3, fail=fail, die={1}))
+    monkeypatch.setattr(pipeline, "_draw_levels", _fake_levels(seed=5, count=3, fail=fail, die={1}))
     with _deadline(30.0), pytest.raises(error, match=match):
         sample(SampleRequest(checkpoint=str(small_ckpt), n_nodes=3, count=3, seed=5))
     assert multiprocessing.active_children() == []
+
+
+def _failing_levels(seed, count, fail_at):
+    """The real ``_draw_levels``, but graph ``i`` raises when it is asked to
+    start level ``fail_at[i]``; also returns how many levels each graph of
+    this process was asked to start."""
+    real = pipeline._draw_levels
+    states = [np.random.default_rng([seed, i]).bit_generator.state for i in range(count)]
+    started = dict.fromkeys(range(count), 0)
+
+    def wrapped(denoiser, settings, n_nodes, rng):
+        i = states.index(rng.bit_generator.state)
+        levels = real(denoiser, settings, n_nodes, rng)
+        endpoints = None
+        while True:
+            started[i] += 1
+            if fail_at.get(i) == started[i]:
+                raise ValueError(f"graph {i} failed at level {started[i]}")
+            try:
+                level = levels.send(endpoints)
+            except StopIteration as done:
+                return done.value
+            endpoints = yield level
+
+    return wrapped, started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "fail_at, error", [({3: 2}, "graph 3 failed at level 2"), ({3: 2, 1: 5}, "graph 1 failed at level 5")]
+)
+def test_sample_lets_lower_graphs_of_a_share_run_on_after_a_failure(tmp_path, monkeypatch, cpus, fail_at, error):
+    """Graph 3 fails in the middle of its lockstep share (all six graphs at
+    one process, graphs 1, 3 and 5 at two) while graph 1 still runs.  Graph
+    1 goes on, so its own later failure is the error raised; the graphs
+    after 3 start no level once graph 3 has failed."""
+    ckpt = tmp_path / "m.hfck"
+    Denoiser(SMALL, rng=np.random.default_rng(0)).save(
+        ckpt, extra_config={"train": {"steps": 1, "rho_min": 0.2, "rho_max": 0.2}}
+    )
+    levels, started = _failing_levels(seed=3, count=6, fail_at=fail_at)
+    monkeypatch.setattr(pipeline, "_draw_levels", levels)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with _deadline(60.0), pytest.raises(ValueError, match=f"^{error}$"):
+        sample(SampleRequest(checkpoint=str(ckpt), n_nodes=40, count=6, seed=3))
+    assert multiprocessing.active_children() == []
+    if cpus == 1:
+        assert started[4] == started[5] == 1
+        assert started[0] > 5  # graph 0 ran to its end
+        assert started[1] == fail_at.get(1, started[0])  # at one ρ, every graph takes as many levels
 
 
 def test_sample_request_validation():
