@@ -156,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample hypergraphs from a checkpoint.  Every setting comes from the checkpoint's "
         "training record: the Euler steps per level, the reduction-fraction range, the perturbation and "
         "the connectivity repair.  The graphs are spread over the usable CPUs, "
-        "W processes in all: this one draws graphs 0, W, 2W, ... and W - 1 forked ones take the rest as "
-        "they free up.  Graph i depends only on --seed and i, so the output does not depend on "
-        "how many CPUs there are.",
+        "W processes in all: process k (this one is 0, the W - 1 others are forked) draws graphs k, k + W, "
+        "k + 2W, ... as one task and advances them together, one forward per Euler step.  Graph i depends "
+        "only on --seed and i, so the output does not depend on how many CPUs there are.",
     )
     p.add_argument("--ckpt", required=True)
     p.add_argument("--n-nodes", type=int, required=True)

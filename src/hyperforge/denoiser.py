@@ -127,20 +127,21 @@ class LevelEncoding:
 
 @dataclass
 class DenoiserInput:
-    """Everything the forward pass needs, at child resolution.
+    """Everything the forward pass needs, at child resolution, for a stack
+    of B >= 1 levels at one flow time: a single level is a stack of one.
 
-    Spectral rows are computed on the parent graph and replicated to the
-    children ahead of time; ``eigenvalues`` has ``spectral_k`` entries.
-    ``level``, when set, is the :meth:`Denoiser.encode_level` of these
-    level-constant fields and spares the forward pass from recomputing it.
+    The rows of the levels follow one another.  ``blocks`` holds their
+    left, right and edge row offsets, each ``B + 1`` long from 0, and edge
+    endpoints count the rows of the levels before them.  Spectral rows are
+    computed on each parent graph and replicated to its children ahead of
+    time; ``eigenvalues`` is ``(B, spectral_k)``, and ``rho_hat`` and
+    ``total_left`` have one entry per level.  ``level``, when set, is the
+    :meth:`Denoiser.encode_level` of these level-constant fields and spares
+    the forward pass from recomputing it.
 
-    :meth:`union` stacks the inputs of B levels at one flow time into one
-    disjoint union.  Its ``blocks`` are the left, right and edge row
-    offsets of the levels, each ``B + 1`` long from 0, and ``eigenvalues``,
-    ``rho_hat`` and ``total_left`` hold one row (entry) per level.  The
-    forward runs every matmul once per block, so each level's rows of the
-    output are bit for bit those of its own forward; :meth:`split` cuts
-    them apart.  A single level has ``blocks`` None.
+    The forward runs every matmul once per block, so each level's rows of
+    the output are bit for bit those of its own forward; :meth:`union`
+    stacks inputs and :meth:`split` cuts the output apart.
     """
 
     edges: np.ndarray
@@ -156,10 +157,10 @@ class DenoiserInput:
     left_feature_state: np.ndarray
     right_feature_state: np.ndarray
     t: float
-    rho_hat: float | np.ndarray
-    total_left: float | np.ndarray
+    rho_hat: np.ndarray
+    total_left: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
     level: LevelEncoding | None = None
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_left(self) -> int:
@@ -175,31 +176,29 @@ class DenoiserInput:
 
     @classmethod
     def union(cls, inputs: Sequence["DenoiserInput"]) -> "DenoiserInput":
-        """The disjoint union of single-level ``inputs`` at one flow time,
-        edges renumbered by the rows before them, with ``level`` unset; a
-        single input is returned as it is.
+        """The stack of the levels of ``inputs`` at one flow time, in order,
+        edges renumbered by the rows before them, with ``level`` unset.
 
         Raises:
-            ValueError: for no input, a union among the inputs, or flow
-                times that differ.
+            ValueError: for no input or flow times that differ.
         """
-        if len(inputs) == 1:
-            return inputs[0]
-        if not inputs or any(inp.blocks is not None for inp in inputs):
-            raise ValueError("a union takes one or more single-level inputs")
         if len({inp.t for inp in inputs}) != 1:
             raise ValueError("a union needs one flow time for every level")
         counts = [(inp.num_left, inp.num_right, inp.num_edges) for inp in inputs]
-        blocks = tuple(np.cumsum([(0, 0, 0)] + counts, axis=0).T)
+        starts = np.cumsum([(0, 0, 0)] + counts, axis=0)
+        blocks = tuple(
+            np.concatenate([[0]] + [inp.blocks[s][1:] + lo[s] for inp, lo in zip(inputs, starts)])
+            for s in range(3)
+        )
 
         def stack(field: str) -> np.ndarray:
             return np.concatenate([getattr(inp, field) for inp in inputs])
 
         return cls(
-            edges=np.concatenate([inp.edges + [lo, ro] for inp, lo, ro in zip(inputs, blocks[0], blocks[1])]),
+            edges=np.concatenate([inp.edges + lo[:2] for inp, lo in zip(inputs, starts)]),
             left_spectral=stack("left_spectral"),
             right_spectral=stack("right_spectral"),
-            eigenvalues=np.stack([inp.eigenvalues for inp in inputs]),
+            eigenvalues=stack("eigenvalues"),
             left_budgets=stack("left_budgets"),
             left_parent_features=stack("left_parent_features"),
             right_parent_features=stack("right_parent_features"),
@@ -209,16 +208,14 @@ class DenoiserInput:
             left_feature_state=stack("left_feature_state"),
             right_feature_state=stack("right_feature_state"),
             t=inputs[0].t,
-            rho_hat=np.array([inp.rho_hat for inp in inputs], dtype=np.float64),
-            total_left=np.array([inp.total_left for inp in inputs], dtype=np.float64),
+            rho_hat=stack("rho_hat"),
+            total_left=stack("total_left"),
             blocks=blocks,
         )
 
     def split(self, heads: Mapping[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
         """Per level, the rows of every head array of this input's forward
         (or of a flow state with the same heads), as views."""
-        if self.blocks is None:
-            return [dict(heads)]
         offsets = [self.blocks[_HEAD_STREAM[name]] for name in heads]
         return [
             {name: arr[o[j]:o[j + 1]] for (name, arr), o in zip(heads.items(), offsets)}
@@ -265,12 +262,9 @@ def spectral_rows(b: BipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray, np
     return vecs[: b.num_left], vecs[b.num_left :], vals
 
 
-def _level_rows(values: np.ndarray, blocks: np.ndarray | None, num_rows: int) -> np.ndarray:
+def _level_rows(values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Row ``j`` of ``values`` repeated over the rows of level ``j`` of a
-    union with row offsets ``blocks``; without blocks, the one row of
-    ``values`` repeated ``num_rows`` times."""
-    if blocks is None:
-        return np.tile(values, (num_rows, 1))
+    stack with row offsets ``blocks``."""
     return np.repeat(values, np.diff(blocks), axis=0)
 
 
@@ -409,9 +403,7 @@ class Denoiser:
                 f"{next(iter(missing), None)!r}, first unknown {next(iter(unused), None)!r}"
             )
 
-    def encode_spectral(
-        self, rows: np.ndarray, eigenvalues: np.ndarray, blocks: np.ndarray | None = None
-    ) -> Tensor:
+    def encode_spectral(self, rows: np.ndarray, eigenvalues: np.ndarray, blocks: np.ndarray) -> Tensor:
         """Sign-invariant positional encoding of eigenvector rows.
 
         Each eigenvector column is paired with its eigenvalue and passed
@@ -420,19 +412,18 @@ class Denoiser:
         unchanged.  All (row, column) pairs go through the shared map as one
         batch per sign, row-major, so row r's block for column i lands in
         columns ``i * PHI_DIM : (i + 1) * PHI_DIM`` of the input to the mixer.
-        With ``blocks`` (row offsets of a union, see :class:`DenoiserInput`)
-        the eigenvalues come one row per level.
+        ``eigenvalues`` has one row per level of the stack whose row offsets
+        are ``blocks`` (see :class:`DenoiserInput`).
         """
         k = self.config.spectral_k
         num_rows = rows.shape[0]
         pairs = np.empty((num_rows, k, 2))
         pairs[:, :, 0] = rows[:, :k]
-        pairs[:, :, 1] = _level_rows(np.atleast_2d(eigenvalues)[:, :k], blocks, num_rows)
+        pairs[:, :, 1] = _level_rows(eigenvalues[:, :k], blocks)
         pairs = pairs.reshape(num_rows * k, 2)
         flipped = pairs.copy()
         flipped[:, 0] = -flipped[:, 0]
-        pair_blocks = None if blocks is None else blocks * k
-        both = ad.add(self.phi(Tensor(pairs), pair_blocks), self.phi(Tensor(flipped), pair_blocks))
+        both = ad.add(self.phi(Tensor(pairs), blocks * k), self.phi(Tensor(flipped), blocks * k))
         return self.rho(ad.reshape(both, (num_rows, k * PHI_DIM)), blocks)
 
     def encode_level(self, inp: DenoiserInput) -> LevelEncoding:
@@ -442,13 +433,13 @@ class Denoiser:
         features, and the incidence of each edge endpoint column.  Builds
         tape nodes unless called under ``no_grad``."""
         n, m = inp.num_left, inp.num_right
-        lb, rb, _ = inp.blocks or (None, None, None)
+        lb, rb, _ = inp.blocks
         src, dst = inp.edges[:, 0], inp.edges[:, 1]
         left_incidence, right_incidence = ad.incidence(src, n), ad.incidence(dst, m)
         pe_left = self.encode_spectral(inp.left_spectral, inp.eigenvalues, lb)
         pe_right = self.encode_spectral(inp.right_spectral, inp.eigenvalues, rb)
         budget_enc = sinusoidal_encoding(inp.left_budgets, BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
-        n_enc = sinusoidal_encoding(np.atleast_1d(inp.total_left), BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
+        n_enc = sinusoidal_encoding(inp.total_left, BUDGET_ENCODING_DIM, BUDGET_BASE_FREQ)
         left_pf = Tensor(inp.left_parent_features)
         right_pf = Tensor(inp.right_parent_features)
         one = Tensor(1.0)
@@ -458,8 +449,8 @@ class Denoiser:
             pe_edge_left=ad.gather_rows(pe_left, src, left_incidence),
             pe_edge_right=ad.gather_rows(pe_right, dst, right_incidence),
             budget=self.budget_proj(Tensor(budget_enc), lb),
-            nnodes_left=self.nnodes_proj(Tensor(_level_rows(n_enc, lb, n)), lb),
-            nnodes_right=self.nnodes_proj(Tensor(_level_rows(n_enc, rb, m)), rb),
+            nnodes_left=self.nnodes_proj(Tensor(_level_rows(n_enc, lb)), lb),
+            nnodes_right=self.nnodes_proj(Tensor(_level_rows(n_enc, rb)), rb),
             left_film_gain=ad.add(one, self.left_film_gain(left_pf, lb)),
             left_film_bias=self.left_film_bias(left_pf, lb),
             right_film_gain=ad.add(one, self.right_film_gain(right_pf, rb)),
@@ -475,9 +466,9 @@ class Denoiser:
             level = self.encode_level(inp)
         elif level.rows != (n, m, e):
             raise ValueError(f"level encoding has {level.rows} (left, right, edge) rows, input has {(n, m, e)}")
-        lb, rb, eb = inp.blocks or (None, None, None)
+        lb, rb, eb = inp.blocks
         t_vec = fourier_time_encoding(inp.t, TIME_ENC_DIM)
-        rho_hat = np.reshape(inp.rho_hat, (-1, 1))
+        rho_hat = inp.rho_hat[:, None]
 
         lf_embed = ad.add(
             ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state), lb), level.left_film_gain),
@@ -495,7 +486,7 @@ class Denoiser:
             self.left_state_embed(Tensor(inp.left_state), lb),
             lf_embed,
             Tensor(np.tile(t_vec, (n, 1))),
-            Tensor(_level_rows(rho_hat, lb, n)),
+            Tensor(_level_rows(rho_hat, lb)),
         ]
         right_parts = [
             level.pe_right,
@@ -503,7 +494,7 @@ class Denoiser:
             self.right_state_embed(Tensor(inp.right_state), rb),
             rf_embed,
             Tensor(np.tile(t_vec, (m, 1))),
-            Tensor(_level_rows(rho_hat, rb, m)),
+            Tensor(_level_rows(rho_hat, rb)),
         ]
         src = inp.edges[:, 0]
         dst = inp.edges[:, 1]
@@ -512,7 +503,7 @@ class Denoiser:
             level.pe_edge_right,
             self.edge_state_embed(Tensor(inp.edge_state), eb),
             Tensor(np.tile(t_vec, (e, 1))),
-            Tensor(_level_rows(rho_hat, eb, e)),
+            Tensor(_level_rows(rho_hat, eb)),
         ]
 
         h_left = self.left_in_ln(ad.silu(self.left_in(ad.concat(left_parts, axis=1), lb)))

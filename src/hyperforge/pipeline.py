@@ -309,7 +309,7 @@ def _make_input(
     total_left: float,
     spectral_k: int,
 ) -> DenoiserInput:
-    """The denoiser input of one level at flow time ``t``.
+    """The denoiser input of one level at flow time ``t``: a stack of one.
 
     Each child gets its parent's spectral rows, gathered through the sibling
     maps of ``expanded``, and the parent features it inherited there.
@@ -319,13 +319,14 @@ def _make_input(
         edges=expanded.edges,
         left_spectral=lrows[expanded.cluster_of_left],
         right_spectral=rrows[expanded.cluster_of_right],
-        eigenvalues=lam,
+        eigenvalues=lam[None, :],
         left_budgets=expanded.left_budgets.astype(np.float64),
         left_parent_features=expanded.left_features,
         right_parent_features=expanded.right_features,
         t=t,
-        rho_hat=rho_hat,
-        total_left=total_left,
+        rho_hat=np.array([rho_hat]),
+        total_left=np.array([total_left]),
+        blocks=tuple(np.array([0, rows]) for rows in (expanded.num_left, expanded.num_right, expanded.num_edges)),
         **_state_fields(state),
     )
 
@@ -543,7 +544,7 @@ def train(cfg: TrainConfig) -> dict:
                     "graph_id": graph_id,
                     "level_index": level_index,
                     "t": inp.t,
-                    "rho_hat": inp.rho_hat,
+                    "rho_hat": example.rho_hat,
                     "loss": loss_val,
                 }, indent=2))
                 raise RuntimeError(f"non-finite loss at step {step}; state dumped to {dump}")
@@ -845,11 +846,8 @@ def _integrate_union(denoiser: Denoiser, levels: list[_Level], steps: int) -> li
     union = DenoiserInput.union([level.inp for level in levels])
     with ad.no_grad():
         union.level = denoiser.encode_level(union)
-    if union.blocks is None:
-        x0, pairs = levels[0].x0, levels[0].pairs
-    else:
-        x0 = {head: np.concatenate([level.x0[head] for level in levels]) for head in levels[0].x0}
-        pairs = np.concatenate([level.pairs + lo for level, lo in zip(levels, union.blocks[0])])
+    x0 = {head: np.concatenate([level.x0[head] for level in levels]) for head in levels[0].x0}
+    pairs = np.concatenate([level.pairs + lo for level, lo in zip(levels, union.blocks[0])])
 
     def endpoint_fn(state, t):
         return denoiser.predict(replace(union, t=t, **_state_fields(state)))

@@ -326,7 +326,7 @@ def _random_bipartite_input(cfg, n=12, seed=80):
         edges=b.edges,
         left_spectral=lrows,
         right_spectral=rrows,
-        eigenvalues=lam,
+        eigenvalues=lam[None, :],
         left_budgets=b.left_budgets.astype(np.float64),
         left_parent_features=np.zeros((b.num_left, 0)),
         right_parent_features=np.zeros((b.num_right, 0)),
@@ -336,8 +336,9 @@ def _random_bipartite_input(cfg, n=12, seed=80):
         left_feature_state=np.zeros((b.num_left, 0)),
         right_feature_state=np.zeros((b.num_right, 0)),
         t=0.4,
-        rho_hat=0.2,
-        total_left=float(b.num_left),
+        rho_hat=np.array([0.2]),
+        total_left=np.array([float(b.num_left)]),
+        blocks=tuple(np.array([0, r]) for r in (b.num_left, b.num_right, b.num_edges)),
     )
     return b, inp
 
@@ -365,6 +366,7 @@ def _permute_input(inp, lperm, rperm, eperm):
         t=inp.t,
         rho_hat=inp.rho_hat,
         total_left=inp.total_left,
+        blocks=inp.blocks,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -29,6 +30,11 @@ def _graph(n=12, seed=0):
     return star_expand(Hypergraph(n, edges))
 
 
+def _one_block(*rows):
+    """The (left, right, edge) row offsets of a stack of one level."""
+    return tuple(np.array([0, r]) for r in rows)
+
+
 def _input_for(b, cfg, t=0.4, seed=1):
     rng = np.random.default_rng(seed)
     lrows, rrows, lam = spectral_rows(b, cfg.spectral_k)
@@ -36,7 +42,7 @@ def _input_for(b, cfg, t=0.4, seed=1):
         edges=b.edges,
         left_spectral=lrows,
         right_spectral=rrows,
-        eigenvalues=lam,
+        eigenvalues=lam[None, :],
         left_budgets=b.left_budgets.astype(np.float64),
         left_parent_features=np.zeros((b.num_left, 0)),
         right_parent_features=np.zeros((b.num_right, 0)),
@@ -46,8 +52,9 @@ def _input_for(b, cfg, t=0.4, seed=1):
         left_feature_state=np.zeros((b.num_left, 0)),
         right_feature_state=np.zeros((b.num_right, 0)),
         t=t,
-        rho_hat=0.2,
-        total_left=float(b.num_left),
+        rho_hat=np.array([0.2]),
+        total_left=np.array([float(b.num_left)]),
+        blocks=_one_block(b.num_left, b.num_right, b.num_edges),
     )
 
 
@@ -98,12 +105,12 @@ def test_encode_spectral_sign_invariance():
     b = _graph()
     lrows, rrows, lam = spectral_rows(b, SMALL.spectral_k)
     with ad.no_grad():
-        base = den.encode_spectral(lrows, lam).data
+        base = den.encode_spectral(lrows, lam[None, :], np.array([0, len(lrows)])).data
     rng = np.random.default_rng(1)
     for _ in range(5):
         signs = rng.choice([-1.0, 1.0], size=SMALL.spectral_k)
         with ad.no_grad():
-            flipped = den.encode_spectral(lrows * signs, lam).data
+            flipped = den.encode_spectral(lrows * signs, lam[None, :], np.array([0, len(lrows)])).data
         assert np.max(np.abs(flipped - base)) < 1e-12
 
 
@@ -125,7 +132,7 @@ def test_encode_spectral_matches_per_column_loop():
         lrows, rrows, lam = spectral_rows(_graph(n=n, seed=seed), SMALL.spectral_k)
         for rows in (lrows, rrows):
             with ad.no_grad():
-                ours = den.encode_spectral(rows, lam).data
+                ours = den.encode_spectral(rows, lam[None, :], np.array([0, len(rows)])).data
                 ref = encode_spectral_reference(den, rows, lam).data
             assert ours.shape == (rows.shape[0], PE_DIM)
             assert np.max(np.abs(ours - ref)) < 1e-12
@@ -162,8 +169,9 @@ def test_spectral_embed_identity_v():
     lrows, rrows, lam = spectral_rows(b, SMALL.spectral_k)
     level = _children_level(den, b, expand(b, ExpansionVectors([1] * b.num_left, [1] * b.num_right)))
     with ad.no_grad():
-        assert np.array_equal(level.pe_left.data, den.encode_spectral(lrows, lam).data)
-        assert np.array_equal(level.pe_right.data, den.encode_spectral(rrows, lam).data)
+        lb, rb = _one_block(b.num_left, b.num_right)
+        assert np.array_equal(level.pe_left.data, den.encode_spectral(lrows, lam[None, :], lb).data)
+        assert np.array_equal(level.pe_right.data, den.encode_spectral(rrows, lam[None, :], rb).data)
 
 
 def test_spectral_embed_replicates_children():
@@ -336,6 +344,7 @@ def _permute_input(inp, lperm, rperm, eperm):
         t=inp.t,
         rho_hat=inp.rho_hat,
         total_left=inp.total_left,
+        blocks=inp.blocks,
     )
 
 
@@ -489,8 +498,8 @@ def _random_level(n: int, cfg: DenoiserConfig, t: float, rng: np.random.Generato
              for _ in range(int(rng.integers(1, n + 1)))]
     b = star_expand(Hypergraph(n, edges))
     inp = _input_for(b, cfg, t=t, seed=int(rng.integers(2**32)))
-    inp.rho_hat = float(rng.uniform(0.0, 0.5))
-    inp.total_left = float(n + rng.integers(0, 20))
+    inp.rho_hat = np.array([rng.uniform(0.0, 0.5)])
+    inp.total_left = np.array([float(n + rng.integers(0, 20))])
     inp.left_parent_features = rng.normal(size=(b.num_left, cfg.node_feature_dim))
     inp.right_parent_features = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
     inp.left_feature_state = rng.normal(size=(b.num_left, cfg.node_feature_dim))
@@ -521,12 +530,33 @@ def test_union_predicts_each_level_bit_for_bit(sizes, featured, seed):
             assert got[k].shape == alone[k].shape and np.array_equal(got[k], alone[k]), (sizes, k)
 
 
-def test_union_rejects_nested_unions_and_mixed_times():
+def _assert_same_input(got: DenoiserInput, want: DenoiserInput) -> None:
+    """Every field but ``level`` equal in shape, dtype and value."""
+    for f in dataclasses.fields(DenoiserInput):
+        if f.name != "level":
+            x, y = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert (x.shape, x.dtype) == (y.shape, y.dtype) and np.array_equal(x, y), f.name
+
+
+def test_union_of_stacks_stacks_their_levels():
+    """A union of unions is the union of all their levels, field for field
+    and bit for bit in what it predicts; a union of one input is that input."""
+    den = _UNION_MODELS[True]
+    rng = np.random.default_rng(0)
+    a, b, c = (_random_level(n, den.config, 0.5, rng) for n in (3, 1, 5))
+    nested = DenoiserInput.union([DenoiserInput.union([a, b]), c])
+    flat = DenoiserInput.union([a, b, c])
+    _assert_same_input(nested, flat)
+    assert [len(blocks) for blocks in flat.blocks] == [4, 4, 4]
+    got, want = den.predict(nested), den.predict(flat)
+    for k in HEADS:
+        assert np.array_equal(got[k], want[k]), k
+    _assert_same_input(DenoiserInput.union([a]), a)
+
+
+def test_union_rejects_mixed_times():
     rng = np.random.default_rng(0)
     a, b = (_random_level(3, SMALL, 0.5, rng) for _ in range(2))
-    with pytest.raises(ValueError, match="single-level"):
-        DenoiserInput.union([DenoiserInput.union([a, b]), a])
     b.t = 0.25
     with pytest.raises(ValueError, match="one flow time"):
         DenoiserInput.union([a, b])
-    assert DenoiserInput.union([a]) is a

@@ -45,6 +45,7 @@ from hyperforge.pipeline import (
 )
 from test_coarsening import _arbitrary_hypergraphs
 from test_expansion import reference_sibling_groups
+from test_denoiser import _nonzero_head_model
 
 
 SMALL = DenoiserConfig(hidden_dim=16, num_layers=1, mlp_hidden=24, spectral_k=4)
@@ -980,6 +981,39 @@ def test_sample_lets_lower_graphs_of_a_share_run_on_after_a_failure(tmp_path, mo
         assert started[1] == fail_at.get(1, started[0])  # at one ρ, every graph takes as many levels
 
 
+def test_lockstep_integrates_a_failing_union_level_by_level(monkeypatch):
+    """Graph 1's level 2 holds NaN spectral rows, so the forward over the
+    union of graphs 0-3 raises.  Each level is then integrated alone: graph
+    1 gets the error, graph 0 runs on to its own draw bit for bit, and
+    graphs 2 and 3 are dropped at their next level boundary."""
+    den = _nonzero_head_model(SMALL)
+    den.extra_config = {"train": {"steps": 2, "rho_min": 0.2, "rho_max": 0.2}}
+    real = pipeline._draw_levels
+
+    def poisoned(denoiser, settings, n_nodes, rng):
+        levels = real(denoiser, settings, n_nodes, rng)
+        endpoints, started = None, 0
+        while True:
+            try:
+                level = levels.send(endpoints)
+            except StopIteration as done:
+                return done.value
+            started += 1
+            if rng is rngs[1] and started == 2:
+                level.inp.left_spectral = np.full_like(level.inp.left_spectral, np.nan)
+            endpoints = yield level
+
+    rngs = {i: np.random.default_rng([7, i]) for i in range(4)}
+    monkeypatch.setattr(pipeline, "_draw_levels", poisoned)
+    outcomes = pipeline._lockstep(den, pipeline._SamplerSettings.of(den), 30, rngs)
+    assert sorted(outcomes) == [0, 1]
+    assert isinstance(outcomes[1], FloatingPointError)
+    h, diag = outcomes[0]
+    ref, ref_diag = sample_one(den, 30, np.random.default_rng([7, 0]))
+    assert diag == ref_diag and diag["iterations"] > 2
+    assert (h.num_nodes, h.hyperedges) == (ref.num_nodes, ref.hyperedges)
+
+
 def test_sample_request_validation():
     with pytest.raises(ValueError):
         SampleRequest(checkpoint="x", n_nodes=0)
@@ -1070,6 +1104,31 @@ def test_checkpoint_bytes_do_not_depend_on_paths(toy_data, tmp_path):
     recorded = Denoiser.from_checkpoint(ckpt / "checkpoint.hfck").extra_config["train"]
     assert not {"data_dir", "checkpoint_dir", "log_path"} & set(recorded)
     assert recorded["seed"] == 5
+
+
+def test_train_dumps_its_state_on_a_non_finite_loss(toy_data, tmp_path, monkeypatch):
+    """A NaN loss at step 3 stops training with the step's flow time and
+    reduction fraction written out as plain JSON numbers."""
+    real_loss, real_example = pipeline._step_loss_tensor, pipeline.build_training_example
+    inputs, examples = [], []
+
+    def loss(denoiser, inp, targets):
+        inputs.append(inp)
+        return ad.Tensor(np.nan) if len(inputs) == 3 else real_loss(denoiser, inp, targets)
+
+    def example(*args):
+        examples.append(real_example(*args))
+        return examples[-1]
+
+    monkeypatch.setattr(pipeline, "_step_loss_tensor", loss)
+    monkeypatch.setattr(pipeline, "build_training_example", example)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(RuntimeError, match=r"^non-finite loss at step 3; state dumped to "):
+        train(_toy_cfg(toy_data, ckpt, val_every=0))
+    dump = json.loads((ckpt / "abort_state.json").read_text())
+    assert dump["step"] == 3 and np.isnan(dump["loss"])
+    assert type(dump["t"]) is float and dump["t"] == inputs[2].t
+    assert type(dump["rho_hat"]) is float and dump["rho_hat"] == examples[2].rho_hat
 
 
 def test_train_rejects_empty_val_split_before_any_step(tmp_path, monkeypatch):

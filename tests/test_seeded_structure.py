@@ -138,11 +138,11 @@ def featured_step() -> str:
         example = pipeline.build_training_example(seq, level, rng)
         inp, targets = pipeline.prepare_step(example, rng, 4)
         arrays += [
-            inp.edges, inp.left_spectral, inp.right_spectral, inp.eigenvalues,
+            inp.edges, inp.left_spectral, inp.right_spectral, inp.eigenvalues[0],
             inp.left_budgets, inp.left_parent_features, inp.right_parent_features,
             inp.left_state, inp.right_state, inp.edge_state,
             inp.left_feature_state, inp.right_feature_state,
-            np.array([inp.t, inp.rho_hat, inp.total_left]),
+            np.array([inp.t, inp.rho_hat[0], inp.total_left[0]]),
         ]
         arrays += [targets[name] for name in sorted(targets)]
     return _bytes_digest(arrays)
