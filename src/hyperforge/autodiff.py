@@ -11,6 +11,7 @@ little-endian checkpoint format with a JSON manifest.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -402,7 +403,11 @@ class ParameterStore:
     :meth:`replace_value` write the buffer in place, so a tape built before
     an update must not be used after it.  At its first update the store
     packs all buffers into one flat array, which the Adam update then
-    sweeps with a handful of whole-array operations per group.
+    sweeps with a handful of whole-array operations per group.  The flat
+    parameters and both Adam moments live in anonymous shared memory, so a
+    process forked by :meth:`split_updates` updates them where this one
+    reads them; while that block is open, a buffer of the later groups'
+    gradients is shared with it as well.
     """
 
     def __init__(self):
@@ -412,12 +417,16 @@ class ParameterStore:
         # [start, stop, members], a member (name, tensor, slice in the group)
         self._flat = self._adam_m = self._adam_v = np.empty(0)
         self._groups: list[list] = []
+        self._cut = 0  # the first group of the later part, which a helper sweeps
+        self._helper: _AdamHelper | None = None
         self._scratch = np.empty((2, 0))
         self.step_count = 0
 
     def create(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already exists")
+        if self._helper is not None:
+            raise RuntimeError("cannot create a parameter while the Adam update is split")
         buf = np.array(value, dtype=np.float64)
         t = Tensor(buf, requires_grad=True)
         self._buffers[name] = buf
@@ -449,14 +458,19 @@ class ParameterStore:
         buf[...] = value
 
     def _pack(self) -> None:
-        """Move every buffer into one flat array, in creation order, and cut
-        it into sweep groups of whole parameters.
+        """Move every buffer into one flat array in shared memory, in
+        creation order, and cut it into sweep groups of whole parameters.
 
-        Parameters created since the last pack are appended, so earlier ones
-        keep their offsets and their Adam moments.
+        One group starts at the parameter boundary nearest the middle: the
+        groups from it on are the later part, which a helper forked by
+        :meth:`split_updates` sweeps.  Parameters created since the last
+        pack are appended, so earlier ones keep their offsets and their
+        Adam moments.
         """
         total = self.num_entries()
-        flat = np.empty(total)
+        offsets = np.cumsum([0] + [buf.size for buf in self._buffers.values()])
+        cut = int(offsets[np.abs(offsets - total / 2).argmin()])
+        flat, m, v = _shared_zeros(3, total)
         start = 0
         for name, buf in self._buffers.items():
             stop = start + buf.size
@@ -466,17 +480,39 @@ class ParameterStore:
             view.setflags(write=False)
             t = self._params[name]
             self._buffers[name], t.data = buf, view
-            if not self._groups or stop - self._groups[-1][0] > _ADAM_SWEEP:
+            if not self._groups or stop - self._groups[-1][0] > _ADAM_SWEEP or start == cut != self._groups[-1][0]:
                 self._groups.append([start, start, []])
             group = self._groups[-1]
             group[1] = stop
             group[2].append((name, t, slice(start - group[0], stop - group[0])))
             start = stop
+        self._cut = sum(group[0] < cut for group in self._groups)
         packed = self._adam_m.size
-        m, v = np.zeros(total), np.zeros(total)
         m[:packed], v[:packed] = self._adam_m, self._adam_v
         self._flat, self._adam_m, self._adam_v = flat, m, v
         self._scratch = np.empty((2, max((stop - start for start, stop, _ in self._groups), default=0)))
+
+    @contextmanager
+    def split_updates(self):
+        """While open, each :meth:`adam_step` is split with one forked
+        helper process, which sweeps the later groups; outside it the
+        update is the serial sweep.
+
+        The helper is started when the block opens and stopped when it
+        closes, also on an error; it inherits the packed store at fork.
+        The update's floats, and so its result, are those of the serial
+        sweep.  Where the OS lets a process choose its CPUs and this one
+        may use two or more, the helper runs on one of them and this
+        process on the others until the block closes.
+        """
+        if not self._groups:
+            self._pack()
+        self._helper = _AdamHelper(self)
+        try:
+            yield
+        finally:
+            helper, self._helper = self._helper, None
+            helper.close()
 
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update of every parameter, in place.
@@ -491,42 +527,199 @@ class ParameterStore:
         buffer is swept in groups of whole parameters, of at most
         ``_ADAM_SWEEP`` entries unless one parameter alone is larger.
 
+        Inside :meth:`split_updates`, this process copies the later groups'
+        gradients to a buffer in shared memory, signals the helper, and
+        sweeps the earlier groups while the helper sweeps the later ones,
+        each group with the serial sweep's code.  The helper writes a later
+        group's new values only when they are finite, and leaves the old
+        ones in that group's part of the shared buffer; when an earlier
+        group is not finite, this process puts them back.
+
         Raises:
             FloatingPointError: naming the first parameter whose update is
                 not finite; that parameter and every later one keep their
-                values.
+                values.  Inside :meth:`split_updates` the moments of the
+                later groups may have advanced all the same.
+            RuntimeError: when the helper of :meth:`split_updates` died.
         """
         if not self._groups:
             self._pack()
         self.step_count += 1
         b1, b2 = _ADAM_BETAS
-        bc1, bc2 = 1 - b1**self.step_count, 1 - b2**self.step_count
-        with np.errstate(invalid="ignore", over="ignore"):
-            for start, stop, members in self._groups:
-                g, a = self._scratch[:, : stop - start]
-                m, v, p = self._adam_m[start:stop], self._adam_v[start:stop], self._flat[start:stop]
-                for _, t, local in members:
-                    g[local] = 0.0 if t.grad is None else t.grad.ravel()
-                m *= b1
-                np.multiply(g, 1 - b1, out=a)
-                m += a
-                v *= b2
-                np.multiply(g, 1 - b2, out=a)
-                a *= g
-                v += a
-                # g is spent: it now holds sqrt(v_hat) + eps, and a the new values
-                np.divide(v, bc2, out=g)
-                np.sqrt(g, out=g)
-                g += _ADAM_EPS
-                np.divide(m, bc1, out=a)
-                a *= lr
-                a /= g
-                np.subtract(p, a, out=a)
-                if not np.isfinite(a).all():
-                    for name, _, local in members:
-                        if not np.isfinite(a[local]).all():
-                            raise FloatingPointError(f"non-finite optimizer update for parameter {name!r}")
-                p[...] = a
+        coefs = (lr, 1 - b1**self.step_count, 1 - b2**self.step_count)
+        helper = self._helper
+        if helper is None:
+            self._sweep(self._groups, coefs)
+            return
+        base = helper.base
+        for start, stop, members in self._groups[self._cut :]:
+            _gather_grads(helper.grad[start - base : stop - base], members)
+        helper.send(coefs)
+        swept = False
+        try:
+            self._sweep(self._groups[: self._cut], coefs)
+            swept = True
+        finally:
+            failed = helper.wait()
+            if not swept:  # undo the helper's updates
+                stop = self._flat.size if failed < 0 else self._groups[failed][0]
+                self._flat[base:stop] = helper.grad[: stop - base]
+        if failed >= 0:
+            start, stop, members = self._groups[failed]
+            _check_finite(helper.grad[start - base : stop - base], members)
+
+    def _sweep(self, groups: list[list], coefs: tuple[float, float, float]) -> None:
+        """Update ``groups`` in order, each from its tensors' gradients."""
+        for start, stop, members in groups:
+            g, a = self._scratch[:, : stop - start]
+            _gather_grads(g, members)
+            p = self._flat[start:stop]
+            _adam_group(g, a, self._adam_m[start:stop], self._adam_v[start:stop], p, coefs)
+            _check_finite(a, members)
+            p[...] = a
+
+
+def _shared_zeros(*shape: int) -> np.ndarray:
+    """A float64 array of zeros in anonymous shared memory: a process forked
+    after this call writes the same pages that this one reads."""
+    import mmap
+
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(count, 1) * 8), count=count).reshape(shape)
+
+
+def _gather_grads(g: np.ndarray, members: list) -> None:
+    """Copy a group's gradients into ``g``; a tensor without one has zeros."""
+    for _, t, local in members:
+        g[local] = 0.0 if t.grad is None else t.grad.ravel()
+
+
+def _adam_group(
+    g: np.ndarray, a: np.ndarray, m: np.ndarray, v: np.ndarray, p: np.ndarray, coefs: tuple[float, float, float]
+) -> None:
+    """Advance one sweep group's moments ``m`` and ``v`` in place by its
+    gradient ``g`` and write its new values, from ``p``, into ``a``.
+
+    ``g`` is spent: it ends holding ``sqrt(v_hat) + eps``.
+    """
+    lr, bc1, bc2 = coefs
+    b1, b2 = _ADAM_BETAS
+    with np.errstate(invalid="ignore", over="ignore"):
+        m *= b1
+        np.multiply(g, 1 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += _ADAM_EPS
+        np.divide(m, bc1, out=a)
+        a *= lr
+        a /= g
+        np.subtract(p, a, out=a)
+
+
+def _check_finite(a: np.ndarray, members: list) -> None:
+    """Raise naming the first member of a group whose new values ``a`` are not all finite."""
+    if not np.isfinite(a).all():
+        for name, _, local in members:
+            if not np.isfinite(a[local]).all():
+                raise FloatingPointError(f"non-finite optimizer update for parameter {name!r}")
+
+
+class _AdamHelper:
+    """The forked process of :meth:`ParameterStore.split_updates`, and the
+    shared buffer ``grad`` of the later groups' gradients.
+
+    A request is ``lr`` and the two bias corrections as doubles; the reply
+    is the index of the first group whose new values are not finite, or -1.
+    Once a group is swept, its part of ``grad`` holds its old values if the
+    new ones were written, and the new ones if they were not finite.
+
+    The helper and this process run on disjoint CPUs (see
+    :meth:`ParameterStore.split_updates`): woken through the pipe, an
+    unpinned helper was put on its waker's busy CPU at every update, so the
+    two parts ran one after the other.
+    """
+
+    def __init__(self, store: ParameterStore):
+        import multiprocessing  # imported here: only a split update forks
+
+        self._store = store
+        groups = store._groups[store._cut :]
+        self.base = groups[0][0] if groups else store._flat.size  # where the later groups start
+        self.grad = _shared_zeros(store._flat.size - self.base)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+        self._cpus = cpus if len(cpus) > 1 else None
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(target=self._serve, args=(child_end,), name="adam-helper", daemon=True)
+        try:
+            self._process.start()
+        finally:
+            child_end.close()
+        if self._cpus:
+            os.sched_setaffinity(0, self._cpus - {max(self._cpus)})
+
+    def _serve(self, conn) -> None:
+        """The helper's loop; it leaves through ``os._exit``, so it flushes
+        none of the files it inherited, when this process closes the pipe."""
+        code = 1
+        try:
+            self._conn.close()  # so that the pipe ends when this process closes its end
+            if self._cpus:
+                os.sched_setaffinity(0, {max(self._cpus)})
+            store, base = self._store, self.base
+            groups = store._groups[store._cut :]
+            scratch = np.empty_like(store._scratch[0])
+            while True:
+                coefs = struct.unpack("<3d", conn.recv_bytes())
+                failed = -1
+                for k, (start, stop, _) in enumerate(groups):
+                    g, a, p = self.grad[start - base : stop - base], scratch[: stop - start], store._flat[start:stop]
+                    _adam_group(g, a, store._adam_m[start:stop], store._adam_v[start:stop], p, coefs)
+                    if not np.isfinite(a).all():
+                        g[...] = a
+                        failed = store._cut + k
+                        break
+                    g[...] = p
+                    p[...] = a
+                conn.send_bytes(struct.pack("<q", failed))
+        except EOFError:
+            code = 0
+        finally:
+            os._exit(code)
+
+    def send(self, coefs: tuple[float, float, float]) -> None:
+        try:
+            self._conn.send_bytes(struct.pack("<3d", *coefs))
+        except OSError:
+            self._died()
+
+    def wait(self) -> int:
+        """The helper's reply to the last request."""
+        try:
+            (failed,) = struct.unpack("<q", self._conn.recv_bytes())
+        except (EOFError, OSError):
+            self._died()
+        return failed
+
+    def _died(self):
+        self._process.join(1.0)
+        raise RuntimeError(f"the optimizer helper process died (exit code {self._process.exitcode})") from None
+
+    def close(self) -> None:
+        """Stop the helper: it leaves when the pipe ends, or is killed."""
+        self._conn.close()
+        self._process.join(5.0)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
+        self._process.close()
+        if self._cpus:
+            os.sched_setaffinity(0, self._cpus)
 
 
 CHECKPOINT_MAGIC = b"HFCKPT1\n"

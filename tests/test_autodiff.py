@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import struct
 
 import numpy as np
@@ -390,15 +391,31 @@ def _reference_adam(params, grads, m, v, k, lr, b1=0.9, b2=0.999, eps=1e-8):
         params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def test_adam_matches_out_of_place_reference():
-    rng = np.random.default_rng(9)
-    # "big" alone exceeds one sweep group, so the update spans three groups
-    shapes = {"w": (3, 4), "b": (4,), "head": (64, 0), "s": (1,), "big": (190, 190), "fades": (2, 3), "zero": (5,)}
+# "big" alone exceeds one sweep group, so the update spans three groups;
+# the later part, which a split update's helper sweeps, starts at "big"
+_REFERENCE_SHAPES = {"w": (3, 4), "b": (4,), "head": (64, 0), "s": (1,), "big": (190, 190), "fades": (2, 3), "zero": (5,)}
+
+
+def _reference_store(rng):
+    """A store of ``_REFERENCE_SHAPES`` with random values, and those values."""
     store = ad.ParameterStore()
     ref = {}
-    for name, shape in shapes.items():
+    for name, shape in _REFERENCE_SHAPES.items():
         ref[name] = rng.normal(size=shape)
         store.create(name, ref[name])
+    return store, ref
+
+
+def _set_grads(store, grads):
+    store.zero_grad()
+    for name, g in grads.items():
+        store[name].accumulate_grad(g)
+
+
+def test_adam_matches_out_of_place_reference():
+    rng = np.random.default_rng(9)
+    shapes = _REFERENCE_SHAPES
+    store, ref = _reference_store(rng)
     m = {n: np.zeros(s) for n, s in shapes.items()}
     v = {n: np.zeros(s) for n, s in shapes.items()}
     for step in range(1, 7):
@@ -422,6 +439,67 @@ def test_adam_matches_out_of_place_reference():
     data = store["w"].data
     store.replace_value("w", np.ones((3, 4)))
     assert store["w"].data is data and data.tolist() == np.ones((3, 4)).tolist()
+
+
+def test_split_adam_matches_serial_sweep():
+    """The reference store, updated by the serial sweep and split with a
+    forked helper, has the same parameters and moments bit for bit at every
+    step; a parameter created between two split blocks starts with zero
+    moments, and none can be created inside one."""
+    rng = np.random.default_rng(9)
+    serial, values = _reference_store(np.random.default_rng(1))
+    split, _ = _reference_store(np.random.default_rng(1))
+    for block in range(2):
+        with split.split_updates():
+            assert 0 < split._cut < len(split._groups)  # both processes sweep
+            assert len(multiprocessing.active_children()) == 1
+            with pytest.raises(RuntimeError, match="while the Adam update is split"):
+                split.create("inside", np.ones(2))
+            for step in range(20):
+                grads = {name: rng.normal(size=t.data.shape) for name, t in serial.items()}
+                grads["zero"][...] = 0.0
+                if block or step:  # no gradient at all: only its moments move it
+                    del grads["fades"]
+                for store in (serial, split):
+                    _set_grads(store, grads)
+                    store.adam_step(lr=0.05)
+                for name, t in serial.items():
+                    assert split[name].data.tobytes() == t.data.tobytes(), (block, step, name)
+                assert split._adam_m.tobytes() == serial._adam_m.tobytes()
+                assert split._adam_v.tobytes() == serial._adam_v.tobytes()
+        assert multiprocessing.active_children() == []
+        if block == 0:
+            for store in (serial, split):
+                store.create("late", values["w"][:2])
+
+
+@pytest.mark.parametrize("bad, named", [(("s", "zero"), "s"), (("zero",), "zero")])
+def test_split_adam_names_the_first_non_finite_parameter(bad, named):
+    """A NaN gradient in the earlier part ("s", with one in the helper's
+    "zero" as well) or only in the later part ("zero"): both paths raise
+    naming the first failing parameter, which keeps its value with every
+    later one, and leave the same parameters."""
+    rng = np.random.default_rng(3)
+    stores = [_reference_store(np.random.default_rng(1))[0] for _ in range(2)]
+    names = list(_REFERENCE_SHAPES)
+    with stores[1].split_updates():
+        for step in range(3):
+            grads = {name: rng.normal(size=shape) for name, shape in _REFERENCE_SHAPES.items()}
+            if step == 2:
+                for name in bad:
+                    grads[name].flat[-1] = np.nan
+            for store in stores:
+                _set_grads(store, grads)
+                before = {name: t.data.copy() for name, t in store.items()}
+                if step < 2:
+                    store.adam_step(lr=0.05)
+                    continue
+                with pytest.raises(FloatingPointError, match=f"^non-finite optimizer update for parameter '{named}'$"):
+                    store.adam_step(lr=0.05)
+                for name in names[names.index(named) :]:
+                    assert store[name].data.tobytes() == before[name].tobytes(), name
+    for name in names:
+        assert stores[1][name].data.tobytes() == stores[0][name].data.tobytes(), name
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -85,10 +85,11 @@ def test_import_leaves_evaluation_modules_unloaded():
     leaves unloaded what only some functions need: scipy.stats and
     scipy.spatial serve only the evaluation metrics, networkx only the tree
     generator, scipy.sparse.csgraph only connectivity checks,
-    scipy.sparse.linalg only eigensolves above the dense cutoff, and
-    multiprocessing and the process-pool executor only sample() of more than
-    one graph.  (scipy loads concurrent.futures itself, but not its process
-    pool.)"""
+    scipy.sparse.linalg only eigensolves above the dense cutoff,
+    multiprocessing only sample() of more than one graph and train() on two
+    or more CPUs, which forks an optimizer helper, and the process-pool
+    executor only sample() of more than one graph.  (scipy loads
+    concurrent.futures itself, but not its process pool.)"""
     loaded = _modules_loaded_by("import hyperforge, hyperforge.cli")
     assert _under(loaded, ("numpy", "scipy", "networkx", "multiprocessing", "concurrent.futures.process")) == []
     assert [m for m in loaded if m.startswith("hyperforge.")] == ["hyperforge.cli"]

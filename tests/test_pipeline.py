@@ -1131,6 +1131,79 @@ def test_train_dumps_its_state_on_a_non_finite_loss(toy_data, tmp_path, monkeypa
     assert type(dump["rho_hat"]) is float and dump["rho_hat"] == examples[2].rho_hat
 
 
+def test_train_writes_the_same_bytes_at_one_and_two_cpus(toy_data, tmp_path, monkeypatch):
+    """The checkpoints and the loss log are byte-identical whether each Adam
+    update is the serial sweep or split with a forked helper; the update is
+    split only with two CPUs in a process of one thread."""
+    helpers = []
+    real_init = ad._AdamHelper.__init__
+
+    def counted_init(helper, store):
+        helpers.append(store)
+        real_init(helper, store)
+
+    monkeypatch.setattr(ad._AdamHelper, "__init__", counted_init)
+    written = []
+    for cpus, threads, split in ((1, 1, 0), (2, 1, 1), (2, 3, 0)):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(pipeline, "_native_threads", lambda n=threads: n)
+        ckpt = tmp_path / f"cpus{cpus}-threads{threads}"
+        before = len(helpers)
+        with _deadline(60.0):
+            train(_toy_cfg(toy_data, ckpt))
+        assert len(helpers) - before == split
+        written.append([(ckpt / name).read_bytes() for name in ("checkpoint.hfck", "best.hfck", "loss.csv")])
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="the OS lists no threads of a process")
+def test_native_threads_counts_a_started_thread():
+    before = pipeline._native_threads()
+    assert before >= 1
+    done = threading.Event()
+    worker = threading.Thread(target=done.wait)
+    worker.start()
+    try:
+        assert pipeline._native_threads() == before + 1
+    finally:
+        done.set()
+        worker.join(5.0)
+    assert not worker.is_alive()
+
+
+@pytest.mark.parametrize("ending", ["return", "non-finite loss", "killed helper"])
+def test_train_leaves_no_process_or_thread_behind(toy_data, tmp_path, monkeypatch, ending):
+    """With two CPUs and one thread, train() stops its optimizer helper and
+    gives this process its CPUs back however it ends: when it returns, when
+    a NaN loss at step 3 aborts it, and when the helper is killed at step
+    3, which raises naming the helper instead of hanging."""
+    real_loss = pipeline._step_loss_tensor
+    losses = []
+
+    def loss(denoiser, inp, targets):
+        losses.append(real_loss(denoiser, inp, targets))
+        if len(losses) == 3 and ending == "non-finite loss":
+            return ad.Tensor(np.nan)
+        if len(losses) == 3 and ending == "killed helper":
+            (helper,) = multiprocessing.active_children()
+            os.kill(helper.pid, signal.SIGKILL)
+        return losses[-1]
+
+    monkeypatch.setattr(pipeline, "_step_loss_tensor", loss)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_native_threads", lambda: 1)
+    raises = {
+        "return": nullcontext(),
+        "non-finite loss": pytest.raises(RuntimeError, match="^non-finite loss at step 3;"),
+        "killed helper": pytest.raises(RuntimeError, match="^the optimizer helper process died"),
+    }[ending]
+    before = threading.active_count(), multiprocessing.active_children(), os.sched_getaffinity(0)
+    with _deadline(60.0), raises:
+        train(_toy_cfg(toy_data, tmp_path / "ckpt", val_every=0))
+    assert (threading.active_count(), multiprocessing.active_children(), os.sched_getaffinity(0)) == before
+    assert len(losses) == (30 if ending == "return" else 3)
+
+
 def test_train_rejects_empty_val_split_before_any_step(tmp_path, monkeypatch):
     data = tmp_path / "data"
     spec = DatasetSpec(kind="tree", train_count=3, val_count=0, test_count=1, seed=13, num_nodes=10)
