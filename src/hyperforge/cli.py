@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -190,6 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Before any command loads numpy: BLAS threads gave no speed on these
+    # small matrices, and train() splits each Adam update with a helper
+    # process only while this process runs a single thread.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

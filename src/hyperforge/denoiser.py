@@ -135,9 +135,12 @@ class DenoiserInput:
     endpoints count the rows of the levels before them.  Spectral rows are
     computed on each parent graph and replicated to its children ahead of
     time; ``eigenvalues`` is ``(B, spectral_k)``, and ``rho_hat`` and
-    ``total_left`` have one entry per level.  ``level``, when set, is the
-    :meth:`Denoiser.encode_level` of these level-constant fields and spares
-    the forward pass from recomputing it.
+    ``total_left`` have one entry per level.  ``state`` is the flow state
+    at time ``t``: one array per head, keyed and ordered as
+    ``_HEAD_STREAM``, with one row per row of the head's stream, the same
+    dict that priors, interpolation and integration use.  ``level``, when
+    set, is the :meth:`Denoiser.encode_level` of the level-constant fields
+    and spares the forward pass from recomputing it.
 
     The forward runs every matmul once per block, so each level's rows of
     the output are bit for bit those of its own forward; :meth:`union`
@@ -151,11 +154,7 @@ class DenoiserInput:
     left_budgets: np.ndarray
     left_parent_features: np.ndarray
     right_parent_features: np.ndarray
-    left_state: np.ndarray
-    right_state: np.ndarray
-    edge_state: np.ndarray
-    left_feature_state: np.ndarray
-    right_feature_state: np.ndarray
+    state: dict[str, np.ndarray]
     t: float
     rho_hat: np.ndarray
     total_left: np.ndarray
@@ -164,11 +163,11 @@ class DenoiserInput:
 
     @property
     def num_left(self) -> int:
-        return self.left_state.shape[0]
+        return self.left_spectral.shape[0]
 
     @property
     def num_right(self) -> int:
-        return self.right_state.shape[0]
+        return self.right_spectral.shape[0]
 
     @property
     def num_edges(self) -> int:
@@ -202,11 +201,7 @@ class DenoiserInput:
             left_budgets=stack("left_budgets"),
             left_parent_features=stack("left_parent_features"),
             right_parent_features=stack("right_parent_features"),
-            left_state=stack("left_state"),
-            right_state=stack("right_state"),
-            edge_state=stack("edge_state"),
-            left_feature_state=stack("left_feature_state"),
-            right_feature_state=stack("right_feature_state"),
+            state={head: np.concatenate([inp.state[head] for inp in inputs]) for head in inputs[0].state},
             t=inputs[0].t,
             rho_hat=stack("rho_hat"),
             total_left=stack("total_left"),
@@ -214,8 +209,9 @@ class DenoiserInput:
         )
 
     def split(self, heads: Mapping[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
-        """Per level, the rows of every head array of this input's forward
-        (or of a flow state with the same heads), as views."""
+        """Per level, the rows of every head array of ``heads``, as views:
+        of this input's forward, of its ``state`` or of any dict keyed by
+        head names whose arrays have the rows of this input's streams."""
         offsets = [self.blocks[_HEAD_STREAM[name]] for name in heads]
         return [
             {name: arr[o[j]:o[j + 1]] for (name, arr), o in zip(heads.items(), offsets)}
@@ -469,13 +465,14 @@ class Denoiser:
         lb, rb, eb = inp.blocks
         t_vec = fourier_time_encoding(inp.t, TIME_ENC_DIM)
         rho_hat = inp.rho_hat[:, None]
+        state = inp.state
 
         lf_embed = ad.add(
-            ad.mul(self.left_feat_embed(Tensor(inp.left_feature_state), lb), level.left_film_gain),
+            ad.mul(self.left_feat_embed(Tensor(state["left_features"]), lb), level.left_film_gain),
             level.left_film_bias,
         )
         rf_embed = ad.add(
-            ad.mul(self.right_feat_embed(Tensor(inp.right_feature_state), rb), level.right_film_gain),
+            ad.mul(self.right_feat_embed(Tensor(state["right_features"]), rb), level.right_film_gain),
             level.right_film_bias,
         )
 
@@ -483,7 +480,7 @@ class Denoiser:
             level.pe_left,
             level.budget,
             level.nnodes_left,
-            self.left_state_embed(Tensor(inp.left_state), lb),
+            self.left_state_embed(Tensor(np.hstack([state["left_expansion"], state["left_split"]])), lb),
             lf_embed,
             Tensor(np.tile(t_vec, (n, 1))),
             Tensor(_level_rows(rho_hat, lb)),
@@ -491,7 +488,7 @@ class Denoiser:
         right_parts = [
             level.pe_right,
             level.nnodes_right,
-            self.right_state_embed(Tensor(inp.right_state), rb),
+            self.right_state_embed(Tensor(state["right_expansion"]), rb),
             rf_embed,
             Tensor(np.tile(t_vec, (m, 1))),
             Tensor(_level_rows(rho_hat, rb)),
@@ -501,7 +498,7 @@ class Denoiser:
         edge_parts = [
             level.pe_edge_left,
             level.pe_edge_right,
-            self.edge_state_embed(Tensor(inp.edge_state), eb),
+            self.edge_state_embed(Tensor(state["edge_keep"]), eb),
             Tensor(np.tile(t_vec, (e, 1))),
             Tensor(_level_rows(rho_hat, eb)),
         ]

@@ -15,8 +15,8 @@ These functions are the only implementation of the flow rules.  Training
 and validation draw noise with :func:`sample_prior`, couple it with
 :func:`ot_couple` and noise the targets with :func:`interpolate`; sampling
 draws the same priors and runs :func:`integrate`, which steps with
-:func:`endpoint_velocity` and projects splits with
-:func:`project_split_groups`.
+:func:`endpoint_velocity`.  The sampler's endpoint function projects each
+split prediction with :func:`project_split_groups` before it returns it.
 """
 
 from __future__ import annotations
@@ -230,15 +230,14 @@ def integrate(
     endpoint_fn: Callable[[Mapping[str, np.ndarray], float], Mapping[str, np.ndarray]],
     initial: Mapping[str, np.ndarray],
     steps: int,
-    project: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]] | None = None,
 ) -> dict[str, np.ndarray]:
     """Explicit Euler integration of the endpoint-parameterized flow.
 
-    Uniform grid t_i = i / steps.  Every endpoint prediction is checked, then
-    passed through ``project`` (e.g. pair-wise simplex projection of the
-    split head) and checked again before use.  The final step assigns the
-    predicted endpoint directly, avoiding the 1 / (1 - t) singularity; with
-    steps = 1 the output is the first endpoint prediction.
+    Uniform grid t_i = i / steps.  Every endpoint prediction is checked
+    before use; a projection, such as the pair-wise simplex projection of
+    the split head, belongs inside ``endpoint_fn``.  The final step assigns
+    the predicted endpoint directly, avoiding the 1 / (1 - t) singularity;
+    with steps = 1 the output is the first endpoint prediction.
 
     Raises:
         ValueError: on non-finite values, with the offending head and step,
@@ -252,8 +251,6 @@ def integrate(
     for i in range(steps):
         t = i / steps
         pred = _checked(endpoint_fn(state, t), state, i)
-        if project is not None:
-            pred = _checked(project(pred), state, i)
         for name, arr in pred.items():
             if i == steps - 1:
                 state[name] = arr

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .coarsening import CoarseningCache, CoarseningParams, CoarseningSequence, sample_coarsening_sequence
-from .denoiser import Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
+from .denoiser import _HEAD_STREAM, Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
 from .expansion import (
     ExpansionVectors,
     RefinementDecision,
@@ -290,17 +290,6 @@ def build_training_example(
     )
 
 
-def _state_fields(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The :class:`DenoiserInput` fields that carry the flow state of the heads."""
-    return {
-        "left_state": np.hstack([state["left_expansion"], state["left_split"]]),
-        "right_state": state["right_expansion"],
-        "edge_state": state["edge_keep"],
-        "left_feature_state": state["left_features"],
-        "right_feature_state": state["right_features"],
-    }
-
-
 def _make_input(
     parent: BipartiteGraph,
     expanded: BipartiteGraph,
@@ -324,11 +313,11 @@ def _make_input(
         left_budgets=expanded.left_budgets.astype(np.float64),
         left_parent_features=expanded.left_features,
         right_parent_features=expanded.right_features,
+        state=state,
         t=t,
         rho_hat=np.array([rho_hat]),
         total_left=np.array([total_left]),
         blocks=tuple(np.array([0, rows]) for rows in (expanded.num_left, expanded.num_right, expanded.num_edges)),
-        **_state_fields(state),
     )
 
 
@@ -345,13 +334,6 @@ def _sample_noise(
         "right_features": sample_prior(expanded.right_features.shape, rng),
         "edge_keep": sample_prior((e, 1), rng),
     }
-
-
-# Node heads of the left and the right side, in joint-row order.
-_SIDE_HEADS = (
-    ("left_expansion", "left_split", "left_features"),
-    ("right_expansion", "right_features"),
-)
 
 
 def couple_noise(
@@ -376,7 +358,7 @@ def couple_noise(
         pairs = sibling_pairs(cluster_map)
         if not pairs.size:
             continue
-        names = _SIDE_HEADS[side] + ("edge_keep",)
+        names = [h for h, stream in _HEAD_STREAM.items() if stream == side] + ["edge_keep"]
         sizes = [noise[h].size for h in names]
         starts = np.cumsum([0] + sizes[:-1])
         num_nodes = noise[names[0]].shape[0]
@@ -487,7 +469,8 @@ def train(cfg: TrainConfig) -> dict:
     ``data`` (take, example, prepare), ``forward``, ``backward`` and
     ``optimizer``; validation and checkpoint writes are outside all four.
     With two or more usable CPUs and ``os.fork``, while this process runs
-    a single thread (as with ``OPENBLAS_NUM_THREADS=1``), each Adam update
+    a single thread (as with ``OPENBLAS_NUM_THREADS=1``, which
+    ``hyperforge train`` sets unless the environment does), each Adam update
     is split with one forked helper process
     (:meth:`ParameterStore.split_updates`, which also says how the two
     share the CPUs), and the result is that of the serial update bit for
@@ -768,10 +751,10 @@ class _SamplerSettings:
 
 @dataclass
 class _Level:
-    """One graph's level, ready to integrate: the prior noise of every head,
-    the denoiser input at t = 0 and the left sibling pairs."""
+    """One graph's level, ready to integrate: the denoiser input at t = 0,
+    whose ``state`` is the prior noise of every head, and the left sibling
+    pairs."""
 
-    x0: dict[str, np.ndarray]
     inp: DenoiserInput
     pairs: np.ndarray
 
@@ -822,7 +805,7 @@ def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np
 
         pairs = sibling_pairs(expanded.cluster_of_left)
         x0 = _sample_noise(expanded, pairs, rng)
-        final = yield _Level(x0, _make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k), pairs)
+        final = yield _Level(_make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k), pairs)
         v, decision = apply_inpainting(final, expanded, n_plus, settings.keep_connected)
         b = refine(expanded, decision)
         total_budget = int(b.left_budgets.sum())
@@ -854,22 +837,19 @@ def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np
 
 def _integrate_union(denoiser: Denoiser, levels: list[_Level], steps: int) -> list[dict[str, np.ndarray]]:
     """The integrated endpoints of every level, with one forward per Euler
-    step over the disjoint union of the levels."""
+    step over the disjoint union of the levels; each prediction's split
+    head is projected onto the levels' sibling pairs."""
     union = DenoiserInput.union([level.inp for level in levels])
     with ad.no_grad():
         union.level = denoiser.encode_level(union)
-    x0 = {head: np.concatenate([level.x0[head] for level in levels]) for head in levels[0].x0}
     pairs = np.concatenate([level.pairs + lo for level, lo in zip(levels, union.blocks[0])])
 
     def endpoint_fn(state, t):
-        return denoiser.predict(replace(union, t=t, **_state_fields(state)))
-
-    def project(preds):
-        preds = dict(preds)
+        preds = denoiser.predict(replace(union, t=t, state=state))
         preds["left_split"] = project_split_groups(preds["left_split"], pairs).reshape(-1, 1)
         return preds
 
-    return union.split(integrate(endpoint_fn, x0, steps, project=project))
+    return union.split(integrate(endpoint_fn, union.state, steps))
 
 
 def _integrate_levels(denoiser: Denoiser, levels: list[_Level], steps: int) -> list:

@@ -22,7 +22,7 @@ from hyperforge.coarsening import (
     sample_coarsening_sequence,
 )
 from hyperforge.datasets import DatasetSpec, gen_sbm, gen_tree, generate_dataset, load_dataset_split
-from hyperforge.denoiser import Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
+from hyperforge.denoiser import _HEAD_STREAM, Denoiser, DenoiserConfig, DenoiserInput, spectral_rows
 from hyperforge.expansion import reconstruct_finer
 from hyperforge.flow import ot_couple, simplex_project
 from hyperforge.hypergraph import Hypergraph, star_expand
@@ -269,7 +269,7 @@ def _training_loss_setup():
         if name.startswith("head.") and name.endswith(".w"):
             den.store.replace_value(name, wrng.normal(size=tens.data.shape) * 0.2)
     inp, targets = prepare_step(example, np.random.default_rng(73), 4)
-    assert inp.left_state.shape[0] == 12
+    assert inp.num_left == inp.state["left_expansion"].shape[0] == 12
     return den, inp, targets
 
 
@@ -322,6 +322,7 @@ def _random_bipartite_input(cfg, n=12, seed=80):
     ]
     b = star_expand(Hypergraph(n, edges))
     lrows, rrows, lam = spectral_rows(b, cfg.spectral_k)
+    left = rng.normal(size=(b.num_left, 2))  # the expansion and split heads' columns
     inp = DenoiserInput(
         edges=b.edges,
         left_spectral=lrows,
@@ -330,11 +331,14 @@ def _random_bipartite_input(cfg, n=12, seed=80):
         left_budgets=b.left_budgets.astype(np.float64),
         left_parent_features=np.zeros((b.num_left, 0)),
         right_parent_features=np.zeros((b.num_right, 0)),
-        left_state=rng.normal(size=(b.num_left, 2)),
-        right_state=rng.normal(size=(b.num_right, 1)),
-        edge_state=rng.normal(size=(b.num_edges, 1)),
-        left_feature_state=np.zeros((b.num_left, 0)),
-        right_feature_state=np.zeros((b.num_right, 0)),
+        state={
+            "left_expansion": left[:, :1],
+            "left_split": left[:, 1:],
+            "left_features": np.zeros((b.num_left, 0)),
+            "right_expansion": rng.normal(size=(b.num_right, 1)),
+            "right_features": np.zeros((b.num_right, 0)),
+            "edge_keep": rng.normal(size=(b.num_edges, 1)),
+        },
         t=0.4,
         rho_hat=np.array([0.2]),
         total_left=np.array([float(b.num_left)]),
@@ -358,11 +362,7 @@ def _permute_input(inp, lperm, rperm, eperm):
         left_budgets=inp.left_budgets[lperm],
         left_parent_features=inp.left_parent_features[lperm],
         right_parent_features=inp.right_parent_features[rperm],
-        left_state=inp.left_state[lperm],
-        right_state=inp.right_state[rperm],
-        edge_state=inp.edge_state[eperm],
-        left_feature_state=inp.left_feature_state[lperm],
-        right_feature_state=inp.right_feature_state[rperm],
+        state={head: x[(lperm, rperm, eperm)[_HEAD_STREAM[head]]] for head, x in inp.state.items()},
         t=inp.t,
         rho_hat=inp.rho_hat,
         total_left=inp.total_left,

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +230,35 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "manifest.json").exists()
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_main(args: list[str]) -> list[str]:
+    """What a fresh interpreter, with no BLAS thread count in its
+    environment, reports after ``main(args)``: whether numpy is loaded and
+    how many threads ``/proc/self/task`` lists."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import os, sys\n"
+        "from hyperforge.cli import main\n"
+        "try:\n"
+        f"    main({args!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs the OS to list a process's threads")
+def test_commands_run_numpy_on_one_thread(tmp_path):
+    """A command pins BLAS to one thread before it loads numpy, so its
+    process runs a single thread, as train() needs to split each Adam
+    update; ``--help`` still loads no numpy."""
+    assert _run_main(["export", "--in", str(tmp_path / "nope.jsonl"), "--format", "dot"]) == ["True", "1"]
+    assert _run_main(["--help"])[0] == "False"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hyperforge.autodiff as ad
 from hyperforge.denoiser import (
+    _HEAD_STREAM,
     PE_DIM,
     Denoiser,
     DenoiserConfig,
@@ -35,6 +36,19 @@ def _one_block(*rows):
     return tuple(np.array([0, r]) for r in rows)
 
 
+def _state(left, right, edge, left_features, right_features):
+    """The flow state of every head, with the two columns of ``left`` as
+    the expansion and split heads."""
+    return {
+        "left_expansion": left[:, :1],
+        "left_split": left[:, 1:],
+        "left_features": left_features,
+        "right_expansion": right,
+        "right_features": right_features,
+        "edge_keep": edge,
+    }
+
+
 def _input_for(b, cfg, t=0.4, seed=1):
     rng = np.random.default_rng(seed)
     lrows, rrows, lam = spectral_rows(b, cfg.spectral_k)
@@ -46,11 +60,13 @@ def _input_for(b, cfg, t=0.4, seed=1):
         left_budgets=b.left_budgets.astype(np.float64),
         left_parent_features=np.zeros((b.num_left, 0)),
         right_parent_features=np.zeros((b.num_right, 0)),
-        left_state=rng.normal(size=(b.num_left, 2)),
-        right_state=rng.normal(size=(b.num_right, 1)),
-        edge_state=rng.normal(size=(b.num_edges, 1)),
-        left_feature_state=np.zeros((b.num_left, 0)),
-        right_feature_state=np.zeros((b.num_right, 0)),
+        state=_state(
+            rng.normal(size=(b.num_left, 2)),
+            rng.normal(size=(b.num_right, 1)),
+            rng.normal(size=(b.num_edges, 1)),
+            np.zeros((b.num_left, 0)),
+            np.zeros((b.num_right, 0)),
+        ),
         t=t,
         rho_hat=np.array([0.2]),
         total_left=np.array([float(b.num_left)]),
@@ -215,8 +231,8 @@ def _featured_model_and_input(seed=0):
     inp = _input_for(b, FEATURED)
     inp.left_parent_features = rng.normal(size=(b.num_left, 3))
     inp.right_parent_features = rng.normal(size=(b.num_right, 2))
-    inp.left_feature_state = rng.normal(size=(b.num_left, 3))
-    inp.right_feature_state = rng.normal(size=(b.num_right, 2))
+    inp.state["left_features"] = rng.normal(size=(b.num_left, 3))
+    inp.state["right_features"] = rng.normal(size=(b.num_right, 2))
     return den, inp
 
 
@@ -254,16 +270,15 @@ def test_predict_with_level_encoding_is_bit_identical():
             level = den.encode_level(inp)
         rng = np.random.default_rng(3)
         for t in (0.0, 0.37, 0.96):
-            state = dict(
-                t=t,
-                left_state=rng.normal(size=inp.left_state.shape),
-                right_state=rng.normal(size=inp.right_state.shape),
-                edge_state=rng.normal(size=inp.edge_state.shape),
-                left_feature_state=rng.normal(size=inp.left_feature_state.shape),
-                right_feature_state=rng.normal(size=inp.right_feature_state.shape),
+            state = _state(
+                rng.normal(size=(inp.num_left, 2)),
+                rng.normal(size=inp.state["right_expansion"].shape),
+                rng.normal(size=inp.state["edge_keep"].shape),
+                rng.normal(size=inp.state["left_features"].shape),
+                rng.normal(size=inp.state["right_features"].shape),
             )
-            plain = den.predict(replace(inp, **state))
-            cached = den.predict(replace(inp, **state, level=level))
+            plain = den.predict(replace(inp, t=t, state=state))
+            cached = den.predict(replace(inp, t=t, state=state, level=level))
             for k in HEADS:
                 assert np.array_equal(plain[k], cached[k]), (inp.num_edges, t, k)
 
@@ -302,8 +317,8 @@ def test_forward_shapes():
     inp = _input_for(b, cfg)
     inp.left_parent_features = np.zeros((b.num_left, 3))
     inp.right_parent_features = np.zeros((b.num_right, 2))
-    inp.left_feature_state = np.random.default_rng(0).normal(size=(b.num_left, 3))
-    inp.right_feature_state = np.random.default_rng(1).normal(size=(b.num_right, 2))
+    inp.state["left_features"] = np.random.default_rng(0).normal(size=(b.num_left, 3))
+    inp.state["right_features"] = np.random.default_rng(1).normal(size=(b.num_right, 2))
     preds = den.predict(inp)
     assert preds["left_expansion"].shape == (b.num_left, 1)
     assert preds["left_split"].shape == (b.num_left, 1)
@@ -336,11 +351,7 @@ def _permute_input(inp, lperm, rperm, eperm):
         left_budgets=inp.left_budgets[lperm],
         left_parent_features=inp.left_parent_features[lperm],
         right_parent_features=inp.right_parent_features[rperm],
-        left_state=inp.left_state[lperm],
-        right_state=inp.right_state[rperm],
-        edge_state=inp.edge_state[eperm],
-        left_feature_state=inp.left_feature_state[lperm],
-        right_feature_state=inp.right_feature_state[rperm],
+        state={head: x[(lperm, rperm, eperm)[_HEAD_STREAM[head]]] for head, x in inp.state.items()},
         t=inp.t,
         rho_hat=inp.rho_hat,
         total_left=inp.total_left,
@@ -502,8 +513,8 @@ def _random_level(n: int, cfg: DenoiserConfig, t: float, rng: np.random.Generato
     inp.total_left = np.array([float(n + rng.integers(0, 20))])
     inp.left_parent_features = rng.normal(size=(b.num_left, cfg.node_feature_dim))
     inp.right_parent_features = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
-    inp.left_feature_state = rng.normal(size=(b.num_left, cfg.node_feature_dim))
-    inp.right_feature_state = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
+    inp.state["left_features"] = rng.normal(size=(b.num_left, cfg.node_feature_dim))
+    inp.state["right_features"] = rng.normal(size=(b.num_right, cfg.edge_feature_dim))
     return inp
 
 
@@ -531,11 +542,18 @@ def test_union_predicts_each_level_bit_for_bit(sizes, featured, seed):
 
 
 def _assert_same_input(got: DenoiserInput, want: DenoiserInput) -> None:
-    """Every field but ``level`` equal in shape, dtype and value."""
-    for f in dataclasses.fields(DenoiserInput):
-        if f.name != "level":
-            x, y = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
-            assert (x.shape, x.dtype) == (y.shape, y.dtype) and np.array_equal(x, y), f.name
+    """Every field but ``level``, and every head of ``state``, equal in
+    shape, dtype and value."""
+    assert list(got.state) == list(want.state)
+    arrays = [(f"state[{head!r}]", got.state[head], want.state[head]) for head in want.state]
+    arrays += [
+        (f.name, getattr(got, f.name), getattr(want, f.name))
+        for f in dataclasses.fields(DenoiserInput)
+        if f.name not in ("level", "state")
+    ]
+    for name, x, y in arrays:
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.shape, x.dtype) == (y.shape, y.dtype) and np.array_equal(x, y), name
 
 
 def test_union_of_stacks_stacks_their_levels():
@@ -552,6 +570,20 @@ def test_union_of_stacks_stacks_their_levels():
     for k in HEADS:
         assert np.array_equal(got[k], want[k]), k
     _assert_same_input(DenoiserInput.union([a]), a)
+
+
+def test_split_of_union_state_is_each_input_state():
+    """Cut by the union's blocks, the union's flow state is every input's
+    state again, head by head, in order."""
+    rng = np.random.default_rng(1)
+    inputs = [_random_level(n, FEATURED, 0.5, rng) for n in (4, 1, 6)]
+    union = DenoiserInput.union(inputs)
+    parts = union.split(union.state)
+    assert len(parts) == len(inputs)
+    for inp, part in zip(inputs, parts):
+        assert list(part) == list(inp.state)
+        for head, x in inp.state.items():
+            assert part[head].shape == x.shape and np.array_equal(part[head], x), head
 
 
 def test_union_rejects_mixed_times():

@@ -295,18 +295,19 @@ def test_integrate_linear_flow_step_invariant():
 
 
 def test_integrate_applies_projection_each_step():
+    """A projection composed into the endpoint function runs once per step
+    and shapes every endpoint the flow steps towards."""
     seen_sums = []
 
     def endpoint(state, t):
         return {"a": np.array([0.8, 0.8])}
 
-    def project(preds):
+    def projected(state, t):
+        preds = endpoint(state, t)
         seen_sums.append(float(np.sum(preds["a"])))
-        out = dict(preds)
-        out["a"] = simplex_project(preds["a"])
-        return out
+        return {"a": simplex_project(preds["a"])}
 
-    out = integrate(endpoint, {"a": np.array([0.5, 0.5])}, steps=4, project=project)
+    out = integrate(projected, {"a": np.array([0.5, 0.5])}, steps=4)
     assert len(seen_sums) == 4
     assert abs(out["a"].sum() - 1.0) < 1e-12
 
@@ -320,19 +321,25 @@ def test_integrate_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_integrate_names_nonfinite_split_before_projecting(bad):
-    """A non-finite split prediction is reported by head and step; the
-    projection never sees it."""
+def test_integrate_names_nonfinite_head_and_step(bad):
+    """A non-finite prediction from an endpoint function that projects its
+    split head is reported by head and step, once the projection has run
+    for that step."""
     pairs = np.array([[0, 1]])
+    projected_steps = []
 
     def endpoint(state, t):
-        return {"left_split": np.array([bad, 0.5]) if t > 0 else np.zeros(2)}
+        return {"left_split": np.array([0.3, 0.5]), "edge_keep": np.array([bad if t > 0 else 0.0])}
 
-    def project(preds):
-        return {"left_split": project_split_groups(preds["left_split"], pairs)}
+    def projected(state, t):
+        preds = endpoint(state, t)
+        projected_steps.append(t)
+        return {**preds, "left_split": project_split_groups(preds["left_split"], pairs)}
 
-    with pytest.raises(ValueError, match="non-finite endpoint for head 'left_split' at step 1"):
-        integrate(endpoint, {"left_split": np.zeros(2)}, steps=3, project=project)
+    initial = {"left_split": np.zeros(2), "edge_keep": np.zeros(1)}
+    with pytest.raises(ValueError, match="non-finite endpoint for head 'edge_keep' at step 1"):
+        integrate(projected, initial, steps=3)
+    assert len(projected_steps) == 2
 
 
 def test_integrate_rejects_step_counts_before_any_prediction():

@@ -18,7 +18,7 @@ import hyperforge.autodiff as ad
 import hyperforge.pipeline as pipeline
 from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import DatasetSpec, gen_tree, generate_dataset
-from hyperforge.denoiser import Denoiser, DenoiserConfig
+from hyperforge.denoiser import _HEAD_STREAM, Denoiser, DenoiserConfig
 from hyperforge.expansion import ExpansionVectors, expand, perturb_expand, refine, sibling_pairs, split_budgets
 from hyperforge.hypergraph import (
     BipartiteGraph,
@@ -350,12 +350,23 @@ def test_prepare_step_shapes():
     ex = build_training_example(seq, 0, np.random.default_rng(0), perturbation=False)
     inp, x_t = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k)
     n, m, e = ex.expanded.num_left, ex.expanded.num_right, ex.expanded.num_edges
-    assert inp.left_state.shape == (n, 2)
-    assert inp.right_state.shape == (m, 1)
-    assert inp.edge_state.shape == (e, 1)
+    assert inp.state["left_expansion"].shape == inp.state["left_split"].shape == (n, 1)
+    assert inp.state["right_expansion"].shape == (m, 1)
+    assert inp.state["edge_keep"].shape == (e, 1)
     assert inp.left_spectral.shape == (n, SMALL.spectral_k)
     assert 0.0 <= inp.t < 1.0
     assert set(x_t) == set(ex.targets)
+
+
+def test_every_head_dict_follows_the_head_table():
+    """The prior noise, the targets, the network input's flow state and the
+    forward's output name the heads of ``_HEAD_STREAM`` in its order, the
+    order in which ``couple_noise`` lays out each sibling's joint row."""
+    ex = build_training_example(_tree_sequence(seed=7), 0, np.random.default_rng(0), perturbation=False)
+    noise = pipeline._sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), np.random.default_rng(1))
+    inp, targets = prepare_step(ex, np.random.default_rng(2), SMALL.spectral_k)
+    preds = Denoiser(SMALL, rng=np.random.default_rng(0)).predict(inp)
+    assert list(noise) == list(targets) == list(inp.state) == list(preds) == list(_HEAD_STREAM)
 
 
 def test_training_step_on_right_only_levels():

@@ -140,8 +140,8 @@ def featured_step() -> str:
         arrays += [
             inp.edges, inp.left_spectral, inp.right_spectral, inp.eigenvalues[0],
             inp.left_budgets, inp.left_parent_features, inp.right_parent_features,
-            inp.left_state, inp.right_state, inp.edge_state,
-            inp.left_feature_state, inp.right_feature_state,
+            np.hstack([inp.state["left_expansion"], inp.state["left_split"]]), inp.state["right_expansion"],
+            inp.state["edge_keep"], inp.state["left_features"], inp.state["right_features"],
             np.array([inp.t, inp.rho_hat[0], inp.total_left[0]]),
         ]
         arrays += [targets[name] for name in sorted(targets)]
