@@ -15,7 +15,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -367,8 +367,18 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return tensor_mean(mul(diff, diff))
 
 
-def backward(t: Tensor) -> None:
-    """Reverse accumulation from a scalar output."""
+def backward(t: Tensor, ready: Callable[[Tensor], None] | None = None) -> None:
+    """Reverse accumulation from a scalar output.
+
+    ``ready``, when given, is called once with each leaf on the tape (a
+    tensor made with ``requires_grad``, such as a parameter) as soon as its
+    gradient is final: right after the closure of its last consumer has
+    run, which is the consumer first in topological order.  Closures run in
+    reverse topological order, so by then every closure that reads the
+    leaf's ``data``, directly or through a view such as :func:`reshape`, has
+    run as well, and ``ready`` may let another process overwrite the leaf's
+    buffer while backward goes on.
+    """
     if t.data.size != 1:
         raise ValueError("backward expects a scalar")
     topo: list[Tensor] = []
@@ -385,10 +395,23 @@ def backward(t: Tensor) -> None:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
+    # the leaves that each node's closure is the last consumer of
+    final: dict[int, list[Tensor]] = {}
+    if ready is not None:
+        claimed: set[int] = set()
+        for node in topo:
+            for p in node._parents:
+                if p._backward is None and p.requires_grad and id(p) not in claimed:
+                    claimed.add(id(p))
+                    final.setdefault(id(node), []).append(p)
+        if t._backward is None:
+            final[id(t)] = [t]
     t.grad = np.ones_like(t.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        for leaf in final.get(id(node), ()):
+            ready(leaf)
 
 
 class ParameterStore:
@@ -406,8 +429,8 @@ class ParameterStore:
     sweeps with a handful of whole-array operations per group.  The flat
     parameters and both Adam moments live in anonymous shared memory, so a
     process forked by :meth:`split_updates` updates them where this one
-    reads them; while that block is open, a buffer of the later groups'
-    gradients is shared with it as well.
+    reads them; while that block is open, a buffer of the gradients is
+    shared with it as well.
     """
 
     def __init__(self):
@@ -417,8 +440,12 @@ class ParameterStore:
         # [start, stop, members], a member (name, tensor, slice in the group)
         self._flat = self._adam_m = self._adam_v = np.empty(0)
         self._groups: list[list] = []
-        self._cut = 0  # the first group of the later part, which a helper sweeps
+        self._group_of: dict[int, int] = {}  # the sweep group of each parameter tensor, by id
         self._helper: _AdamHelper | None = None
+        # of the update begun and not complete: its coefficients, and per group
+        # the members whose gradients are not final yet (0 once handed over)
+        self._coefs = (0.0, 0.0, 0.0)
+        self._waiting: list[int] | None = None
         self._scratch = np.empty((2, 0))
         self.step_count = 0
 
@@ -461,16 +488,12 @@ class ParameterStore:
         """Move every buffer into one flat array in shared memory, in
         creation order, and cut it into sweep groups of whole parameters.
 
-        One group starts at the parameter boundary nearest the middle: the
-        groups from it on are the later part, which a helper forked by
-        :meth:`split_updates` sweeps.  Parameters created since the last
-        pack are appended, so earlier ones keep their offsets and their
-        Adam moments.
+        Parameters created since the last pack are appended, so earlier ones
+        keep their offsets and their Adam moments.
         """
         total = self.num_entries()
-        offsets = np.cumsum([0] + [buf.size for buf in self._buffers.values()])
-        cut = int(offsets[np.abs(offsets - total / 2).argmin()])
         flat, m, v = _shared_zeros(3, total)
+        self._group_of = {}
         start = 0
         for name, buf in self._buffers.items():
             stop = start + buf.size
@@ -480,13 +503,13 @@ class ParameterStore:
             view.setflags(write=False)
             t = self._params[name]
             self._buffers[name], t.data = buf, view
-            if not self._groups or stop - self._groups[-1][0] > _ADAM_SWEEP or start == cut != self._groups[-1][0]:
+            if not self._groups or stop - self._groups[-1][0] > _ADAM_SWEEP:
                 self._groups.append([start, start, []])
             group = self._groups[-1]
             group[1] = stop
             group[2].append((name, t, slice(start - group[0], stop - group[0])))
+            self._group_of[id(t)] = len(self._groups) - 1
             start = stop
-        self._cut = sum(group[0] < cut for group in self._groups)
         packed = self._adam_m.size
         m[:packed], v[:packed] = self._adam_m, self._adam_v
         self._flat, self._adam_m, self._adam_v = flat, m, v
@@ -494,16 +517,19 @@ class ParameterStore:
 
     @contextmanager
     def split_updates(self):
-        """While open, each :meth:`adam_step` is split with one forked
-        helper process, which sweeps the later groups; outside it the
-        update is the serial sweep.
+        """While open, a forked helper process sweeps every Adam update,
+        group by group as the groups are handed to it (see
+        :meth:`begin_update`), and :meth:`adam_step` waits for it to finish;
+        outside the block :meth:`adam_step` is the serial sweep.
 
         The helper is started when the block opens and stopped when it
         closes, also on an error; it inherits the packed store at fork.
         The update's floats, and so its result, are those of the serial
         sweep.  Where the OS lets a process choose its CPUs and this one
         may use two or more, the helper runs on one of them and this
-        process on the others until the block closes.
+        process on the others until the block closes.  An update begun and
+        not completed when the block closes leaves the groups already
+        handed over updated.
         """
         if not self._groups:
             self._pack()
@@ -511,8 +537,67 @@ class ParameterStore:
         try:
             yield
         finally:
-            helper, self._helper = self._helper, None
+            helper, self._helper, self._waiting = self._helper, None, None
             helper.close()
+
+    def _next_coefs(self, lr: float) -> tuple[float, float, float]:
+        """Count the next update and return its ``lr`` and bias corrections."""
+        self.step_count += 1
+        b1, b2 = _ADAM_BETAS
+        return lr, 1 - b1**self.step_count, 1 - b2**self.step_count
+
+    @contextmanager
+    def begin_update(self, lr: float):
+        """Begin the next Adam update inside :meth:`split_updates`, for one
+        :func:`backward` in the block.
+
+        The block yields that backward's ``ready`` callback: once every
+        parameter of a sweep group has its final gradient, it copies the
+        group's gradients to the shared buffer and hands the group to the
+        helper, which sweeps it while backward goes on.  When the block ends
+        without an error, the groups left (parameters the tape did not
+        reach) go to the helper as well; :meth:`adam_step` with the same
+        ``lr`` then completes the update.  Outside :meth:`split_updates`
+        there is no helper: the block yields None, and :meth:`adam_step`
+        sweeps by itself.
+
+        Raises:
+            RuntimeError: when the last update begun is not complete, or the
+                helper died.
+        """
+        if self._helper is None:
+            yield None
+            return
+        waiting = self._begin(lr)
+        group_of = self._group_of
+
+        def ready(t: Tensor) -> None:
+            k = group_of.get(id(t))
+            if k is not None:
+                waiting[k] -= 1
+                if not waiting[k]:
+                    self._hand_over(k)
+
+        yield ready
+        self._hand_over_rest()
+
+    def _begin(self, lr: float) -> list[int]:
+        if self._waiting is not None:
+            raise RuntimeError("the Adam update begun last is not complete")
+        self._coefs = self._next_coefs(lr)
+        self._waiting = [len(members) for _, _, members in self._groups]
+        return self._waiting
+
+    def _hand_over(self, k: int) -> None:
+        start, stop, members = self._groups[k]
+        _gather_grads(self._helper.grad[start:stop], members)
+        self._helper.send(k, self._coefs)
+        self._waiting[k] = 0
+
+    def _hand_over_rest(self) -> None:
+        for k, left in enumerate(self._waiting):
+            if left > 0:
+                self._hand_over(k)
 
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update of every parameter, in place.
@@ -527,50 +612,46 @@ class ParameterStore:
         buffer is swept in groups of whole parameters, of at most
         ``_ADAM_SWEEP`` entries unless one parameter alone is larger.
 
-        Inside :meth:`split_updates`, this process copies the later groups'
-        gradients to a buffer in shared memory, signals the helper, and
-        sweeps the earlier groups while the helper sweeps the later ones,
-        each group with the serial sweep's code.  The helper writes a later
-        group's new values only when they are finite, and leaves the old
-        ones in that group's part of the shared buffer; when an earlier
-        group is not finite, this process puts them back.
+        Inside :meth:`split_updates` the helper sweeps every group, each with
+        the serial sweep's code, in the order the groups are handed to it:
+        during and right after backward by :meth:`begin_update`, and here
+        any group not handed over yet (this call begins the update when no
+        :meth:`begin_update` did).  This call then waits for the helper.
+        The helper writes a group's new values only when they are finite and
+        keeps the old ones in the group's part of the shared buffer; once
+        all groups are swept, it puts them back in every group after the
+        first that failed, so the parameters end as the serial sweep leaves
+        them.
 
         Raises:
+            ValueError: when ``lr`` is not the one the update began with.
             FloatingPointError: naming the first parameter whose update is
                 not finite; that parameter and every later one keep their
-                values.  Inside :meth:`split_updates` the moments of the
-                later groups may have advanced all the same.
+                values.  Inside :meth:`split_updates` the moments of later
+                groups that the helper swept before the failing one may have
+                advanced all the same.
             RuntimeError: when the helper of :meth:`split_updates` died.
         """
         if not self._groups:
             self._pack()
-        self.step_count += 1
-        b1, b2 = _ADAM_BETAS
-        coefs = (lr, 1 - b1**self.step_count, 1 - b2**self.step_count)
         helper = self._helper
         if helper is None:
-            self._sweep(self._groups, coefs)
+            self._sweep(self._next_coefs(lr))
             return
-        base = helper.base
-        for start, stop, members in self._groups[self._cut :]:
-            _gather_grads(helper.grad[start - base : stop - base], members)
-        helper.send(coefs)
-        swept = False
-        try:
-            self._sweep(self._groups[: self._cut], coefs)
-            swept = True
-        finally:
-            failed = helper.wait()
-            if not swept:  # undo the helper's updates
-                stop = self._flat.size if failed < 0 else self._groups[failed][0]
-                self._flat[base:stop] = helper.grad[: stop - base]
+        if self._waiting is None:
+            self._begin(lr)
+        elif lr != self._coefs[0]:
+            raise ValueError(f"the update began with lr {self._coefs[0]!r}, not {lr!r}")
+        self._hand_over_rest()
+        self._waiting = None
+        failed = helper.wait()
         if failed >= 0:
             start, stop, members = self._groups[failed]
-            _check_finite(helper.grad[start - base : stop - base], members)
+            _check_finite(helper.grad[start:stop], members)
 
-    def _sweep(self, groups: list[list], coefs: tuple[float, float, float]) -> None:
-        """Update ``groups`` in order, each from its tensors' gradients."""
-        for start, stop, members in groups:
+    def _sweep(self, coefs: tuple[float, float, float]) -> None:
+        """Update every group in order, each from its tensors' gradients."""
+        for start, stop, members in self._groups:
             g, a = self._scratch[:, : stop - start]
             _gather_grads(g, members)
             p = self._flat[start:stop]
@@ -631,26 +712,28 @@ def _check_finite(a: np.ndarray, members: list) -> None:
 
 class _AdamHelper:
     """The forked process of :meth:`ParameterStore.split_updates`, and the
-    shared buffer ``grad`` of the later groups' gradients.
+    shared buffer ``grad`` of the gradients of the groups handed to it.
 
-    A request is ``lr`` and the two bias corrections as doubles; the reply
-    is the index of the first group whose new values are not finite, or -1.
-    Once a group is swept, its part of ``grad`` holds its old values if the
-    new ones were written, and the new ones if they were not finite.
+    A request is one group's index, ``lr`` and the two bias corrections;
+    after one request per group, the reply is the index of the first group
+    (in creation order) whose new values are not finite, or -1.  Once a
+    group is swept, its part of ``grad`` holds its old values if the new
+    ones were written, and the new ones if they were not finite.  A group
+    that follows the first failing one in creation order is not swept if it
+    is handed over after the failure, and is put back if it was swept
+    before it.
 
     The helper and this process run on disjoint CPUs (see
     :meth:`ParameterStore.split_updates`): woken through the pipe, an
     unpinned helper was put on its waker's busy CPU at every update, so the
-    two parts ran one after the other.
+    two ran one after the other.
     """
 
     def __init__(self, store: ParameterStore):
         import multiprocessing  # imported here: only a split update forks
 
         self._store = store
-        groups = store._groups[store._cut :]
-        self.base = groups[0][0] if groups else store._flat.size  # where the later groups start
-        self.grad = _shared_zeros(store._flat.size - self.base)
+        self.grad = _shared_zeros(store._flat.size)
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
         self._cpus = cpus if len(cpus) > 1 else None
         context = multiprocessing.get_context("fork")
@@ -671,35 +754,43 @@ class _AdamHelper:
             self._conn.close()  # so that the pipe ends when this process closes its end
             if self._cpus:
                 os.sched_setaffinity(0, {max(self._cpus)})
-            store, base = self._store, self.base
-            groups = store._groups[store._cut :]
+            store, grad = self._store, self.grad
+            groups, flat = store._groups, store._flat
             scratch = np.empty_like(store._scratch[0])
             while True:
-                coefs = struct.unpack("<3d", conn.recv_bytes())
-                failed = -1
-                for k, (start, stop, _) in enumerate(groups):
-                    g, a, p = self.grad[start - base : stop - base], scratch[: stop - start], store._flat[start:stop]
+                failed, written = len(groups), []
+                for _ in groups:
+                    k, *coefs = struct.unpack("<q3d", conn.recv_bytes())
+                    if k > failed:  # the serial sweep stops at the first failure
+                        continue
+                    start, stop, _ = groups[k]
+                    g, a, p = grad[start:stop], scratch[: stop - start], flat[start:stop]
                     _adam_group(g, a, store._adam_m[start:stop], store._adam_v[start:stop], p, coefs)
-                    if not np.isfinite(a).all():
+                    if np.isfinite(a).all():
+                        g[...] = p
+                        p[...] = a
+                        written.append(k)
+                    else:
                         g[...] = a
-                        failed = store._cut + k
-                        break
-                    g[...] = p
-                    p[...] = a
-                conn.send_bytes(struct.pack("<q", failed))
+                        failed = k
+                for k in written:
+                    if k > failed:
+                        start, stop, _ = groups[k]
+                        flat[start:stop] = grad[start:stop]
+                conn.send_bytes(struct.pack("<q", failed if failed < len(groups) else -1))
         except EOFError:
             code = 0
         finally:
             os._exit(code)
 
-    def send(self, coefs: tuple[float, float, float]) -> None:
+    def send(self, k: int, coefs: tuple[float, float, float]) -> None:
         try:
-            self._conn.send_bytes(struct.pack("<3d", *coefs))
+            self._conn.send_bytes(struct.pack("<q3d", k, *coefs))
         except OSError:
             self._died()
 
     def wait(self) -> int:
-        """The helper's reply to the last request."""
+        """The helper's reply once it has swept every group."""
         try:
             (failed,) = struct.unpack("<q", self._conn.recv_bytes())
         except (EOFError, OSError):

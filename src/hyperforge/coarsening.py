@@ -227,8 +227,9 @@ def merge_left(
     Returns the merged graph and the merged left node of every input left
     node.  Unlisted nodes stay as singletons; merged node order is by least
     original member.  Each part must induce a connected piece of the clique
-    expansion unless ``allow_disconnected`` (the sampler's last-resort bridge
-    for disconnected inputs).
+    expansion unless ``allow_disconnected``; the sampler passes it, because
+    its pairs are clique edges or its last-resort bridge for disconnected
+    inputs.
 
     Raises:
         ValueError: for parts that are not all integers, and on the first
@@ -315,9 +316,9 @@ def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.nd
 
 def _sample_level_contractions(
     b: BipartiteGraph, params: CoarseningParams, rng: np.random.Generator
-) -> tuple[list[tuple[int, int]], bool]:
-    """One level's accepted contraction pairs; the flag marks a disconnected
-    bridge merge (no clique edge existed at all)."""
+) -> list[tuple[int, int]]:
+    """One level's accepted contraction pairs: disjoint clique edges or,
+    when no clique edge exists at all, the bridge (0, 1) across components."""
     n_prev = b.num_left
     if n_prev < SMALL_GRAPH_CUTOFF:
         red_frac = params.rho_max
@@ -341,14 +342,12 @@ def _sample_level_contractions(
             break
 
     if accepted:
-        return accepted, False
+        return accepted
 
     # Forced progress: the gate rejected every candidate (or none existed).
     # Take the cheapest contraction; with no clique edge at all, bridge the
     # lowest-index pair across components.
-    if candidates:
-        return [candidates[0]], False
-    return [(0, 1)], True
+    return [candidates[0]] if candidates else [(0, 1)]
 
 
 def _permute_bipartite(
@@ -406,10 +405,11 @@ def sample_coarsening_sequence(
     # is {0} and the right count falls from r to ceil(r / 3) per level.
     while raw[-1].num_left > 1 or raw[-1].num_right > 1:
         cur = raw[-1]
-        pairs, bridged = [], False
-        if cur.num_left > 1:
-            pairs, bridged = _sample_level_contractions(cur, params, rng)
-        merged, left_assign = merge_left(cur, pairs, allow_disconnected=bridged)
+        pairs = _sample_level_contractions(cur, params, rng) if cur.num_left > 1 else []
+        # The pairs are disjoint clique edges, each pair meeting in a
+        # hyperedge, or the bridge across components: the connectivity check
+        # of merge_left could fail only on the bridge, which is meant.
+        merged, left_assign = merge_left(cur, pairs, allow_disconnected=True)
         coarse, right_assign, right_budgets = dedup_right(merged, right_budgets)
         raw.append(coarse)
         assigns.append((left_assign, right_assign))

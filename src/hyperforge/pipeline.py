@@ -465,17 +465,24 @@ def train(cfg: TrainConfig) -> dict:
     graph is connected; sampling then keeps every refined level connected.
     Train and val graphs without a hyperedge, or with a mix of feature
     widths (which set the denoiser's), are rejected before any step.
-    ``phase_s`` in the summary holds the seconds spent over all steps in
-    ``data`` (take, example, prepare), ``forward``, ``backward`` and
-    ``optimizer``; validation and checkpoint writes are outside all four.
-    With two or more usable CPUs and ``os.fork``, while this process runs
-    a single thread (as with ``OPENBLAS_NUM_THREADS=1``, which
-    ``hyperforge train`` sets unless the environment does), each Adam update
-    is split with one forked helper process
-    (:meth:`ParameterStore.split_updates`, which also says how the two
-    share the CPUs), and the result is that of the serial update bit for
-    bit; ``optimizer`` is then this process's wall time of the split
-    update.  ``wall_time_s`` and ``phase_s`` are both
+    A step's example (take, example, prepare) does not depend on the
+    parameters, so each step prepares the next step's example between its
+    backward and its Adam update; the draws keep their order, and none is
+    made past ``max_steps``.  An error while preparing step k + 1's example
+    surfaces once step k is updated, validated, logged and saved.  With two
+    or more usable CPUs and ``os.fork``, while this process runs a single
+    thread (as with ``OPENBLAS_NUM_THREADS=1``, which ``hyperforge train``
+    sets unless the environment does), a forked helper process sweeps each
+    update (:meth:`ParameterStore.split_updates`, which also says how the
+    two share the CPUs): backward hands it each group of parameters as soon
+    as their gradients are final (:meth:`ParameterStore.begin_update`), so
+    the update runs during backward and the next example's preparation,
+    and the result is that of the serial update bit for bit.  ``phase_s``
+    in the summary holds the seconds spent over all steps in ``data`` (the
+    next example's preparation, and the first step's own), ``forward``,
+    ``backward`` and ``optimizer`` (the update, or the wait for the helper
+    after the preparation); validation and checkpoint writes are outside
+    all four.  ``wall_time_s`` and ``phase_s`` are both
     ``time.perf_counter`` intervals.
     """
     data_dir = Path(cfg.data_dir)
@@ -513,20 +520,26 @@ def train(cfg: TrainConfig) -> dict:
     val_batch = _validation_batch(val_graphs, cfg) if 0 < cfg.val_every <= cfg.max_steps else []
     best_val = np.inf
     phase_s = dict.fromkeys(("data", "forward", "backward", "optimizer"), 0.0)
+
+    def draw() -> tuple:
+        graph_id = int(rng.integers(len(train_graphs)))
+        seq, level_index = cache.take(graph_id, rng)
+        example = build_training_example(
+            seq, level_index, rng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
+        )
+        return (graph_id, level_index, example, *prepare_step(example, rng, cfg.spectral_k))
+
     start = time.perf_counter()
     # Beside a second thread, such as a BLAS pool that spins between calls,
     # the pinned helper made training several times slower, not faster.
     split = hasattr(os, "fork") and _usable_cpus() >= 2 and _native_threads() == 1
     with denoiser.store.split_updates() if split else nullcontext(), log_path.open("w") as log:
         log.write("step,train_loss,val_loss\n")
+        t0 = time.perf_counter()
+        drawn = draw()
+        phase_s["data"] += time.perf_counter() - t0
         for step in range(1, cfg.max_steps + 1):
-            t0 = time.perf_counter()
-            graph_id = int(rng.integers(len(train_graphs)))
-            seq, level_index = cache.take(graph_id, rng)
-            example = build_training_example(
-                seq, level_index, rng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
-            )
-            inp, targets = prepare_step(example, rng, cfg.spectral_k)
+            graph_id, level_index, example, inp, targets = drawn
             t1 = time.perf_counter()
             denoiser.store.zero_grad()
             loss = _step_loss_tensor(denoiser, inp, targets)
@@ -543,26 +556,32 @@ def train(cfg: TrainConfig) -> dict:
                     "loss": loss_val,
                 }, indent=2))
                 raise RuntimeError(f"non-finite loss at step {step}; state dumped to {dump}")
-            ad.backward(loss)
+            with denoiser.store.begin_update(cfg.lr) as ready:
+                ad.backward(loss, ready)
             t3 = time.perf_counter()
-            denoiser.store.adam_step(cfg.lr)
-            t4 = time.perf_counter()
-            phase_s["data"] += t1 - t0
-            phase_s["forward"] += t2 - t1
-            phase_s["backward"] += t3 - t2
-            phase_s["optimizer"] += t4 - t3
+            try:
+                if step < cfg.max_steps:
+                    drawn = draw()
+            finally:  # step k is done before an error of step k + 1's draw surfaces
+                t4 = time.perf_counter()
+                denoiser.store.adam_step(cfg.lr)
+                t5 = time.perf_counter()
+                phase_s["forward"] += t2 - t1
+                phase_s["backward"] += t3 - t2
+                phase_s["data"] += t4 - t3
+                phase_s["optimizer"] += t5 - t4
 
-            val_str = ""
-            if cfg.val_every and step % cfg.val_every == 0:
-                val = _validation_loss(denoiser, val_batch)
-                val_str = f"{val:.8f}"
-                if val < best_val:
-                    best_val = val
-                    denoiser.save(best_path, extra_config=extra)
-            log.write(f"{step},{loss_val:.8f},{val_str}\n")
-            log.flush()
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-                denoiser.save(latest_path, extra_config=extra)
+                val_str = ""
+                if cfg.val_every and step % cfg.val_every == 0:
+                    val = _validation_loss(denoiser, val_batch)
+                    val_str = f"{val:.8f}"
+                    if val < best_val:
+                        best_val = val
+                        denoiser.save(best_path, extra_config=extra)
+                log.write(f"{step},{loss_val:.8f},{val_str}\n")
+                log.flush()
+                if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+                    denoiser.save(latest_path, extra_config=extra)
     denoiser.save(latest_path, extra_config=extra)
     return {
         "checkpoint": str(latest_path),

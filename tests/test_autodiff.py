@@ -391,8 +391,8 @@ def _reference_adam(params, grads, m, v, k, lr, b1=0.9, b2=0.999, eps=1e-8):
         params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-# "big" alone exceeds one sweep group, so the update spans three groups;
-# the later part, which a split update's helper sweeps, starts at "big"
+# "big" alone exceeds one sweep group, so the update spans three groups:
+# (w, b, head, s), (big) and (fades, zero)
 _REFERENCE_SHAPES = {"w": (3, 4), "b": (4,), "head": (64, 0), "s": (1,), "big": (190, 190), "fades": (2, 3), "zero": (5,)}
 
 
@@ -441,17 +441,27 @@ def test_adam_matches_out_of_place_reference():
     assert store["w"].data is data and data.tolist() == np.ones((3, 4)).tolist()
 
 
+def _hand_over(store, lr, order):
+    """Begin a split update and report the parameters of the sweep groups
+    in ``order`` ready, as backward would; the rest go when the block ends."""
+    with store.begin_update(lr) as ready:
+        for k in order:
+            for _, t, _ in store._groups[k][2]:
+                ready(t)
+
+
 def test_split_adam_matches_serial_sweep():
-    """The reference store, updated by the serial sweep and split with a
-    forked helper, has the same parameters and moments bit for bit at every
-    step; a parameter created between two split blocks starts with zero
-    moments, and none can be created inside one."""
+    """The reference store, updated by the serial sweep and by a forked
+    helper, has the same parameters and moments bit for bit at every step,
+    whichever groups are handed over during backward and in whatever order;
+    a parameter created between two split blocks starts with zero moments,
+    and none can be created inside one."""
     rng = np.random.default_rng(9)
     serial, values = _reference_store(np.random.default_rng(1))
     split, _ = _reference_store(np.random.default_rng(1))
     for block in range(2):
         with split.split_updates():
-            assert 0 < split._cut < len(split._groups)  # both processes sweep
+            assert len(split._groups) == 3
             assert len(multiprocessing.active_children()) == 1
             with pytest.raises(RuntimeError, match="while the Adam update is split"):
                 split.create("inside", np.ones(2))
@@ -462,23 +472,46 @@ def test_split_adam_matches_serial_sweep():
                     del grads["fades"]
                 for store in (serial, split):
                     _set_grads(store, grads)
+                if step % 3:  # some groups, in a random order, before adam_step
+                    _hand_over(split, 0.05, rng.permutation(3)[: step % 3 + 1])
+                for store in (serial, split):
                     store.adam_step(lr=0.05)
                 for name, t in serial.items():
                     assert split[name].data.tobytes() == t.data.tobytes(), (block, step, name)
                 assert split._adam_m.tobytes() == serial._adam_m.tobytes()
                 assert split._adam_v.tobytes() == serial._adam_v.tobytes()
+            with serial.begin_update(0.05) as ready:
+                assert ready is None  # no helper: adam_step sweeps by itself
+            _hand_over(split, 0.05, [])
+            with pytest.raises(RuntimeError, match="^the Adam update begun last is not complete$"):
+                _hand_over(split, 0.05, [])
+            with pytest.raises(ValueError, match="^the update began with lr 0.05, not 0.01$"):
+                split.adam_step(lr=0.01)
+            for store in (serial, split):  # the update begun still completes
+                store.adam_step(lr=0.05)
         assert multiprocessing.active_children() == []
         if block == 0:
             for store in (serial, split):
                 store.create("late", values["w"][:2])
 
 
-@pytest.mark.parametrize("bad, named", [(("s", "zero"), "s"), (("zero",), "zero")])
-def test_split_adam_names_the_first_non_finite_parameter(bad, named):
-    """A NaN gradient in the earlier part ("s", with one in the helper's
-    "zero" as well) or only in the later part ("zero"): both paths raise
-    naming the first failing parameter, which keeps its value with every
-    later one, and leave the same parameters."""
+@pytest.mark.parametrize(
+    "bad, order, named",
+    [
+        (("s", "zero"), (), "s"),
+        (("zero",), (), "zero"),
+        (("s", "zero"), (2, 0), "s"),  # the later failure is swept first
+        (("zero",), (2,), "zero"),  # big, before zero, is swept after the failure
+        (("big",), (2, 0), "big"),  # fades and zero, swept first, are put back
+        (("s", "big"), (1,), "s"),  # big, failed, is the first group swept
+    ],
+    ids=["bad0-s", "bad1-zero", "handed-2-0-s", "handed-2-zero", "handed-2-0-big", "handed-1-s"],
+)
+def test_split_adam_names_the_first_non_finite_parameter(bad, order, named):
+    """A NaN gradient in one or two groups, the groups handed to the helper
+    in ``order`` during backward and the rest after it: both paths raise
+    naming the first failing parameter in creation order, which keeps its
+    value with every later one, and leave the same parameters."""
     rng = np.random.default_rng(3)
     stores = [_reference_store(np.random.default_rng(1))[0] for _ in range(2)]
     names = list(_REFERENCE_SHAPES)
@@ -494,6 +527,8 @@ def test_split_adam_names_the_first_non_finite_parameter(bad, named):
                 if step < 2:
                     store.adam_step(lr=0.05)
                     continue
+                if store is stores[1]:
+                    _hand_over(store, 0.05, order)
                 with pytest.raises(FloatingPointError, match=f"^non-finite optimizer update for parameter '{named}'$"):
                     store.adam_step(lr=0.05)
                 for name in names[names.index(named) :]:

@@ -276,6 +276,32 @@ def test_arbitrary_hypergraph_replays(h, seed):
         assert cl <= fl and cr <= fr
 
 
+@settings(max_examples=150, deadline=None)
+@given(h=_arbitrary_hypergraphs(), seed=st.integers(0, 2**32 - 1))
+def test_sampled_contractions_pass_the_connectivity_check(h, seed):
+    """The sampler skips merge_left's connectivity check on its own pairs:
+    on every level the check finds its parts connected, except on a level
+    without a clique edge, whose one pair is the bridge (0, 1)."""
+    real, levels = coarsening._sample_level_contractions, []
+
+    def recorded(b, params, rng):
+        levels.append((b, real(b, params, rng)))
+        return levels[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coarsening, "_sample_level_contractions", recorded)
+        sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+    assert levels or h.num_nodes == 1
+    for b, pairs in levels:
+        assign = coarsening._left_assign(pairs, b.num_left)
+        hub = np.unique(assign[b.edges[:, 0]] * max(b.num_right, 1) + b.edges[:, 1], return_inverse=True)[1]
+        bad = coarsening._first_disconnected_group(b, assign, hub)
+        if clique_of_bipartite(b).num_edges:
+            assert bad is None, pairs
+        else:
+            assert pairs == [(0, 1)] and bad == 0
+
+
 @st.composite
 def _featured_hypergraphs(draw):
     """Arbitrary hypergraphs with node and hyperedge features of width 0 to

@@ -236,6 +236,36 @@ def _featured_model_and_input(seed=0):
     return den, inp
 
 
+def test_backward_reports_each_parameter_once_no_closure_reads_it_again():
+    """backward's ``ready`` callback names each parameter on the tape once,
+    and no closure reads a parameter after it: overwriting each parameter's
+    buffer with NaN the moment it is reported (as a helper process may
+    overwrite it with its update) leaves every gradient bit for bit that of
+    a plain backward."""
+    grads = []
+    for poison in (False, True):
+        den, inp = _featured_model_and_input()
+        names = {id(t): name for name, t in den.store.items()}
+        reported = []
+
+        def ready(t):
+            reported.append(names[id(t)])
+            den.store.replace_value(reported[-1], np.full(t.shape, np.nan))
+
+        out = den.forward(inp)
+        loss = None
+        for pred in out.values():
+            term = ad.mse_loss(pred, np.zeros(pred.shape))
+            loss = term if loss is None else ad.add(loss, term)
+        ad.backward(loss, ready if poison else None)
+        grads.append({name: t.grad for name, t in den.store.items()})
+    reached = {name for name, g in grads[0].items() if g is not None}
+    assert len(reported) == len(set(reported)) and set(reported) == reached
+    assert reached == set(names.values())  # the featured model uses every parameter
+    for name, g in grads[0].items():
+        assert grads[1][name].tobytes() == g.tobytes(), name
+
+
 def _perturbed_featured_input(seed=0):
     """The featured model's input on a perturbed expansion with clones on
     both sides, built the way the sampler builds it."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import hyperforge.autodiff as ad
 import hyperforge.pipeline as pipeline
-from hyperforge.coarsening import CoarseningParams, sample_coarsening_sequence
+from hyperforge.coarsening import CoarseningCache, CoarseningParams, sample_coarsening_sequence
 from hyperforge.datasets import DatasetSpec, gen_tree, generate_dataset
 from hyperforge.denoiser import _HEAD_STREAM, Denoiser, DenoiserConfig
 from hyperforge.expansion import ExpansionVectors, expand, perturb_expand, refine, sibling_pairs, split_budgets
@@ -1167,6 +1167,63 @@ def test_train_writes_the_same_bytes_at_one_and_two_cpus(toy_data, tmp_path, mon
     assert written[0] == written[1] == written[2]
 
 
+def _two_cpu_settings(monkeypatch):
+    """The serial update, then the update in a helper process."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(pipeline, "_native_threads", lambda: 1)
+        yield cpus
+
+
+def test_train_draws_one_example_per_step(toy_data, tmp_path, monkeypatch):
+    """Each step prepares the next step's example, and the last step none:
+    train() takes and prepares exactly ``max_steps`` examples."""
+    calls = []
+    real_take, real_prepare = CoarseningCache.take, pipeline.prepare_step
+    monkeypatch.setattr(CoarseningCache, "take", lambda *a: calls.append("take") or real_take(*a))
+    monkeypatch.setattr(pipeline, "prepare_step", lambda *a: calls.append("prepare") or real_prepare(*a))
+    for cpus in _two_cpu_settings(monkeypatch):
+        calls.clear()
+        with _deadline(60.0):
+            train(_toy_cfg(toy_data, tmp_path / f"cpus{cpus}", max_steps=7, val_every=0))
+        assert calls == ["take", "prepare"] * 7, cpus
+
+
+def test_train_raises_a_failed_draw_once_the_step_before_is_done(toy_data, tmp_path, monkeypatch):
+    """An error while preparing step 3's example, which runs during step 2's
+    update, surfaces once step 2 is updated, validated, logged and saved,
+    whether the update runs in this process or in a helper: both write the
+    same files, and the log is the start of a clean run's."""
+    real_take, real_update = CoarseningCache.take, ad.ParameterStore.adam_step
+    events = []
+
+    def take(*args):
+        events.append("take")
+        if events.count("take") == 3:
+            raise ValueError("draw 3 failed")
+        return real_take(*args)
+
+    def adam_step(store, lr):
+        real_update(store, lr)
+        events.append("update")
+
+    monkeypatch.setattr(CoarseningCache, "take", take)
+    monkeypatch.setattr(ad.ParameterStore, "adam_step", adam_step)
+    written = []
+    for cpus in _two_cpu_settings(monkeypatch):
+        events.clear()
+        ckpt = tmp_path / f"cpus{cpus}"
+        with _deadline(60.0), pytest.raises(ValueError, match="^draw 3 failed$"):
+            train(_toy_cfg(toy_data, ckpt, val_every=2, checkpoint_every=2))
+        assert events.count("update") == 2
+        written.append([(ckpt / name).read_bytes() for name in ("checkpoint.hfck", "best.hfck", "loss.csv")])
+        assert written[-1][2].decode().count("\n") == 3  # the header and steps 1 and 2
+    assert written[0] == written[1]
+    monkeypatch.setattr(CoarseningCache, "take", real_take)
+    train(_toy_cfg(toy_data, tmp_path / "clean", val_every=2, checkpoint_every=2))
+    assert (tmp_path / "clean" / "loss.csv").read_bytes().startswith(written[0][2])
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="the OS lists no threads of a process")
 def test_native_threads_counts_a_started_thread():
     before = pipeline._native_threads()
@@ -1182,35 +1239,49 @@ def test_native_threads_counts_a_started_thread():
     assert not worker.is_alive()
 
 
-@pytest.mark.parametrize("ending", ["return", "non-finite loss", "killed helper"])
+@pytest.mark.parametrize("ending", ["return", "non-finite loss", "killed helper", "killed helper in flight"])
 def test_train_leaves_no_process_or_thread_behind(toy_data, tmp_path, monkeypatch, ending):
     """With two CPUs and one thread, train() stops its optimizer helper and
     gives this process its CPUs back however it ends: when it returns, when
-    a NaN loss at step 3 aborts it, and when the helper is killed at step
-    3, which raises naming the helper instead of hanging."""
-    real_loss = pipeline._step_loss_tensor
-    losses = []
+    a NaN loss at step 3 aborts it, and when the helper is killed at step 3,
+    in the forward or in the backward once it has been handed some groups,
+    which raises naming the helper instead of hanging."""
+    real_loss, real_send = pipeline._step_loss_tensor, ad._AdamHelper.send
+    losses, sends = [], []
+
+    def kill_helper():
+        (helper,) = multiprocessing.active_children()
+        os.kill(helper.pid, signal.SIGKILL)
 
     def loss(denoiser, inp, targets):
         losses.append(real_loss(denoiser, inp, targets))
         if len(losses) == 3 and ending == "non-finite loss":
             return ad.Tensor(np.nan)
         if len(losses) == 3 and ending == "killed helper":
-            (helper,) = multiprocessing.active_children()
-            os.kill(helper.pid, signal.SIGKILL)
+            kill_helper()
         return losses[-1]
 
+    def send(helper, k, coefs):
+        sends.append(len(losses))
+        if sends.count(3) == 2 and ending == "killed helper in flight":
+            kill_helper()
+        real_send(helper, k, coefs)
+
     monkeypatch.setattr(pipeline, "_step_loss_tensor", loss)
+    monkeypatch.setattr(ad._AdamHelper, "send", send)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pipeline, "_native_threads", lambda: 1)
     raises = {
         "return": nullcontext(),
         "non-finite loss": pytest.raises(RuntimeError, match="^non-finite loss at step 3;"),
         "killed helper": pytest.raises(RuntimeError, match="^the optimizer helper process died"),
+        "killed helper in flight": pytest.raises(RuntimeError, match="^the optimizer helper process died"),
     }[ending]
     before = threading.active_count(), multiprocessing.active_children(), os.sched_getaffinity(0)
+    # wide enough for 7 sweep groups, so that some are handed over in backward
+    widths = {"hidden_dim": 64, "mlp_hidden": 128} if ending == "killed helper in flight" else {}
     with _deadline(60.0), raises:
-        train(_toy_cfg(toy_data, tmp_path / "ckpt", val_every=0))
+        train(_toy_cfg(toy_data, tmp_path / "ckpt", val_every=0, **widths))
     assert (threading.active_count(), multiprocessing.active_children(), os.sched_getaffinity(0)) == before
     assert len(losses) == (30 if ending == "return" else 3)
 
