@@ -107,26 +107,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other), _wrap(-1.0)))
 
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, _wrap(-1.0)))
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -32,6 +32,7 @@ from .hypergraph import (
     CliqueExpansion,
     Hypergraph,
     _as_int_array,
+    _check_fields,
     clique_of_bipartite,
     star_expand,
 )
@@ -64,6 +65,7 @@ class CoarseningParams:
     preserve_k: int = 8
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0.0 < self.rho_min <= self.rho_max < 1.0:
             raise ValueError("need 0 < rho_min <= rho_max < 1")
         if not 0.0 <= self.gate_lambda <= 1.0:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph, read_graphs_jsonl, write_graphs_jsonl
+from .hypergraph import Hypergraph, _check_fields, read_graphs_jsonl, write_graphs_jsonl
 
 __all__ = [
     "DatasetSpec",
@@ -62,6 +62,7 @@ class DatasetSpec:
     mesh_dir: str | None = None
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in ("sbm", "ego", "tree", "mesh-dir"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if min(self.train_count, self.val_count, self.test_count) < 0:

@@ -27,7 +27,7 @@ from scipy.sparse import csr_array
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .hypergraph import BipartiteGraph, normalized_laplacian, smallest_nonzero_eigs
+from .hypergraph import BipartiteGraph, _check_fields, normalized_laplacian, smallest_nonzero_eigs
 
 __all__ = [
     "DenoiserConfig",
@@ -78,6 +78,7 @@ class DenoiserConfig:
     edge_feature_dim: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.hidden_dim < 1 or self.num_layers < 1 or self.mlp_hidden < 1:
             raise ValueError("hidden_dim, num_layers and mlp_hidden must be positive")
         if self.spectral_k < 1:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,6 +89,20 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _check_fields(config) -> None:
+    """Check each field of dataclass ``config`` by its annotation: an ``int``
+    through :func:`_as_int`, stored as a plain int; a ``float`` must be a real
+    number and a ``bool`` a bool.  Raises ValueError naming the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            object.__setattr__(config, f.name, _as_int(value, f.name))  # config may be frozen
+        elif f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{f.name} {value!r} is not a real number")
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} {value!r} is not a bool")
 
 
 def _as_int_array(values, what: str) -> np.ndarray:

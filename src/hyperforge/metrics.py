@@ -73,11 +73,7 @@ def wasserstein_1d(a, b) -> float:
 
 def degree_multiset(h: Hypergraph) -> np.ndarray:
     """Node degrees (hyperedges incident to each node)."""
-    counts = np.zeros(h.num_nodes, dtype=np.int64)
-    for e in h.hyperedges:
-        for v in e:
-            counts[v] += 1
-    return counts
+    return star_expand(h).left_degrees()
 
 
 def edge_size_multiset(h: Hypergraph) -> np.ndarray:

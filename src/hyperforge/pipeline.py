@@ -42,6 +42,7 @@ from .hypergraph import (
     BipartiteGraph,
     Hypergraph,
     _as_int,
+    _check_fields,
     collapse_bipartite,
     is_connected,
     read_graphs_jsonl,
@@ -87,7 +88,11 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": Fals
 
 @dataclass
 class TrainConfig:
-    """Everything one training run needs; parsable from key=value lines."""
+    """Everything one training run needs; parsable from key=value lines.
+
+    Each checkpoint records it, less the paths, and :func:`sample_one` reads
+    that record back as the config it samples with.
+    """
 
     data_dir: str = ""
     hidden_dim: int = DenoiserConfig.hidden_dim
@@ -112,9 +117,7 @@ class TrainConfig:
     log_path: str = ""
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int":
-                setattr(self, f.name, _as_int(getattr(self, f.name), f.name))
+        _check_fields(self)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (self.lr > 0 and np.isfinite(self.lr)):
@@ -195,10 +198,10 @@ class SampleRequest:
     seed: int = 0
 
     def __post_init__(self):
-        _as_int(self.seed, "seed")
-        if _as_int(self.n_nodes, "n_nodes") < 1:
+        _check_fields(self)
+        if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if _as_int(self.count, "count") < 1:
+        if self.count < 1:
             raise ValueError("count must be >= 1")
 
 
@@ -738,34 +741,15 @@ def _drop_empty_right(b: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray]:
     return reduced, keep
 
 
-@dataclass(frozen=True)
-class _SamplerSettings:
-    """How a checkpoint's model samples, read from its ``extra_config`` as
-    :func:`sample_one` describes."""
-
-    steps: int
-    rho_min: float
-    rho_max: float
-    perturbation: bool
-    perturb_radius: int
-    perturb_prob: float
-    keep_connected: bool
-
-    @classmethod
-    def of(cls, denoiser: Denoiser) -> "_SamplerSettings":
-        """Raises ValueError unless the recorded 0 < rho_min <= rho_max < 1."""
-        record = denoiser.extra_config.get("train", {})
-        settings = cls(
-            steps=int(record.get("steps", TrainConfig.steps)),
-            rho_min=float(record.get("rho_min", TrainConfig.rho_min)),
-            rho_max=float(record.get("rho_max", TrainConfig.rho_max)),
-            perturbation=bool(record.get("perturbation", False)),
-            perturb_radius=int(record.get("perturb_radius", TrainConfig.perturb_radius)),
-            perturb_prob=float(record.get("perturb_prob", TrainConfig.perturb_prob)),
-            keep_connected=bool(denoiser.extra_config.get("train_graphs_connected", False)),
-        )
-        CoarseningParams(rho_min=settings.rho_min, rho_max=settings.rho_max)  # the one check of the ρ range
-        return settings
+def _recorded_config(denoiser: Denoiser) -> TrainConfig:
+    """The :class:`TrainConfig` recorded in ``denoiser``'s checkpoint, read
+    and checked as :func:`sample_one` describes."""
+    connected = denoiser.extra_config.get("train_graphs_connected", False)
+    if not isinstance(connected, bool):
+        raise ValueError(f"train_graphs_connected {connected!r} is not a bool")
+    record = denoiser.extra_config.get("train", {})
+    known = {f.name for f in fields(TrainConfig)}  # a key an older version recorded is left out
+    return TrainConfig(**{"perturbation": False, **{k: v for k, v in record.items() if k in known}})
 
 
 @dataclass
@@ -778,17 +762,20 @@ class _Level:
     pairs: np.ndarray
 
 
-def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np.random.Generator):
+def _draw_levels(denoiser: Denoiser, cfg: TrainConfig, N: int, rng: np.random.Generator):
     """One graph's sampler, as a generator that stops once per level.
 
-    Each level it expands the graph, draws ρ and the prior noise from
-    ``rng`` and yields the :class:`_Level`; the caller integrates it and
-    sends back the endpoints.  The level is then finished here: inpainting
-    (repaired to stay connected when the settings say so), refinement, the
-    budget check and the drop of empty right nodes.  Returns the graph with
-    exactly ``N`` nodes and its diagnostics.
+    Each level it expands the graph as ``cfg`` says, draws ρ and the prior
+    noise from ``rng`` and yields the :class:`_Level`; the caller integrates
+    it and sends back the endpoints.  The level is then finished here:
+    inpainting (repaired to stay connected when the checkpoint says so),
+    refinement, the budget check and the drop of empty right nodes.  Returns
+    the graph with exactly ``N`` nodes and its diagnostics.  A level of
+    n < N nodes adds one: N budget units over n children give some child 2
+    or more, and ρ >= ``rho_min`` > 0 asks for n⁺ >= 1.  So N levels suffice.
     """
     c = denoiser.config
+    keep_connected = denoiser.extra_config.get("train_graphs_connected", False)
     b = BipartiteGraph(
         num_left=1,
         num_right=1,
@@ -798,24 +785,17 @@ def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np
         right_features=np.zeros((1, c.edge_feature_dim)),
     )
     v = ExpansionVectors([1], [1])
-    cap = int(4 * np.log2(max(N, 2)) + 16)
-    iterations = 0
     dropped = 0
     budget_sums: list[int] = []
 
-    while b.num_left < N or iterations == 0:
-        iterations += 1
-        if iterations > cap:
-            raise RuntimeError(
-                f"sampling exceeded {cap} iterations at {b.num_left}/{N} nodes"
-            )
-        if settings.perturbation:
-            expanded = perturb_expand(b, v, settings.perturb_radius, settings.perturb_prob, rng)
+    for iterations in range(1, N + 1):
+        if cfg.perturbation:
+            expanded = perturb_expand(b, v, cfg.perturb_radius, cfg.perturb_prob, rng)
         else:
             expanded = expand(b, v)
         n = expanded.num_left
         if n < N:
-            rho = float(rng.uniform(settings.rho_min, settings.rho_max))
+            rho = float(rng.uniform(cfg.rho_min, cfg.rho_max))
             n_plus = min(least_expansion_count(n, rho), N - n)
             rho_hat = 1.0 - n / (n + n_plus)
         else:
@@ -825,7 +805,7 @@ def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np
         pairs = sibling_pairs(expanded.cluster_of_left)
         x0 = _sample_noise(expanded, pairs, rng)
         final = yield _Level(_make_input(b, expanded, x0, 0.0, rho_hat, float(N), c.spectral_k), pairs)
-        v, decision = apply_inpainting(final, expanded, n_plus, settings.keep_connected)
+        v, decision = apply_inpainting(final, expanded, n_plus, keep_connected)
         b = refine(expanded, decision)
         total_budget = int(b.left_budgets.sum())
         budget_sums.append(total_budget)
@@ -841,6 +821,8 @@ def _draw_levels(denoiser: Denoiser, settings: _SamplerSettings, N: int, rng: np
             v = ExpansionVectors(v.left, np.asarray(v.right)[kept])
         if b.num_left == N:
             break
+    else:
+        raise AssertionError(f"sampling took {N} levels and reached {b.num_left}/{N} nodes")
 
     isolated = int(np.sum(b.left_degrees() == 0))
     h = collapse_bipartite(b)
@@ -891,7 +873,7 @@ def _integrate_levels(denoiser: Denoiser, levels: list[_Level], steps: int) -> l
 
 def _lockstep(
     denoiser: Denoiser,
-    settings: _SamplerSettings,
+    cfg: TrainConfig,
     n_nodes: int,
     rngs: dict[int, np.random.Generator],
     limit=None,
@@ -915,7 +897,7 @@ def _lockstep(
     :func:`sample`, carries the lowest failing index between them.
     """
     N = _as_int(n_nodes, "n_nodes")
-    draws = {i: _draw_levels(denoiser, settings, N, rng) for i, rng in rngs.items()}
+    draws = {i: _draw_levels(denoiser, cfg, N, rng) for i, rng in rngs.items()}
     outcomes: dict = {}
     bound = max(rngs, default=0)  # the graphs after the lowest failure known here are dropped
 
@@ -940,7 +922,7 @@ def _lockstep(
             except Exception as exc:
                 fail(i, exc)
         sends = {}
-        for i, endpoints in zip(levels, _integrate_levels(denoiser, list(levels.values()), settings.steps)):
+        for i, endpoints in zip(levels, _integrate_levels(denoiser, list(levels.values()), cfg.steps)):
             if isinstance(endpoints, Exception):
                 fail(i, endpoints)
             else:
@@ -958,20 +940,23 @@ def _lower_limit(limit, i: int) -> None:
 def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tuple[Hypergraph, dict]:
     """Generate one hypergraph with exactly ``n_nodes`` nodes.
 
-    Every setting comes from the checkpoint's record in ``extra_config``:
-    the Euler ``steps`` per level, the ρ range, the perturbation that a model
-    trained on perturbed expansions learned to undo and, when every training
-    graph was connected, the repair that keeps each level connected
-    (:func:`_connected_support`).  An unrecorded value takes
-    :class:`TrainConfig`'s default, but an unrecorded ``perturbation`` or
-    ``train_graphs_connected`` is off: a model built in memory records
-    neither, so its levels expand plainly and go unrepaired.  This is the
-    lockstep driver of :func:`sample` on one graph.
+    Every setting comes from the checkpoint's ``extra_config``: its
+    ``train`` record, read as the :class:`TrainConfig` that wrote it (a key
+    that is no field of it is ignored), gives the Euler ``steps`` per level,
+    the ρ range and the perturbation that a model trained on perturbed
+    expansions learned to undo; a true ``train_graphs_connected`` turns on
+    the repair that keeps each level connected (:func:`_connected_support`).
+    An unrecorded field takes :class:`TrainConfig`'s default, but an
+    unrecorded ``perturbation`` or ``train_graphs_connected`` is off: a model
+    built in memory records neither, so its levels expand plainly and go
+    unrepaired.  This is the lockstep driver of :func:`sample` on one graph.
 
     Raises:
-        ValueError: unless the recorded 0 < rho_min <= rho_max < 1, before any work.
+        ValueError: before any work, for a record that :class:`TrainConfig`
+            rejects (``steps`` 2.5, ``perturbation`` "false", a ρ range outside
+            0 < rho_min <= rho_max < 1) or a non-bool ``train_graphs_connected``.
     """
-    (outcome,) = _lockstep(denoiser, _SamplerSettings.of(denoiser), n_nodes, {0: rng}).values()
+    (outcome,) = _lockstep(denoiser, _recorded_config(denoiser), n_nodes, {0: rng}).values()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -1024,12 +1009,12 @@ def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
             of its share.
     """
     denoiser = Denoiser.from_checkpoint(req.checkpoint)
-    settings = _SamplerSettings.of(denoiser)
+    cfg = _recorded_config(denoiser)
     workers = _sample_workers(req.count)
     if workers == 1:
-        outcomes = _draw_share(denoiser, settings, req, 0, 1)
+        outcomes = _draw_share(denoiser, cfg, req, 0, 1)
     else:
-        outcomes = _sample_forked(denoiser, settings, req, workers)
+        outcomes = _sample_forked(denoiser, cfg, req, workers)
     graphs, diags = [], []
     for i in range(req.count):  # every graph before the first failure is there
         if isinstance(outcomes[i], Exception):
@@ -1042,14 +1027,14 @@ def sample(req: SampleRequest) -> tuple[list[Hypergraph], list[dict]]:
 
 
 def _draw_share(
-    denoiser: Denoiser, settings: _SamplerSettings, req: SampleRequest, start: int, step: int, limit=None
+    denoiser: Denoiser, cfg: TrainConfig, req: SampleRequest, start: int, step: int, limit=None
 ) -> dict[int, tuple[Hypergraph, dict] | Exception]:
     """The :func:`_lockstep` outcomes of graphs ``start, start + step, ...``
     of ``req``."""
     indices = range(start, req.count, step)
     if len(indices) > 1:
         return _lockstep(
-            denoiser, settings, req.n_nodes, {i: np.random.default_rng([req.seed, i]) for i in indices}, limit
+            denoiser, cfg, req.n_nodes, {i: np.random.default_rng([req.seed, i]) for i in indices}, limit
         )
     # A share of one graph goes through sample_one itself: the benchmark's
     # tracer counts graphs by its calls, and benchmarks/selftest.py requires
@@ -1061,16 +1046,16 @@ def _draw_share(
         return {start: exc}
 
 
-_CHILD_ARGS: list = []  # (denoiser, settings, req, workers, limit) in a worker forked by _sample_forked
+_CHILD_ARGS: list = []  # (denoiser, cfg, req, workers, limit) in a worker forked by _sample_forked
 
 
 def _draw_share_in_child(start: int) -> dict[int, tuple[Hypergraph, dict] | Exception]:
-    denoiser, settings, req, workers, limit = _CHILD_ARGS
-    return _draw_share(denoiser, settings, req, start, workers, limit)
+    denoiser, cfg, req, workers, limit = _CHILD_ARGS
+    return _draw_share(denoiser, cfg, req, start, workers, limit)
 
 
 def _sample_forked(
-    denoiser: Denoiser, settings: _SamplerSettings, req: SampleRequest, workers: int
+    denoiser: Denoiser, cfg: TrainConfig, req: SampleRequest, workers: int
 ) -> dict[int, tuple[Hypergraph, dict] | Exception]:
     """The outcomes of :func:`sample`'s graphs up to the first failure:
     share 0 drawn by this process, share ``k`` by one of ``workers - 1``
@@ -1083,11 +1068,11 @@ def _sample_forked(
     limit = context.Value("q", req.count)  # the lowest failing index, in memory every child shares
     pool = ProcessPoolExecutor(
         workers - 1, context,
-        initializer=_CHILD_ARGS.extend, initargs=((denoiser, settings, req, workers, limit),),
+        initializer=_CHILD_ARGS.extend, initargs=((denoiser, cfg, req, workers, limit),),
     )
     try:
         futures = {k: pool.submit(_draw_share_in_child, k) for k in range(1, workers)}
-        outcomes = _draw_share(denoiser, settings, req, 0, workers, limit)
+        outcomes = _draw_share(denoiser, cfg, req, 0, workers, limit)
         for k, future in futures.items():  # share k starts at graph k; a child's own error is among its outcomes
             if k > limit.value:
                 break

@@ -465,6 +465,16 @@ def test_checkpoint_recording_encoding_widths_loads(tmp_path):
         assert np.array_equal(base[k], again[k])
 
 
+def test_checkpoint_recording_a_float_width_fails_at_load(tmp_path):
+    """spectral_k = 4.0 used to load, then fail in the middle of sampling on
+    a slice index."""
+    den = Denoiser(SMALL, rng=np.random.default_rng(0))
+    path = tmp_path / "float.hfck"
+    ad.save_checkpoint(path, den.store, {**SMALL.to_dict(), "spectral_k": float(SMALL.spectral_k)})
+    with pytest.raises(ValueError, match=r"^spectral_k 4.0 is not an integer$"):
+        Denoiser.from_checkpoint(path)
+
+
 def test_checkpoint_with_other_widths_names_the_parameter(tmp_path):
     """A checkpoint saved with phi_dim = 8 fails on the first array whose
     shape the fixed widths do not give."""

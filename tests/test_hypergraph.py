@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from hyperforge.hypergraph import (
+    DENSE_EIG_CUTOFF,
+    ZERO_EIGENVALUE_THRESHOLD,
     BipartiteGraph,
     Hypergraph,
     clique_of_bipartite,
@@ -16,6 +19,7 @@ from hyperforge.hypergraph import (
     smallest_nonzero_eigs,
     star_expand,
     write_graphs_jsonl,
+    _dense_nonzero_eigs,
 )
 
 
@@ -191,6 +195,50 @@ def test_eigs_zero_padding_when_k_exceeds_spectrum():
     vals, vecs = smallest_nonzero_eigs(normalized_laplacian(b), 5)
     assert vals.shape == (5,) and vecs.shape == (2, 5)
     assert np.all(vals[1:] == 0.0) and np.all(vecs[:, 1:] == 0.0)
+
+
+def _sparse_level_laplacian(seed: int) -> np.ndarray:
+    """The normalized Laplacian of a random level of 550-900 rows: each left
+    node not held out has up to three edges to right nodes not held out, and
+    the 60-119 held-out nodes of each side stay isolated, so the matrix has
+    120 or more zero eigenvalues."""
+    rng = np.random.default_rng(seed)
+    num_left, num_right = int(rng.integers(340, 520)), int(rng.integers(210, 380))
+    active_left = rng.choice(num_left, num_left - int(rng.integers(60, 120)), replace=False)
+    active_right = rng.choice(num_right, num_right - int(rng.integers(60, 120)), replace=False)
+    edges = np.unique(
+        np.stack([np.repeat(active_left, 3), rng.choice(active_right, 3 * active_left.size)], axis=1), axis=0
+    )
+    return normalized_laplacian(
+        BipartiteGraph(num_left, num_right, edges, np.ones(num_left, dtype=np.int64))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_eigs_above_the_dense_cutoff_match_the_dense_solve(seed, monkeypatch):
+    """Shifted Lanczos, with the request doubled past the zero eigenvalues,
+    gives the dense eigenvalues and the span of the dense eigenvectors; when
+    it does not converge, the dense solve is the answer.  The shift of -1e-6
+    gives the factored matrix a condition number near 2e6, so the two agree
+    to about eps · 2e6 = 4e-10, not to eps (up to 1.2e-10 on these levels)."""
+    L = _sparse_level_laplacian(seed)
+    everything = np.linalg.eigvalsh(L)
+    nonzero = everything[everything > ZERO_EIGENVALUE_THRESHOLD]
+    assert L.shape[0] > DENSE_EIG_CUTOFF and np.sum(everything <= ZERO_EIGENVALUE_THRESHOLD) >= 90
+    for k in (2, 8, 16):
+        assert nonzero[k] - nonzero[k - 1] > 1e-6  # the span of the first k is well defined
+        vals, vecs = smallest_nonzero_eigs(L, k)
+        dense_vals, dense_vecs = _dense_nonzero_eigs(L, k)
+        assert np.max(np.abs(vals - dense_vals)) < 1e-9
+        assert np.max(np.abs(vecs - dense_vecs @ (dense_vecs.T @ vecs))) < 1e-8
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((L.shape[0], 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    vals, vecs = smallest_nonzero_eigs(L, 8)
+    dense_vals, dense_vecs = _dense_nonzero_eigs(L, 8)
+    assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -105,6 +105,18 @@ def test_degree_and_size_multisets():
     h = Hypergraph(4, [[0, 1], [1, 2, 3]])
     assert sorted(degree_multiset(h).tolist()) == [1, 1, 1, 2]
     assert sorted(edge_size_multiset(h).tolist()) == [2, 3]
+    rng = np.random.default_rng(0)
+    graphs = [Hypergraph(3, [])] + [
+        Hypergraph(12, [rng.choice(12, int(rng.integers(1, 6)), replace=False) for _ in range(int(rng.integers(1, 9)))])
+        for _ in range(20)
+    ]
+    for h in graphs:  # the double loop degree_multiset once ran
+        ref = np.zeros(h.num_nodes, dtype=np.int64)
+        for e in h.hyperedges:
+            for v in e:
+                ref[v] += 1
+        got = degree_multiset(h)
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
 
 
 def test_spectral_histogram_normalized():

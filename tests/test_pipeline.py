@@ -123,15 +123,35 @@ def test_train_config_rejects_bad_perturbation_and_coarsening(kwargs, match):
 
 
 @pytest.mark.parametrize(
-    "name", ["max_steps", "steps", "seed", "val_every", "val_batches", "checkpoint_every", "hidden_dim", "preserve_k"]
+    "cls, name, bad, match",
+    [
+        *(
+            pytest.param(TrainConfig, name, 2.5, "is not an integer", id=name)
+            for name in (
+                "max_steps", "steps", "seed", "val_every", "val_batches", "checkpoint_every", "hidden_dim", "preserve_k"
+            )
+        ),
+        pytest.param(TrainConfig, "lr", "0.1", "is not a real number", id="lr-str"),
+        pytest.param(TrainConfig, "rho_max", True, "is not a real number", id="rho_max-bool"),
+        pytest.param(TrainConfig, "perturbation", "false", "is not a bool", id="perturbation-str"),
+        pytest.param(TrainConfig, "perturbation", 1, "is not a bool", id="perturbation-int"),
+        pytest.param(CoarseningParams, "preserve_k", 2.5, "is not an integer", id="CoarseningParams-preserve_k"),
+        pytest.param(CoarseningParams, "gate_lambda", "0.3", "is not a real number", id="CoarseningParams-gate_lambda"),
+        pytest.param(DatasetSpec, "train_count", 2.5, "is not an integer", id="DatasetSpec-train_count"),
+        pytest.param(DenoiserConfig, "spectral_k", 2.0, "is not an integer", id="DenoiserConfig-spectral_k"),
+    ],
 )
-def test_train_config_rejects_an_int_field_that_is_not_an_integer(name):
+def test_train_config_rejects_an_int_field_that_is_not_an_integer(cls, name, bad, match):
     """A float count used to be kept, and max_steps = 2.5 failed only in
-    train(), after the loss log was opened."""
-    with pytest.raises(ValueError, match=f"{name} 2.5 is not an integer"):
-        TrainConfig(**{name: 2.5})
-    cfg = TrainConfig(**{name: np.int64(getattr(TrainConfig, name))})
-    assert type(getattr(cfg, name)) is int
+    train(), after the loss log was opened.  Every config dataclass checks
+    each int, float and bool field by its annotation where it is built, and
+    stores an int as a plain int."""
+    base = {"kind": "tree"} if cls is DatasetSpec else {}
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(bad))} {match}$"):
+        cls(**base, **{name: bad})
+    default = getattr(cls, name)
+    if type(default) is int:
+        assert type(getattr(cls(**base, **{name: np.int64(default)}), name)) is int
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
@@ -678,6 +698,46 @@ def test_sample_one_exact_size_and_budgets():
         assert diag["iterations"] <= int(4 * np.log2(max(n, 2)) + 16)
 
 
+class _FixedHeads(Denoiser):
+    """The untrained model with some heads replaced by fixed functions of
+    the input."""
+
+    def __init__(self, heads):
+        super().__init__(SMALL, rng=np.random.default_rng(0))
+        self.heads = heads
+        self.extra_config = {"train": {"steps": 1}}  # one Euler step: each endpoint is the prediction
+
+    def predict(self, inp):
+        return {**super().predict(inp), **{name: head(inp) for name, head in self.heads.items()}}
+
+
+def test_sample_one_may_need_one_level_per_node():
+    """left_split = -3 · row projects every sibling pair to (1, 0), so each
+    cluster splits (B - 1, 1) and one cluster at a time can expand.  N levels
+    always suffice; the old cap of 4 log2 N + 16 did not."""
+    den = _FixedHeads({"left_split": lambda inp: -3.0 * np.arange(inp.num_left, dtype=np.float64).reshape(-1, 1)})
+    for n in (40, 64):
+        h, diag = sample_one(den, n, np.random.default_rng(0))
+        assert h.num_nodes == n
+        assert diag["budget_sums"] == [n] * diag["iterations"]
+        assert int(4 * np.log2(n) + 16) < diag["iterations"] <= n
+
+
+def test_sample_one_drops_the_right_nodes_it_empties():
+    """Every right node is cloned three times and only the edges to even
+    right nodes are kept, so every level empties right nodes; each is
+    dropped together with its expansion count."""
+    den = _FixedHeads({
+        "right_expansion": lambda inp: np.ones((inp.num_right, 1)),
+        "edge_keep": lambda inp: np.where(inp.edges[:, 1] % 2 == 0, 1.0, -1.0).reshape(-1, 1),
+    })
+    for n in (8, 16):
+        h, diag = sample_one(den, n, np.random.default_rng(0))
+        assert h.num_nodes == n
+        assert diag["budget_sums"] == [n] * diag["iterations"]
+        assert diag["empty_hyperedges_dropped"] > 0
+
+
 def test_sample_one_rejects_a_size_that_is_not_an_integer():
     """A float size used to be truncated: 2.5 gave a 2-node graph."""
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
@@ -709,9 +769,11 @@ def test_sample_one_deterministic():
 def test_sample_one_reads_the_settings_that_sample_reads(tmp_path, monkeypatch):
     """A direct sample_one on a loaded checkpoint draws graph i of sample(),
     both with the recorded Euler steps and reduction fraction; sample()
-    advances its graphs in lockstep, one forward per step over all of them."""
+    advances its graphs in lockstep, one forward per step over all of them.
+    A recorded key that is no TrainConfig field, as an older version may
+    have written, is ignored."""
     ckpt = tmp_path / "m.hfck"
-    recorded = {"steps": 3, "rho_min": 0.2, "rho_max": 0.2, "perturbation": True}
+    recorded = {"steps": 3, "rho_min": 0.2, "rho_max": 0.2, "perturbation": True, "batch_size": 4}
     Denoiser(SMALL, rng=np.random.default_rng(0)).save(ckpt, extra_config={"train": recorded})
     forwards = []
     real_forward = Denoiser.forward
@@ -784,11 +846,35 @@ def test_sample_request_follows_recorded_connectivity(tmp_path, monkeypatch):
         assert all(g.num_hyperedges == 1 for g in graphs)
 
 
-@pytest.mark.parametrize("rho_min, rho_max", [(1.0, 1.0), (0.0, 0.0), (0.3, 0.1)])
-def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, monkeypatch, rho_min, rho_max):
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        *(
+            pytest.param(
+                {"train": {"steps": 8, "rho_min": lo, "rho_max": hi}},
+                re.escape("need 0 < rho_min <= rho_max < 1"),
+                id=f"{lo}-{hi}",
+            )
+            for lo, hi in [(1.0, 1.0), (0.0, 0.0), (0.3, 0.1)]
+        ),
+        pytest.param({"train": {"steps": 2.5}}, "^steps 2.5 is not an integer$", id="steps-float"),
+        pytest.param(
+            {"train": {"steps": 8, "perturbation": "false"}}, "^perturbation 'false' is not a bool$", id="perturbation-str"
+        ),
+        pytest.param(
+            {"train": {"steps": 8}, "train_graphs_connected": "yes"},
+            "^train_graphs_connected 'yes' is not a bool$",
+            id="connected-str",
+        ),
+    ],
+)
+def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, monkeypatch, extra, match):
+    """A record that TrainConfig rejects, such as a ρ range outside (0, 1),
+    fails before any forward.  steps 2.5 used to run 2 Euler steps, and
+    perturbation "false" to perturb."""
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     ckpt = tmp_path / "m.hfck"
-    den.save(ckpt, extra_config={"train": {"steps": 8, "rho_min": rho_min, "rho_max": rho_max}})
+    den.save(ckpt, extra_config=extra)
     forwards = []
     real_forward = Denoiser.forward
 
@@ -797,7 +883,7 @@ def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, mon
         return real_forward(self, inp)
 
     monkeypatch.setattr(Denoiser, "forward", counted_forward)
-    with _deadline(10.0), pytest.raises(ValueError, match=re.escape("need 0 < rho_min <= rho_max < 1")):
+    with _deadline(10.0), pytest.raises(ValueError, match=match):
         sample(SampleRequest(checkpoint=str(ckpt), n_nodes=16, seed=0))
     assert forwards == []
 
@@ -1016,7 +1102,7 @@ def test_lockstep_integrates_a_failing_union_level_by_level(monkeypatch):
 
     rngs = {i: np.random.default_rng([7, i]) for i in range(4)}
     monkeypatch.setattr(pipeline, "_draw_levels", poisoned)
-    outcomes = pipeline._lockstep(den, pipeline._SamplerSettings.of(den), 30, rngs)
+    outcomes = pipeline._lockstep(den, pipeline._recorded_config(den), 30, rngs)
     assert sorted(outcomes) == [0, 1]
     assert isinstance(outcomes[1], FloatingPointError)
     h, diag = outcomes[0]
@@ -1045,7 +1131,9 @@ def test_sample_request_validation():
 def test_sample_request_rejects_counts_that_are_not_integers(kwargs, match):
     with pytest.raises(ValueError, match=f"{match} is not an integer"):
         SampleRequest(checkpoint="x", **kwargs)
-    SampleRequest(checkpoint="x", n_nodes=np.int64(3), count=np.int32(2), seed=np.uint32(7))
+    req = SampleRequest(checkpoint="x", n_nodes=np.int64(3), count=np.int32(2), seed=np.uint32(7))
+    assert (req.n_nodes, req.count, req.seed) == (3, 2, 7)
+    assert {type(req.n_nodes), type(req.count), type(req.seed)} == {int}
 
 
 # --------------------------------------------------------------- training ----
