@@ -16,6 +16,14 @@ node's neighbour run (:meth:`BipartiteGraph.right_runs`), and left groups are
 numbered by their least member.  Each level is derived once: both merges
 return the coarser node of every input node, the sampler keeps those two
 partitions, and one top-down pass orders every level and records its targets.
+
+Each level's code, here and in the helpers of ``expansion`` and
+``hypergraph`` it calls, uses array methods (``x.repeat``, ``x.cumsum``,
+``x.argsort``, ``x.all``) and ``np.column_stack`` rather than the
+``np.repeat``-style functions and ``np.stack``: at a level's sizes the Python
+dispatch of those functions costs more than their arithmetic, about 1 µs a
+call, and an operation of the ``coarsen-ego`` benchmark makes tens of
+thousands of such calls.
 """
 
 from __future__ import annotations
@@ -154,7 +162,7 @@ def _left_assign(parts: Sequence[Sequence[int]], num_left: int) -> np.ndarray:
     """
     sizes = np.array([len(p) for p in parts], dtype=np.int64)
     flat = _as_int_array([x for p in parts for x in p], "parts")
-    part = np.repeat(np.arange(sizes.size), sizes)
+    part = np.arange(sizes.size).repeat(sizes)
     # Occurrences sorted by node, then part: a repeated node repeats within
     # its part or meets the earlier part listing it.
     order = np.lexsort((part, flat))
@@ -168,7 +176,7 @@ def _left_assign(parts: Sequence[Sequence[int]], num_left: int) -> np.ndarray:
         raise ValueError(_PART_ERRORS[fault[np.argmax(fault < len(_PART_ERRORS))]])
     leader = np.arange(num_left)
     if flat.size:
-        leader[node] = np.minimum.reduceat(flat, np.cumsum(sizes) - sizes)[part]
+        leader[node] = np.minimum.reduceat(flat, sizes.cumsum() - sizes)[part]
     return _number_by_leader(leader)
 
 
@@ -176,7 +184,7 @@ def _number_by_leader(leader: np.ndarray) -> np.ndarray:
     """Group index of every node from its group's least member ``leader[i]``,
     groups numbered in ascending order of least member."""
     is_leader = leader == np.arange(leader.size)
-    return (np.cumsum(is_leader) - 1)[leader]
+    return (is_leader.cumsum() - 1)[leader]
 
 
 def _first_disconnected_group(b: BipartiteGraph, assign: np.ndarray, hub: np.ndarray) -> int | None:
@@ -253,7 +261,7 @@ def merge_left(
     graph = BipartiteGraph._derived(
         num_groups,
         b.num_right,
-        np.stack([keys // width, keys % width], axis=1),
+        np.column_stack((keys // width, keys % width)),
         budgets,
         _weighted_means(b.left_features, b.left_budgets, assign, budgets),
         b.right_features,
@@ -289,17 +297,17 @@ def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.nd
     members, offsets = b.right_runs()
     sizes = offsets[1:] - offsets[:-1]
     rows = np.full((b.num_right, sizes.max(initial=0)), -1)
-    right = np.repeat(np.arange(b.num_right), sizes)
+    right = np.arange(b.num_right).repeat(sizes)
     rows[right, np.arange(members.size) - offsets[right]] = members
     order = np.lexsort((*rows.T[::-1], sizes))
     rows = rows[order]
     opens_class = np.ones(b.num_right, dtype=bool)
-    opens_class[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    opens_class[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     position = np.arange(b.num_right)
     rank = position - np.maximum.accumulate(np.where(opens_class, position, 0))
     opens_chunk = rank % MAX_RIGHT_EXPANSION == 0
     leader = np.empty(b.num_right, dtype=np.int64)
-    leader[order] = order[opens_chunk][np.cumsum(opens_chunk) - 1]
+    leader[order] = order[opens_chunk][opens_chunk.cumsum() - 1]
     assign = _number_by_leader(leader)
     num_groups = int(assign.max(initial=-1)) + 1
     # The merged edges are the chunk leaders' edges.
@@ -308,12 +316,30 @@ def dedup_right(b: BipartiteGraph, right_budgets) -> tuple[BipartiteGraph, np.nd
     graph = BipartiteGraph._derived(
         b.num_left,
         num_groups,
-        np.stack([kept[:, 0], assign[kept[:, 1]]], axis=1),
+        np.column_stack((kept[:, 0], assign[kept[:, 1]])),
         b.left_budgets,
         b.left_features,
         _weighted_means(b.right_features, rb, assign, new_rb),
     )
     return graph, assign, new_rb
+
+
+def _contraction_order(b: BipartiteGraph, preserve_k: int) -> np.ndarray:
+    """The clique edges of ``b`` as ``(P, 2)`` pairs, cheapest contraction
+    first (:func:`_variation_costs`); ties keep ascending (u, v) order.
+
+    Depends only on ``b`` and ``preserve_k``, so the read-only order is kept
+    on ``b`` per ``preserve_k``: every later coarsening of the same level
+    object, such as the cached star expansion of an input graph, reuses it.
+    """
+    orders = b.__dict__.setdefault("_contraction_orders", {})
+    order = orders.get(preserve_k)
+    if order is None:
+        clique = clique_of_bipartite(b)
+        order = clique.edges[_variation_costs(clique, preserve_k).argsort(kind="stable")]
+        order.setflags(write=False)
+        orders[preserve_k] = order
+    return order
 
 
 def _sample_level_contractions(
@@ -327,10 +353,7 @@ def _sample_level_contractions(
     else:
         red_frac = rng.uniform(params.rho_min, params.rho_max)
 
-    clique = clique_of_bipartite(b)
-    costs = _variation_costs(clique, params.preserve_k)
-    # Clique edges are in ascending (u, v) order, which breaks cost ties.
-    candidates = clique.edges[np.argsort(costs, kind="stable")].tolist()
+    candidates = _contraction_order(b, params.preserve_k).tolist()
 
     used: set[int] = set()
     accepted: list[tuple[int, int]] = []
@@ -363,7 +386,7 @@ def _permute_bipartite(
     return BipartiteGraph._derived(
         b.num_left,
         b.num_right,
-        np.stack([linv[b.edges[:, 0]], rinv[b.edges[:, 1]]], axis=1),
+        np.column_stack((linv[b.edges[:, 0]], rinv[b.edges[:, 1]])),
         b.left_budgets[lperm],
         b.left_features[lperm],
         b.right_features[rperm],
@@ -377,7 +400,7 @@ def _children_in_order(assign: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray
     position = np.empty_like(perm)
     position[perm] = np.arange(perm.size)
     parent = position[assign]
-    return np.argsort(parent, kind="stable"), np.bincount(parent, minlength=perm.size)
+    return parent.argsort(kind="stable"), np.bincount(parent, minlength=perm.size)
 
 
 def sample_coarsening_sequence(
@@ -389,6 +412,13 @@ def sample_coarsening_sequence(
     next-finer level's nodes as consecutive ascending blocks; replaying the
     stored targets therefore rebuilds each finer level exactly.  The terminal
     level's features are zeroed (whenever at least one reduction happened).
+
+    The finest level's work depends only on ``h`` and ``params.preserve_k``
+    and is done once per graph object: :func:`star_expand` keeps the star
+    expansion on ``h``, and :func:`_contraction_order` keeps its ``(P, 2)``
+    contraction order on that expansion, one per ``preserve_k``.  Coarser
+    levels are new objects on every call and compute their order once.
+    The random draws do not depend on what was cached.
 
     Raises:
         ValueError: if the input has no hyperedges.
@@ -456,7 +486,10 @@ class CoarseningCache:
 
     Each take returns ``(sequence, level_index)``: the graph's current
     sequence and a uniformly random unconsumed level of it; once every level
-    was consumed a fresh sequence is sampled with new RNG draws.
+    was consumed a fresh sequence is sampled with new RNG draws.  Each
+    resample reuses the star expansion and finest contraction order kept on
+    the graph object (see :func:`sample_coarsening_sequence`), so each of
+    ``graphs`` carries one of each beside the queues held here.
     """
 
     graphs: Sequence[Hypergraph]

@@ -47,7 +47,7 @@ __all__ = [
 MAX_RIGHT_EXPANSION = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionVectors:
     """Per-node child counts: left entries in {1, 2}, right entries in 1..MAX_RIGHT_EXPANSION."""
 
@@ -67,7 +67,7 @@ class ExpansionVectors:
         _store(self, larr, rarr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementDecision:
     """Targets or sampled outputs that turn an expanded graph into the finer level.
 
@@ -104,12 +104,12 @@ def _child_pairs(v: ExpansionVectors, ps: np.ndarray, qs: np.ndarray) -> np.ndar
     pair: entry k of pair (p, q) is the child pair (k // rc, k % rc) of the
     two sibling blocks, where rc = ``v.right[q]``."""
     sizes = v.left[ps] * v.right[qs]
-    pair = np.repeat(np.arange(ps.size), sizes)
-    k = np.arange(pair.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pair = np.arange(ps.size).repeat(sizes)
+    k = np.arange(pair.size) - (sizes.cumsum() - sizes).repeat(sizes)
     rc = v.right[qs[pair]]
-    left = (np.cumsum(v.left) - v.left)[ps[pair]] + k // rc
-    right = (np.cumsum(v.right) - v.right)[qs[pair]] + k % rc
-    return np.stack([left, right], axis=1)
+    left = (v.left.cumsum() - v.left)[ps[pair]] + k // rc
+    right = (v.right.cumsum() - v.right)[qs[pair]] + k % rc
+    return np.column_stack((left, right))
 
 
 def _child_edges(b: BipartiteGraph, v: ExpansionVectors) -> np.ndarray:
@@ -125,11 +125,11 @@ def _expanded(b: BipartiteGraph, v: ExpansionVectors, edges: np.ndarray) -> Bipa
         int(v.left.sum()),
         int(v.right.sum()),
         edges,
-        np.repeat(b.left_budgets, v.left),
-        np.repeat(b.left_features, v.left, axis=0),
-        np.repeat(b.right_features, v.right, axis=0),
-        np.repeat(np.arange(b.num_left, dtype=np.int64), v.left),
-        np.repeat(np.arange(b.num_right, dtype=np.int64), v.right),
+        b.left_budgets.repeat(v.left),
+        b.left_features.repeat(v.left, axis=0),
+        b.right_features.repeat(v.right, axis=0),
+        np.arange(b.num_left, dtype=np.int64).repeat(v.left),
+        np.arange(b.num_right, dtype=np.int64).repeat(v.right),
     )
 
 
@@ -233,10 +233,20 @@ def split_budgets(budgets: np.ndarray, fractions, cluster_of_left: np.ndarray) -
 
 
 def kept_edges(expanded: BipartiteGraph, fine: BipartiteGraph) -> np.ndarray:
-    """0/1 mask over ``expanded.edges``: 1 where ``fine`` has the same edge."""
+    """0/1 mask over ``expanded.edges``: 1 where ``fine`` has the same edge.
+
+    ``fine`` has at most ``expanded``'s right nodes, and its edges must be
+    canonical (ascending lexicographic order), which both constructors of
+    :class:`BipartiteGraph` guarantee: their keys are then ascending, so a
+    binary search into them finds each expanded edge without a sort.
+    """
     width = expanded.num_right
     keys = expanded.edges[:, 0] * width + expanded.edges[:, 1]
-    return np.isin(keys, fine.edges[:, 0] * width + fine.edges[:, 1]).astype(np.int8)
+    fine_keys = fine.edges[:, 0] * width + fine.edges[:, 1]
+    at = fine_keys.searchsorted(keys)
+    found = at < fine_keys.size
+    found[found] = fine_keys[at[found]] == keys[found]
+    return found.astype(np.int8)
 
 
 def refine(expanded: BipartiteGraph, decision: RefinementDecision) -> BipartiteGraph:

@@ -17,6 +17,11 @@ derivations must keep (edges in range and unique, budgets >= 1, counts in
 range, feature rows aligned) are guarded by property tests in
 ``tests/test_coarsening.py`` that pass every derived output through the public
 constructor, not by run-time re-checks.
+
+Only :class:`Hypergraph` compares by value; the array containers compare by
+identity.  Work that depends only on an immutable graph is kept on the
+object, outside its fields: a hypergraph keeps its :func:`star_expand`, and
+coarsening keeps a level's contraction order on that level.
 """
 
 from __future__ import annotations
@@ -84,6 +89,11 @@ def _as_float_features(arr, rows: int, what: str) -> np.ndarray:
     return out
 
 
+def _same_features(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two stored feature matrices are equal; None only equals None."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
 def _as_int(value, what: str) -> int:
     """``value`` as an int; a float, a string or a bool is rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -122,7 +132,8 @@ class Hypergraph:
     Hyperedges are stored as sorted tuples of distinct node indices.  Duplicate
     hyperedges are permitted in the container (they only ever merge inside
     coarsening).  Features are optional float matrices aligned with nodes and
-    hyperedges respectively; an empty matrix is stored as None.
+    hyperedges respectively; an empty matrix is stored as None.  Graphs
+    compare by value and hash by their node count and hyperedges.
     """
 
     num_nodes: int
@@ -154,6 +165,19 @@ class Hypergraph:
         ef = _as_float_features(hyperedge_features, len(canon), "hyperedge features")
         _store(self, num_nodes, tuple(canon), nf if nf.size else None, ef if ef.size else None)
 
+    def __eq__(self, other):
+        if other.__class__ is not Hypergraph:
+            return NotImplemented
+        return (
+            self.num_nodes == other.num_nodes
+            and self.hyperedges == other.hyperedges
+            and _same_features(self.node_features, other.node_features)
+            and _same_features(self.hyperedge_features, other.hyperedge_features)
+        )
+
+    def __hash__(self):
+        return hash((self.num_nodes, self.hyperedges))
+
     def __reduce__(self):
         # unpickled through __init__, so a graph sent from another process is frozen too
         return Hypergraph, (self.num_nodes, self.hyperedges, self.node_features, self.hyperedge_features)
@@ -172,9 +196,9 @@ def _lex_order(edges: np.ndarray, num_right: int) -> tuple[np.ndarray, np.ndarra
     stable sort runs only when they are not ascending already."""
     # One key per incidence orders pairs lexicographically.
     key = edges[:, 0] * num_right + edges[:, 1]
-    if np.all(key[1:] > key[:-1]):
+    if (key[1:] > key[:-1]).all():
         return edges, key
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     return edges[order], key[order]
 
 
@@ -195,7 +219,7 @@ def _canonical_edges(edges, num_left: int, num_right: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Star-expansion bipartite graph with per-left-node integer budgets.
 
@@ -299,7 +323,7 @@ class BipartiteGraph:
         A stable sort of the canonical edges by right endpoint, with offsets
         from the right degrees, as ``autodiff.incidence`` builds its rows.
         """
-        order = np.argsort(self.edges[:, 1], kind="stable")
+        order = self.edges[:, 1].argsort(kind="stable")
         offsets = np.zeros(self.num_right + 1, dtype=np.int64)
         np.cumsum(self.right_degrees(), out=offsets[1:])
         return self.edges[order, 0], offsets
@@ -313,7 +337,7 @@ class BipartiteGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliqueExpansion:
     """Weighted graph on hypergraph nodes; weight counts shared hyperedges."""
 
@@ -360,10 +384,18 @@ def star_expand(h: Hypergraph) -> BipartiteGraph:
 
     Every left node starts with budget 1; features are carried over verbatim,
     a missing matrix as one of width 0.
+
+    The read-only result is built once per graph and kept on ``h``, so every
+    later call returns the same object: one star expansion per graph, which
+    shares its feature matrices with ``h``.  The cache is not a field, so
+    equality, ``repr`` and pickling never see it.
     """
+    star = h.__dict__.get("_star")
+    if star is not None:
+        return star
     sizes = np.fromiter(map(len, h.hyperedges), dtype=np.int64, count=h.num_hyperedges)
     members = np.fromiter(itertools.chain.from_iterable(h.hyperedges), dtype=np.int64, count=int(sizes.sum()))
-    return BipartiteGraph._derived(
+    star = BipartiteGraph._derived(
         h.num_nodes,
         h.num_hyperedges,
         np.stack([members, np.repeat(np.arange(h.num_hyperedges, dtype=np.int64), sizes)], axis=1),
@@ -371,6 +403,8 @@ def star_expand(h: Hypergraph) -> BipartiteGraph:
         np.zeros((h.num_nodes, 0)) if h.node_features is None else h.node_features,
         np.zeros((h.num_hyperedges, 0)) if h.hyperedge_features is None else h.hyperedge_features,
     )
+    h.__dict__["_star"] = star
+    return star
 
 
 def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
@@ -384,12 +418,12 @@ def clique_of_bipartite(b: BipartiteGraph) -> CliqueExpansion:
     sizes = offsets[1:] - offsets[:-1]
     # Each run position pairs with every later position of its run: the
     # position of rank i in a run of size d opens d - 1 - i pairs.
-    later = np.repeat(sizes - 1, sizes) - (np.arange(members.size) - np.repeat(offsets[:-1], sizes))
-    first = np.repeat(np.arange(members.size), later)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    later = (sizes - 1).repeat(sizes) - (np.arange(members.size) - offsets[:-1].repeat(sizes))
+    first = np.arange(members.size).repeat(later)
+    second = first + 1 + np.arange(first.size) - (later.cumsum() - later).repeat(later)
     n = b.num_left
     keys, weights = np.unique(members[first] * n + members[second], return_counts=True)
-    return CliqueExpansion._derived(n, np.stack([keys // n, keys % n], axis=1), weights)
+    return CliqueExpansion._derived(n, np.column_stack((keys // n, keys % n)), weights)
 
 
 def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -455,6 +456,83 @@ def test_cache_returns_levels_and_resamples():
     # next take resamples a fresh sequence
     fresh, _ = cache.take(1, rng)
     assert fresh is not first
+
+
+# ---------------------------------------------------------------------------
+# The finest level's star expansion and contraction order are kept on the
+# graph objects; a coarsening must not depend on whether they were cached.
+
+
+def _sequence_arrays(seq):
+    """Every level's sizes, arrays and stored targets, fine to coarse."""
+    out = []
+    for level in seq.levels:
+        b = level.bipartite
+        out += [(b.num_left, b.num_right), b.edges, b.left_budgets, b.left_features, b.right_features]
+        if level.expansion is not None:
+            rd = level.refinement
+            out += [level.expansion.left, level.expansion.right]
+            out += [rd.edge_keep, rd.budget_split, rd.left_features, rd.right_features]
+    return out
+
+
+def _coarsened(h, preserve_k, seed):
+    """The sequence of ``h`` and the generator's next draws after it."""
+    rng = np.random.default_rng(seed)
+    seq = sample_coarsening_sequence(h, CoarseningParams(preserve_k=preserve_k), rng)
+    return _sequence_arrays(seq) + [rng.random(4)]
+
+
+def _assert_bit_identical(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        else:
+            assert x == y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.one_of(_arbitrary_hypergraphs(), _featured_hypergraphs().map(lambda case: case[0])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_finest_level_keeps_levels_targets_and_draws(h, seed):
+    """One graph object coarsened twice per preserve_k, the values of k
+    alternating on it, equals a fresh equal copy coarsened once."""
+    for preserve_k in (8, 1, 3, 8):
+        fresh = Hypergraph(h.num_nodes, h.hyperedges, h.node_features, h.hyperedge_features)
+        expected = _coarsened(fresh, preserve_k, seed)
+        _assert_bit_identical(_coarsened(h, preserve_k, seed), expected)
+        _assert_bit_identical(_coarsened(h, preserve_k, seed), expected)
+
+
+def test_pickled_graph_carries_no_cache_and_coarsens_the_same():
+    rng = np.random.default_rng(14)
+    h = gen_tree(rng, num_nodes=12)
+    h = Hypergraph(h.num_nodes, h.hyperedges, node_features=rng.normal(size=(h.num_nodes, 2)))
+    expected = _coarsened(h, 8, 15)
+    copy = pickle.loads(pickle.dumps(h))
+    assert copy == h
+    assert set(vars(copy)) == {f.name for f in dataclasses.fields(Hypergraph)}
+    _assert_bit_identical(_coarsened(copy, 8, 15), expected)
+
+
+def test_second_coarsening_reuses_the_finest_clique_expansion(monkeypatch):
+    real, calls = coarsening.clique_of_bipartite, []
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(coarsening, "clique_of_bipartite", counted)
+    h = gen_sbm(np.random.default_rng(16))
+    counts = []
+    for seed in (17, 17):
+        calls.clear()
+        sample_coarsening_sequence(h, CoarseningParams(), np.random.default_rng(seed))
+        counts.append(len(calls))
+    assert counts[1] == counts[0] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -368,3 +368,34 @@ def test_degree_helpers():
     members, offsets = b.right_runs()
     assert members.tolist() == [0, 1, 1, 2, 3]
     assert offsets.tolist() == [0, 2, 5]
+
+
+def test_star_expansion_is_read_only_and_kept_on_the_graph():
+    h = Hypergraph(4, [[0, 1], [1, 2, 3]], node_features=np.ones((4, 2)))
+    b = star_expand(h)
+    assert star_expand(h) is b
+    assert not any(arr.flags.writeable for arr in (b.edges, b.left_budgets, b.left_features, b.right_features))
+
+
+def test_featured_graphs_compare_by_value_and_hash_consistently():
+    edges = [[0, 1], [1, 2]]
+    a = Hypergraph(3, edges, node_features=np.ones((3, 2)))
+    b = Hypergraph(3, [[1, 0], [2, 1]], node_features=np.ones((3, 2)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Hypergraph(3, edges, node_features=np.full((3, 2), 2.0))
+    assert a != Hypergraph(3, edges, node_features=np.ones((3, 1)))
+    assert a != Hypergraph(3, edges) and Hypergraph(3, edges) != a
+    assert a != Hypergraph(3, edges, node_features=np.ones((3, 2)), hyperedge_features=np.ones((2, 1)))
+    assert a != Hypergraph(3, [[0, 1], [0, 2]], node_features=np.ones((3, 2)))
+    assert Hypergraph(3, edges) == Hypergraph(3, edges)
+    assert a != "a hypergraph"
+    # the kept star expansion takes no part in equality or hashing
+    before = hash(a)
+    star_expand(a)
+    assert a == b and hash(a) == before == hash(b)
+
+
+def test_array_containers_compare_by_identity():
+    b = BipartiteGraph(2, 1, np.array([[0, 0], [1, 0]]))
+    same = BipartiteGraph(2, 1, np.array([[0, 0], [1, 0]]))
+    assert b == b and b != same
