@@ -27,7 +27,6 @@ __all__ = [
     "no_grad",
     "add",
     "mul",
-    "matmul",
     "linear",
     "reshape",
     "concat",
@@ -160,20 +159,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out_data, True, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
-    if not _needs(a, b):
-        return Tensor(out_data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
 
     return Tensor(out_data, True, (a, b), bwd)
 

@@ -29,12 +29,10 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    from dataclasses import fields
-
     from .datasets import DatasetSpec, generate_dataset
+    from .hypergraph import _from_record
 
-    given = vars(args)
-    spec = DatasetSpec(**{f.name: given[f.name] for f in fields(DatasetSpec) if f.name in given})
+    spec = _from_record(DatasetSpec, vars(args), "options")
     manifest = generate_dataset(spec, args.out)
     print(json.dumps({"out": str(args.out), "kind": manifest["kind"], "splits": manifest["splits"]}))
     return 0
@@ -50,22 +48,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .hypergraph import write_graphs_jsonl
+    from .hypergraph import _from_record, write_graphs_jsonl
     from .pipeline import SampleRequest, _sample_workers, sample
 
-    req = SampleRequest(
-        checkpoint=args.ckpt, n_nodes=args.n_nodes, count=args.count, seed=args.seed
-    )
+    req = _from_record(SampleRequest, vars(args), "options")
     graphs, diags = sample(req)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples_path = out / "samples.jsonl"
     write_graphs_jsonl(samples_path, graphs)
     report = {
-        "n_nodes": args.n_nodes,
-        "count": args.count,
-        "seed": args.seed,
-        "workers": _sample_workers(args.count),
+        "n_nodes": req.n_nodes,
+        "count": req.count,
+        "seed": req.seed,
+        "workers": _sample_workers(req.count),
         "samples": diags,
         "num_flagged_invalid": sum(1 for d in diags if not d["valid_structure"]),
     }
@@ -151,9 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_train)
 
+    # as for gen-data: SampleRequest supplies the default of an option left out
     p = sub.add_parser(
         "sample",
         help="sample hypergraphs from a checkpoint",
+        argument_default=argparse.SUPPRESS,
         description="Sample hypergraphs from a checkpoint.  Every setting comes from the checkpoint's "
         "training record: the Euler steps per level, the reduction-fraction range, the perturbation and "
         "the connectivity repair.  The graphs are spread over the usable CPUs, "
@@ -161,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         "k + 2W, ... as one task and advances them together, one forward per Euler step.  Graph i depends "
         "only on --seed and i, so the output does not depend on how many CPUs there are.",
     )
-    p.add_argument("--ckpt", required=True)
+    p.add_argument("--ckpt", dest="checkpoint", required=True)
     p.add_argument("--n-nodes", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -41,6 +41,7 @@ from .hypergraph import (
     Hypergraph,
     _as_int_array,
     _check_fields,
+    _least_reachable,
     clique_of_bipartite,
     star_expand,
 )
@@ -189,22 +190,9 @@ def _number_by_leader(leader: np.ndarray) -> np.ndarray:
 
 def _first_disconnected_group(b: BipartiteGraph, assign: np.ndarray, hub: np.ndarray) -> int | None:
     """First group whose members do not all meet through right nodes they
-    share, or None.
-
-    ``hub[e]`` numbers the (group, right node) pair of edge ``e``.  Labels
-    propagate as minima between left nodes and hubs until they settle, so
-    each node ends with the least node of its piece of its group.
-    """
-    left = b.edges[:, 0]
-    labels = np.arange(b.num_left)
-    while True:
-        hub_label = np.full(hub.max(initial=-1) + 1, b.num_left)
-        np.minimum.at(hub_label, hub, labels[left])
-        settled = labels.copy()
-        np.minimum.at(settled, left, hub_label[hub])
-        if np.array_equal(settled, labels):
-            break
-        labels = settled
+    share, or None.  ``hub[e]`` numbers the (group, right node) pair of edge
+    ``e``, so each node reaches the least node of its piece of its group."""
+    labels = _least_reachable(b.num_left, b.edges[:, 0], hub)
     least = np.full(int(assign.max()) + 1, b.num_left)
     np.minimum.at(least, assign, labels)
     bad = np.flatnonzero(least[assign] != labels)

@@ -27,7 +27,7 @@ from scipy.sparse import csr_array
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .hypergraph import BipartiteGraph, _check_fields, normalized_laplacian, smallest_nonzero_eigs
+from .hypergraph import BipartiteGraph, _check_fields, _from_record, normalized_laplacian, smallest_nonzero_eigs
 
 __all__ = [
     "DenoiserConfig",
@@ -85,13 +85,6 @@ class DenoiserConfig:
             raise ValueError("spectral_k must be positive")
         if self.node_feature_dim < 0 or self.edge_feature_dim < 0:
             raise ValueError("feature dims must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DenoiserConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 @dataclass
@@ -538,16 +531,17 @@ class Denoiser:
         return {k: v.data for k, v in out.items()}
 
     def save(self, path, extra_config: dict | None = None) -> None:
-        cfg = self.config.to_dict()
-        if extra_config:
-            cfg = {**cfg, **{k: v for k, v in extra_config.items() if k not in cfg}}
+        cfg = asdict(self.config)
+        cfg |= {k: v for k, v in (extra_config or {}).items() if k not in cfg}
         ad.save_checkpoint(path, self.store, cfg)
 
     @classmethod
     def from_checkpoint(cls, path) -> "Denoiser":
+        """The model a checkpoint holds: its ``config`` record (a JSON object,
+        else ValueError) gives the :class:`DenoiserConfig`, and each other key
+        of it goes to ``extra_config``."""
         store, manifest = ad.load_checkpoint(path)
-        config = DenoiserConfig.from_dict(manifest["config"])
-        den = cls(config, rng=np.random.default_rng(0), store=store)
-        known = config.to_dict()
-        den.extra_config = {k: v for k, v in manifest["config"].items() if k not in known}
+        record = manifest.get("config")
+        den = cls(_from_record(DenoiserConfig, record, "config"), rng=np.random.default_rng(0), store=store)
+        den.extra_config = {k: v for k, v in record.items() if k not in DenoiserConfig.__dataclass_fields__}
         return den

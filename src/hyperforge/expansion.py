@@ -10,7 +10,7 @@ learns to delete edges.  Perturbation edges are never positives: coarsening
 only contracts adjacent nodes, so every edge of a finer level joins children
 of adjacent parents.  A model trained on perturbed expansions therefore
 learns to drop about the share of input edges that perturbation adds, and
-sampling has to expand the same way the model was trained.
+sampling expands as training did: both call ``pipeline._expand_as_trained``.
 
 Each level-structure primitive has one vectorised home here, used by
 coarsening, training and sampling alike: the child pairs of parent pairs

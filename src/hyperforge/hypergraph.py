@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "Hypergraph",
@@ -113,6 +112,16 @@ def _check_fields(config) -> None:
             raise ValueError(f"{f.name} {value!r} is not a real number")
         elif f.type == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} {value!r} is not a bool")
+
+
+def _from_record(cls, record, what: str, **unrecorded):
+    """The ``cls`` built from the fields that the record ``what`` names (a
+    checkpoint's config record, or a command's options), other keys ignored;
+    a field it leaves out comes from ``unrecorded``, else its default.
+    Raises ValueError naming the record when it is not a JSON object."""
+    if not isinstance(record, dict):
+        raise ValueError(f"checkpoint record {what!r} is not a JSON object: {record!r:.60}")
+    return cls(**{**unrecorded, **{f.name: record[f.name] for f in fields(cls) if f.name in record}})
 
 
 def _as_int_array(values, what: str) -> np.ndarray:
@@ -446,20 +455,28 @@ def collapse_bipartite(b: BipartiteGraph) -> Hypergraph:
     )
 
 
+def _least_reachable(num_left: int, left: np.ndarray, hub: np.ndarray) -> np.ndarray:
+    """The least left node that each of ``num_left`` left nodes reaches, where
+    edge ``e`` joins left node ``left[e]`` to hub ``hub[e]``: labels propagate
+    as minima between left nodes and hubs until they settle."""
+    labels = np.arange(num_left)
+    while True:
+        hub_label = np.full(hub.max(initial=-1) + 1, num_left)
+        np.minimum.at(hub_label, hub, labels[left])
+        settled = labels.copy()
+        np.minimum.at(settled, left, hub_label[hub])
+        if np.array_equal(settled, labels):
+            return labels
+        labels = settled
+
+
 def is_connected(h: Hypergraph) -> bool:
-    """Whether the incidence graph is one piece, so no node is isolated.
-
-    Hyperedges are never empty, so this is also connectivity of the clique
-    expansion.
-    """
+    """Whether the incidence graph is one piece, so no node is isolated: it
+    is when every node reaches node 0 (:func:`_least_reachable`, with the
+    hyperedges as hubs).  Hyperedges are never empty, so this is also
+    connectivity of the clique expansion."""
     b = star_expand(h)
-    size = b.num_left + b.num_right
-    adj = scipy.sparse.coo_matrix(
-        (np.ones(b.num_edges), (b.edges[:, 0], b.num_left + b.edges[:, 1])), shape=(size, size)
-    )
-    from scipy.sparse.csgraph import connected_components  # imported here: only connectivity checks need it
-
-    return connected_components(adj, directed=False)[0] == 1
+    return not _least_reachable(b.num_left, b.edges[:, 0], b.edges[:, 1]).any()
 
 
 def normalized_laplacian(b: BipartiteGraph) -> np.ndarray:
@@ -515,7 +532,8 @@ def smallest_nonzero_eigs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = _dense_nonzero_eigs(mat, k)
     else:
-        from scipy.sparse.linalg import eigsh  # imported here: no shipped dataset reaches the cutoff
+        import scipy.sparse  # imported here: no shipped dataset reaches the cutoff
+        from scipy.sparse.linalg import eigsh
 
         vals = vecs = None
         request = min(n - 1, k + 8)

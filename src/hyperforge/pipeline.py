@@ -43,6 +43,7 @@ from .hypergraph import (
     Hypergraph,
     _as_int,
     _check_fields,
+    _from_record,
     collapse_bipartite,
     is_connected,
     read_graphs_jsonl,
@@ -137,9 +138,10 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        """Parse a plain-text config of key=value lines (# comments allowed)."""
+        """Parse a plain-text config of key=value lines (# comments allowed, each key once)."""
         known = {f.name: f.type for f in fields(cls)}
         values: dict = {}
+        line_of: dict[str, int] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -150,6 +152,9 @@ class TrainConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in line_of:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice (first on line {line_of[key]})")
+            line_of[key] = lineno
             try:
                 values[key] = _coerce(val, known[key])
             except ValueError as exc:
@@ -216,22 +221,27 @@ class TrainingExample:
     total_left: int
 
 
+def _expand_as_trained(b: BipartiteGraph, v: ExpansionVectors, cfg: TrainConfig, rng) -> BipartiteGraph:
+    """``b`` expanded by ``v`` as a model trained with ``cfg`` learned to
+    refine it: perturbed with ``cfg``'s radius and probability when
+    ``cfg.perturbation`` is on, else plain, drawing nothing from ``rng``.
+    Training and sampling expand only here, so they expand alike."""
+    if cfg.perturbation:
+        return perturb_expand(b, v, cfg.perturb_radius, cfg.perturb_prob, rng)
+    return expand(b, v)
+
+
 def build_training_example(
-    seq: CoarseningSequence,
-    level_index: int,
-    rng: np.random.Generator,
-    perturbation: bool = TrainConfig.perturbation,
-    perturb_radius: int = TrainConfig.perturb_radius,
-    perturb_prob: float = TrainConfig.perturb_prob,
+    seq: CoarseningSequence, level_index: int, rng: np.random.Generator, cfg: TrainConfig
 ) -> TrainingExample:
     """Rebuild the expanded graph at one level and derive endpoint targets.
 
-    The input graph is the (optionally perturbed) expansion of the next
-    coarser level; refinement targets come from the stored decision via edge
-    membership in the finer level, and expansion targets come from the finer
-    level's own stored expansion (all-ones at the finest level).  Feature
-    targets are the finer level's features, zeros of the same width at the
-    top level.
+    The input graph is the next coarser level expanded as ``cfg`` trains
+    (:func:`_expand_as_trained`); refinement targets come from the stored
+    decision via edge membership in the finer level, and expansion targets
+    come from the finer level's own stored expansion (all-ones at the finest
+    level).  Feature targets are the finer level's features, zeros of the
+    same width at the top level.
     """
     levels = seq.levels
     top = len(levels) - 1
@@ -257,10 +267,7 @@ def build_training_example(
         left_feat_target = np.zeros_like(parent.left_features)
         right_feat_target = np.zeros_like(parent.right_features)
 
-    if perturbation:
-        expanded = perturb_expand(parent, v_parent, perturb_radius, perturb_prob, rng)
-    else:
-        expanded = expand(parent, v_parent)
+    expanded = _expand_as_trained(parent, v_parent, cfg, rng)
     if expanded.num_left != fine.num_left or expanded.num_right != fine.num_right:
         raise AssertionError("expanded level size drifted from the stored level")
 
@@ -445,9 +452,7 @@ def _validation_batch(
         g = val_graphs[j % len(val_graphs)]
         seq = sample_coarsening_sequence(g, params, vrng)
         level = int(vrng.integers(seq.num_levels))
-        example = build_training_example(
-            seq, level, vrng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
-        )
+        example = build_training_example(seq, level, vrng, cfg)
         batch.append(prepare_step(example, vrng, cfg.spectral_k))
     return batch
 
@@ -527,9 +532,7 @@ def train(cfg: TrainConfig) -> dict:
     def draw() -> tuple:
         graph_id = int(rng.integers(len(train_graphs)))
         seq, level_index = cache.take(graph_id, rng)
-        example = build_training_example(
-            seq, level_index, rng, cfg.perturbation, cfg.perturb_radius, cfg.perturb_prob
-        )
+        example = build_training_example(seq, level_index, rng, cfg)
         return (graph_id, level_index, example, *prepare_step(example, rng, cfg.spectral_k))
 
     start = time.perf_counter()
@@ -747,9 +750,7 @@ def _recorded_config(denoiser: Denoiser) -> TrainConfig:
     connected = denoiser.extra_config.get("train_graphs_connected", False)
     if not isinstance(connected, bool):
         raise ValueError(f"train_graphs_connected {connected!r} is not a bool")
-    record = denoiser.extra_config.get("train", {})
-    known = {f.name for f in fields(TrainConfig)}  # a key an older version recorded is left out
-    return TrainConfig(**{"perturbation": False, **{k: v for k, v in record.items() if k in known}})
+    return _from_record(TrainConfig, denoiser.extra_config.get("train", {}), "train", perturbation=False)
 
 
 @dataclass
@@ -765,9 +766,10 @@ class _Level:
 def _draw_levels(denoiser: Denoiser, cfg: TrainConfig, N: int, rng: np.random.Generator):
     """One graph's sampler, as a generator that stops once per level.
 
-    Each level it expands the graph as ``cfg`` says, draws ρ and the prior
-    noise from ``rng`` and yields the :class:`_Level`; the caller integrates
-    it and sends back the endpoints.  The level is then finished here:
+    Each level it expands the graph as training did
+    (:func:`_expand_as_trained`), draws ρ and the prior noise from ``rng``
+    and yields the :class:`_Level`; the caller integrates it and sends back
+    the endpoints.  The level is then finished here:
     inpainting (repaired to stay connected when the checkpoint says so),
     refinement, the budget check and the drop of empty right nodes.  Returns
     the graph with exactly ``N`` nodes and its diagnostics.  A level of
@@ -789,10 +791,7 @@ def _draw_levels(denoiser: Denoiser, cfg: TrainConfig, N: int, rng: np.random.Ge
     budget_sums: list[int] = []
 
     for iterations in range(1, N + 1):
-        if cfg.perturbation:
-            expanded = perturb_expand(b, v, cfg.perturb_radius, cfg.perturb_prob, rng)
-        else:
-            expanded = expand(b, v)
+        expanded = _expand_as_trained(b, v, cfg, rng)
         n = expanded.num_left
         if n < N:
             rho = float(rng.uniform(cfg.rho_min, cfg.rho_max))
@@ -952,9 +951,10 @@ def sample_one(denoiser: Denoiser, n_nodes: int, rng: np.random.Generator) -> tu
     unrepaired.  This is the lockstep driver of :func:`sample` on one graph.
 
     Raises:
-        ValueError: before any work, for a record that :class:`TrainConfig`
-            rejects (``steps`` 2.5, ``perturbation`` "false", a ρ range outside
-            0 < rho_min <= rho_max < 1) or a non-bool ``train_graphs_connected``.
+        ValueError: before any work, for a ``train`` record that is not a
+            JSON object or that :class:`TrainConfig` rejects (``steps`` 2.5,
+            ``perturbation`` "false", a ρ range outside 0 < rho_min <=
+            rho_max < 1), or a non-bool ``train_graphs_connected``.
     """
     (outcome,) = _lockstep(denoiser, _recorded_config(denoiser), n_nodes, {0: rng}).values()
     if isinstance(outcome, Exception):

@@ -261,7 +261,7 @@ def _training_loss_setup():
     rng = np.random.default_rng(70)
     h = gen_tree(rng, 12)
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
-    example = build_training_example(seq, 0, rng, perturbation=False)
+    example = build_training_example(seq, 0, rng, TrainConfig(perturbation=False))
     cfg = DenoiserConfig(hidden_dim=24, num_layers=2, mlp_hidden=32, spectral_k=4)
     den = Denoiser(cfg, rng=np.random.default_rng(71))
     wrng = np.random.default_rng(72)

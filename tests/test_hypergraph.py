@@ -1,8 +1,11 @@
 import re
+from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperforge.hypergraph import (
     DENSE_EIG_CUTOFF,
@@ -130,6 +133,44 @@ def test_is_connected():
     assert not is_connected(Hypergraph(3, [(0, 1)]))
     assert not is_connected(Hypergraph(3, [(0, 1), (2,)]))
     assert not is_connected(Hypergraph(4, [(0, 1), (2, 3)]))
+
+
+@st.composite
+def _adversarial_hypergraphs(draw):
+    """Hypergraphs whose hyperedges come from a small pool, so they repeat,
+    leave nodes isolated and split the nodes into several components; a
+    single node may have no hyperedge at all."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=5))
+    hyperedges = draw(st.lists(st.sampled_from(pool), max_size=8)) if pool else []
+    return Hypergraph(n, [sorted(e) for e in hyperedges])
+
+
+def _reaches_everything(h: Hypergraph) -> bool:
+    """Breadth-first search of the incidence graph from node 0: whether it
+    reaches every node and every hyperedge."""
+    members = [set() for _ in range(h.num_nodes)]
+    for j, e in enumerate(h.hyperedges):
+        for i in e:
+            members[i].add(j)
+    seen_nodes, seen_edges, queue = {0}, set(), deque([0])
+    while queue:
+        for j in members[queue.popleft()] - seen_edges:
+            seen_edges.add(j)
+            for i in set(h.hyperedges[j]) - seen_nodes:
+                seen_nodes.add(i)
+                queue.append(i)
+    return len(seen_nodes) == h.num_nodes and len(seen_edges) == h.num_hyperedges
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_adversarial_hypergraphs())
+@example(h=Hypergraph(1, []))
+@example(h=Hypergraph(2, []))
+@example(h=Hypergraph(5, [(0, 1), (0, 1), (2, 3), (2, 3)]))
+@example(h=Hypergraph(4, [(3,), (3,), (0, 3), (1, 2)]))
+def test_is_connected_matches_breadth_first_search(h):
+    assert is_connected(h) == _reaches_everything(h)
 
 
 def test_laplacian_single_edge():

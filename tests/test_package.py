@@ -26,19 +26,70 @@ def test_module_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def _package_module(name: str | None, level: int, home: str | None) -> str | None:
+    """The hyperforge module that an import from ``name`` at relative
+    ``level`` names, from a file of module ``home`` (None outside the
+    package); None for the package itself or a module outside it."""
+    if level:
+        return name if home is not None else None
+    parts = (name or "").split(".")
+    return parts[1] if parts[0] == "hyperforge" and len(parts) == 2 else None
+
+
+def _bindings(tree: ast.Module, home: str | None) -> tuple[dict[str, str], dict[str, str]]:
+    """What a file's imports bind, wherever they sit: names bound to a
+    hyperforge module (``ad`` to ``autodiff``), and names bound to a name a
+    module defines (``train`` to ``pipeline.train``)."""
+    modules: dict[str, str] = {}
+    names: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = _package_module(alias.name, 0, home)
+                if module is not None and alias.asname:
+                    modules[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom):
+            source = _package_module(node.module, node.level, home)
+            package = (node.level and node.module is None) or node.module == "hyperforge"
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if package and alias.name in MODULES:
+                    modules[bound] = alias.name
+                elif source is not None:
+                    names[bound] = f"{source}.{alias.name}"
+    return modules, names
+
+
 def _referenced_names() -> set[str]:
-    """Every name that code under src/, benchmarks/ or demos/ reads, as a
-    bare name or an attribute, outside the top-level definition of that
-    same name.  Imports, re-exports and ``__all__`` strings read nothing."""
+    """Every ``module.name`` that code under src/, benchmarks/ or demos/
+    reads, outside the top-level definition of that same name.
+
+    A read counts only through the module it resolves to: a bare name
+    through the import that bound it or, in a package module, the module
+    itself; an attribute only of a name bound to a hyperforge module
+    (``ad.matmul``, ``pipeline.train``, ``hyperforge.pipeline.train``).  So
+    ``np.matmul`` keeps no ``autodiff.matmul`` alive.  Imports, re-exports
+    and ``__all__`` strings read nothing.
+    """
     names: set[str] = set()
     for path in sorted(p for d in ("src", "benchmarks", "demos") for p in (ROOT / d).rglob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            owner = getattr(stmt, "name", None)
+        home = path.stem if path.parent.name == "hyperforge" else None
+        tree = ast.parse(path.read_text())
+        modules, bound = _bindings(tree, home)
+        for stmt in tree.body:
+            owner = f"{home}.{getattr(stmt, 'name', None)}"
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
+                    name = bound.get(node.id, f"{home}.{node.id}")
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    name = node.attr
+                    base = node.value
+                    if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+                        module = base.attr if base.value.id == "hyperforge" and base.attr in MODULES else None
+                    else:
+                        module = modules.get(base.id) if isinstance(base, ast.Name) else None
+                    if module is None:
+                        continue
+                    name = f"{module}.{node.attr}"
                 else:
                     continue
                 if name != owner:
@@ -48,13 +99,14 @@ def _referenced_names() -> set[str]:
 
 def test_every_exported_name_is_used():
     """Public API that no code of the package, the benchmark or the demos
-    runs is dead weight; tests alone do not keep a name alive."""
+    runs is dead weight; tests alone do not keep a name alive, and neither
+    does a name of another module that is spelled the same."""
     used = _referenced_names()
     unused = [
         f"{name}.{n}"
         for name in MODULES
         for n in getattr(importlib.import_module(f"hyperforge.{name}"), "__all__", ())
-        if n not in used
+        if f"{name}.{n}" not in used
     ]
     assert unused == []
 
@@ -84,12 +136,12 @@ def test_import_leaves_evaluation_modules_unloaded():
     starts without them.  Importing every module of the package still
     leaves unloaded what only some functions need: scipy.stats and
     scipy.spatial serve only the evaluation metrics, networkx only the tree
-    generator, scipy.sparse.csgraph only connectivity checks,
-    scipy.sparse.linalg only eigensolves above the dense cutoff,
+    generator, scipy.sparse.linalg only eigensolves above the dense cutoff,
     multiprocessing only sample() of more than one graph and train() on two
     or more CPUs, which forks an optimizer helper, and the process-pool
     executor only sample() of more than one graph.  (scipy loads
-    concurrent.futures itself, but not its process pool.)"""
+    concurrent.futures itself, but not its process pool.)  Connectivity
+    needs no scipy, so coarsening and dataset generation load none."""
     loaded = _modules_loaded_by("import hyperforge, hyperforge.cli")
     assert _under(loaded, ("numpy", "scipy", "networkx", "multiprocessing", "concurrent.futures.process")) == []
     assert [m for m in loaded if m.startswith("hyperforge.")] == ["hyperforge.cli"]
@@ -101,6 +153,8 @@ def test_import_leaves_evaluation_modules_unloaded():
         "multiprocessing", "concurrent.futures.process",
     )
     assert _under(loaded, lazy) == []
+
+    assert _under(_modules_loaded_by("import hyperforge.coarsening, hyperforge.datasets"), ("scipy",)) == []
 
 
 def _import_tracer():
@@ -145,7 +199,7 @@ def test_traced_sampling_and_training_step():
     t.install()
     try:
         _, diag = pipeline.sample_one(den, 6, np.random.default_rng(2))
-        example = pipeline.build_training_example(seq, 0, rng)
+        example = pipeline.build_training_example(seq, 0, rng, pipeline.TrainConfig())
         inp, targets = pipeline.prepare_step(example, rng, cfg.spectral_k)
         den.store.zero_grad()
         ad.backward(pipeline._step_loss_tensor(den, inp, targets))

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import multiprocessing
 import os
 import re
 import shutil
 import signal
+import struct
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -44,7 +46,7 @@ from hyperforge.pipeline import (
     write_dot,
 )
 from test_coarsening import _arbitrary_hypergraphs
-from test_expansion import reference_sibling_groups
+from test_expansion import _perturb_cases, reference_sibling_groups
 from test_denoiser import _nonzero_head_model
 
 
@@ -87,6 +89,14 @@ def test_train_config_unknown_key_names_location(tmp_path):
         TrainConfig.from_file(cfg_path)
     cfg_path.write_text("data_dir = x\nmax_steps=2.5\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2: config key 'max_steps': invalid literal"):
+        TrainConfig.from_file(cfg_path)
+
+
+def test_train_config_rejects_a_repeated_key(tmp_path):
+    """A second line for a key used to override the first without a word."""
+    cfg_path = tmp_path / "twice.cfg"
+    cfg_path.write_text("max_steps = 10\n# comment\nlr = 0.01\nmax_steps = 20\n")
+    with pytest.raises(ValueError, match=r"^.*twice\.cfg:4: config key 'max_steps' given twice \(first on line 1\)$"):
         TrainConfig.from_file(cfg_path)
 
 
@@ -183,7 +193,7 @@ def test_training_example_shapes_and_mapping():
     seq = _tree_sequence(seed=1)
     rng = np.random.default_rng(2)
     for l in range(len(seq.levels)):
-        ex = build_training_example(seq, l, rng, perturbation=False)
+        ex = build_training_example(seq, l, rng, TrainConfig(perturbation=False))
         n, m, e = ex.expanded.num_left, ex.expanded.num_right, ex.expanded.num_edges
         t = ex.targets
         assert t["left_expansion"].shape == (n, 1)
@@ -200,7 +210,7 @@ def test_training_example_shapes_and_mapping():
 
 def test_training_example_finest_level_stops_expanding():
     seq = _tree_sequence(seed=3)
-    ex = build_training_example(seq, 0, np.random.default_rng(0), perturbation=False)
+    ex = build_training_example(seq, 0, np.random.default_rng(0), TrainConfig(perturbation=False))
     # the finest level clones nothing next; splits/keeps still rebuild level 0
     assert np.all(ex.targets["left_expansion"] == -1.0)
     assert np.all(ex.targets["right_expansion"] == -1.0)
@@ -221,7 +231,7 @@ def test_training_example_top_level():
     )
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
     top = len(seq.levels) - 1
-    ex = build_training_example(seq, top, np.random.default_rng(0), perturbation=False)
+    ex = build_training_example(seq, top, np.random.default_rng(0), TrainConfig(perturbation=False))
     assert ex.expanded.num_left == 1
     # the top level's features were zeroed, and so are its feature targets
     assert ex.targets["left_features"].shape == (1, 2)
@@ -236,8 +246,7 @@ def test_training_example_perturbation_extras_target_removal():
     # force extras with p = 1 at a level with more than one node
     l = 0
     ex = build_training_example(
-        seq, l, np.random.default_rng(1),
-        perturbation=True, perturb_radius=2, perturb_prob=1.0,
+        seq, l, np.random.default_rng(1), TrainConfig(perturbation=True, perturb_radius=2, perturb_prob=1.0)
     )
     fine = seq.levels[l].bipartite
     assert ex.expanded.num_edges > fine.num_edges
@@ -246,13 +255,33 @@ def test_training_example_perturbation_extras_target_removal():
         assert tgt == (1.0 if (a, b) in fine_set else -1.0)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [TrainConfig(perturbation=False), TrainConfig(perturb_prob=0.0), TrainConfig(perturb_radius=0)],
+    ids=["perturbation-off", "prob-0", "radius-0"],
+)
+@settings(max_examples=100, deadline=None)
+@given(case=_perturb_cases(), seed=st.integers(0, 2**32 - 1))
+def test_expansion_without_perturbation_is_plain_and_draws_nothing(cfg, case, seed):
+    """Each way of turning perturbation off expands exactly as ``expand``
+    does and leaves the generator where it was."""
+    b, v, _ = case
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    got, want = pipeline._expand_as_trained(b, v, cfg, rng), expand(b, v)
+    assert rng.bit_generator.state == before
+    for f in dataclasses.fields(want):
+        a, w = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None and w is None) if w is None else np.array_equal(a, w), f.name
+
+
 def test_couple_noise_preserves_group_multisets():
     seq = _tree_sequence(seed=6)
     l = next(
         i for i in range(1, len(seq.levels))
         if any(len(g) == 2 for g in _groups_of(seq, i))
     )
-    ex = build_training_example(seq, l - 1, np.random.default_rng(2), perturbation=False)
+    ex = build_training_example(seq, l - 1, np.random.default_rng(2), TrainConfig(perturbation=False))
     rng = np.random.default_rng(3)
     from hyperforge.pipeline import _sample_noise
 
@@ -330,7 +359,7 @@ def _coupling_cases(draw):
     )
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
     ex = build_training_example(
-        seq, draw(st.integers(0, seq.num_levels - 1)), rng, perturbation=draw(st.booleans())
+        seq, draw(st.integers(0, seq.num_levels - 1)), rng, TrainConfig(perturbation=draw(st.booleans()))
     )
     assert ex.targets["left_features"].shape == (ex.expanded.num_left, fm)
     assert ex.targets["right_features"].shape == (ex.expanded.num_right, fl)
@@ -367,7 +396,7 @@ def _groups_of(seq, level):
 
 def test_prepare_step_shapes():
     seq = _tree_sequence(seed=7)
-    ex = build_training_example(seq, 0, np.random.default_rng(0), perturbation=False)
+    ex = build_training_example(seq, 0, np.random.default_rng(0), TrainConfig(perturbation=False))
     inp, x_t = prepare_step(ex, np.random.default_rng(1), SMALL.spectral_k)
     n, m, e = ex.expanded.num_left, ex.expanded.num_right, ex.expanded.num_edges
     assert inp.state["left_expansion"].shape == inp.state["left_split"].shape == (n, 1)
@@ -382,7 +411,7 @@ def test_every_head_dict_follows_the_head_table():
     """The prior noise, the targets, the network input's flow state and the
     forward's output name the heads of ``_HEAD_STREAM`` in its order, the
     order in which ``couple_noise`` lays out each sibling's joint row."""
-    ex = build_training_example(_tree_sequence(seed=7), 0, np.random.default_rng(0), perturbation=False)
+    ex = build_training_example(_tree_sequence(seed=7), 0, np.random.default_rng(0), TrainConfig(perturbation=False))
     noise = pipeline._sample_noise(ex.expanded, sibling_pairs(ex.expanded.cluster_of_left), np.random.default_rng(1))
     inp, targets = prepare_step(ex, np.random.default_rng(2), SMALL.spectral_k)
     preds = Denoiser(SMALL, rng=np.random.default_rng(0)).predict(inp)
@@ -395,7 +424,7 @@ def test_training_step_on_right_only_levels():
     seq = sample_coarsening_sequence(Hypergraph(1, [[0]] * 7), CoarseningParams(), np.random.default_rng(0))
     den = Denoiser(SMALL, rng=np.random.default_rng(0))
     for l in range(len(seq.levels)):
-        ex = build_training_example(seq, l, np.random.default_rng(l))
+        ex = build_training_example(seq, l, np.random.default_rng(l), TrainConfig())
         assert ex.expanded.num_right == seq.levels[l].bipartite.num_right
         if l >= 1:
             assert ex.rho_hat == 0.0
@@ -886,6 +915,48 @@ def test_sample_rejects_invalid_reduction_range_before_any_forward(tmp_path, mon
     with _deadline(10.0), pytest.raises(ValueError, match=match):
         sample(SampleRequest(checkpoint=str(ckpt), n_nodes=16, seed=0))
     assert forwards == []
+
+
+def _edit_manifest(path, edit) -> None:
+    """Rewrite the JSON manifest of the checkpoint at ``path`` through
+    ``edit``, keeping its parameter bytes."""
+    raw = path.read_bytes()
+    start = len(ad.CHECKPOINT_MAGIC) + 8
+    (size,) = struct.unpack_from("<Q", raw, len(ad.CHECKPOINT_MAGIC))
+    manifest = json.loads(raw[start : start + size])
+    edit(manifest)
+    header = json.dumps(manifest).encode()
+    path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header + raw[start + size :])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda m: m["config"].update(train=[8, 2]),
+            "checkpoint record 'train' is not a JSON object: [8, 2]",
+            id="train-list",
+        ),
+        pytest.param(lambda m: m.pop("config"), "checkpoint record 'config' is not a JSON object: None", id="no-config"),
+        pytest.param(
+            lambda m: m.update(config=[16, 1]), "checkpoint record 'config' is not a JSON object: [16, 1]", id="config-list"
+        ),
+    ],
+)
+def test_sample_rejects_malformed_records_before_any_fork_or_forward(tmp_path, monkeypatch, edit, message):
+    """A record that is no JSON object fails as a ValueError naming it.  A
+    ``train`` list used to raise AttributeError, a missing ``config``
+    KeyError, and a ``config`` list loaded the default widths and failed on
+    the first parameter's shape."""
+    ckpt = tmp_path / "m.hfck"
+    Denoiser(SMALL, rng=np.random.default_rng(0)).save(ckpt, extra_config={"train": {"steps": 4}})
+    _edit_manifest(ckpt, edit)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    forks, forwards = _spy(monkeypatch, "_sample_forked"), []
+    monkeypatch.setattr(Denoiser, "forward", lambda self, inp: forwards.append(1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample(SampleRequest(checkpoint=str(ckpt), n_nodes=6, count=2, seed=0))
+    assert forks == [] and forwards == []
 
 
 @pytest.fixture

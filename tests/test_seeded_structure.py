@@ -135,7 +135,7 @@ def featured_step() -> str:
     seq = sample_coarsening_sequence(h, CoarseningParams(), rng)
     arrays = []
     for level in range(seq.num_levels):
-        example = pipeline.build_training_example(seq, level, rng)
+        example = pipeline.build_training_example(seq, level, rng, pipeline.TrainConfig())
         inp, targets = pipeline.prepare_step(example, rng, 4)
         arrays += [
             inp.edges, inp.left_spectral, inp.right_spectral, inp.eigenvalues[0],
